@@ -249,11 +249,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _ssa_config(cfg: dict) -> tuple:
+    """The SsaConfig and the dump_cells list of the config's ssa section."""
+    raw = dict(cfg.get("ssa", {}))
+    dump_cells = raw.pop("dump_cells", [])
+    if not isinstance(dump_cells, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in dump_cells
+    ):
+        raise ConfigError(f"ssa.dump_cells must be a list of cell indices, got {dump_cells!r}")
+    return ssa_mod.SsaConfig(**raw), dump_cells
+
+
 def _anomalies_for(method, grid, mask, period, out, cfg, jobs):
     sub = _period_slice(grid, period)
     mass = flux_to_mass(sub, mask)
+    tag = f"{_slug(mask.name)}_{_slug(period['name'])}"
     if method == "vae":
-        tag = f"{_slug(mask.name)}_{_slug(period['name'])}"
         ckpt = out / "checkpoints" / f"vae_{tag}"
         if not ckpt.with_suffix(".json").exists():
             raise DataError(
@@ -263,10 +274,27 @@ def _anomalies_for(method, grid, mask, period, out, cfg, jobs):
         model, _ = vae_mod.load_checkpoint(ckpt)
         recon = vae_mod.reconstruct(model, mass)
         return vae_mod.vae_anomalies(mass, recon), mass
-    ssa_cfg_raw = dict(cfg.get("ssa", {}))
-    ssa_cfg_raw.pop("dump_cells", None)
-    ssa_cfg = ssa_mod.SsaConfig(**ssa_cfg_raw)
-    return ssa_mod.ssa_anomalies(mass, ssa_cfg, jobs=jobs), mass
+    ssa_cfg, dump_cells = _ssa_config(cfg)
+    kept = dict.fromkeys(dump_cells)
+    anoms = ssa_mod.ssa_anomalies(mass, ssa_cfg, jobs=jobs, keep=kept)
+    for cell, dec in kept.items():
+        if dec is not None:
+            _write_ssa_decomposition(out, tag, cell, mass, dec)
+    return anoms, mass
+
+
+def _write_ssa_decomposition(out, tag, cell, mass, dec):
+    series = mass.values[np.nonzero(mass.cells == cell)[0][0]]
+    rows = [
+        (t, repr(float(series[t])), repr(float(dec.trend[t])),
+         repr(float(dec.seasonal[t])), repr(float(dec.residual[t])))
+        for t in range(series.size)
+    ]
+    _write_csv(
+        out / "tables" / f"ssa_decomp_{tag}_cell{cell}.csv",
+        ["month", "original", "trend", "seasonal", "residual"],
+        rows,
+    )
 
 
 def _full_grid(values_masked, cells, n_cells, fill=0.0):
@@ -418,7 +446,6 @@ def cmd_extremes(args) -> int:
 
     if stats:
         _write_agreement(out, stats)
-    _dump_ssa_cells(cfg, grid, masks, periods, out, methods)
     return 0
 
 
@@ -461,36 +488,6 @@ def _write_agreement(out, stats):
     (out / "tables" / "agreement.json").write_text(
         json.dumps([vars(s) for s in stats], indent=2) + "\n"
     )
-
-
-def _dump_ssa_cells(cfg, grid, masks, periods, out, methods):
-    dump_cells = cfg.get("ssa", {}).get("dump_cells", [])
-    if not dump_cells or "ssa" not in methods:
-        return
-    ssa_cfg_raw = dict(cfg.get("ssa", {}))
-    ssa_cfg_raw.pop("dump_cells", None)
-    ssa_cfg = ssa_mod.SsaConfig(**ssa_cfg_raw)
-    for mask in masks:
-        for period in periods:
-            sub = _period_slice(grid, period)
-            mass = flux_to_mass(sub, mask)
-            for cell in dump_cells:
-                where = np.nonzero(mass.cells == cell)[0]
-                if where.size == 0:
-                    continue
-                series = mass.values[where[0]]
-                dec = ssa_mod.decompose_series(series, ssa_cfg)
-                rows = [
-                    (t, repr(float(series[t])), repr(float(dec.trend[t])),
-                     repr(float(dec.seasonal[t])), repr(float(dec.residual[t])))
-                    for t in range(series.size)
-                ]
-                _write_csv(
-                    out / "tables"
-                    / f"ssa_decomp_{_slug(mask.name)}_{_slug(period['name'])}_cell{cell}.csv",
-                    ["month", "original", "trend", "seasonal", "residual"],
-                    rows,
-                )
 
 
 def cmd_gridsearch(args) -> int:

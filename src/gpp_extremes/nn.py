@@ -4,10 +4,18 @@ Everything is float64 and operates on batches shaped (n, dim); 1-D inputs
 are treated as a batch of one. Training state (parameters, Adam moments)
 is mutated sequentially by one owner; forward passes on frozen parameters
 are pure.
+
+A model keeps its parameters in one ``ParamBuffer``: every weight matrix
+and bias vector is a view into a single contiguous float64 array. Backward
+passes can write gradients straight into the views of a second buffer of
+the same layout, and Adam then updates the whole buffer at once instead of
+looping over the arrays. Activation derivatives are taken from the
+activations the forward pass cached, not recomputed from pre-activations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +26,50 @@ from .errors import NumericalError, ShapeError
 def glorot_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+
+class ParamBuffer:
+    """Arrays of the given shapes laid end to end in one float64 buffer.
+
+    ``flat`` is the buffer and ``arrays`` are views into it, in order;
+    iterating or indexing the buffer yields the views.
+    """
+
+    def __init__(self, shapes):
+        shapes = [tuple(shape) for shape in shapes]
+        self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        self.flat = np.zeros(int(self.offsets[-1]))
+        self.arrays = [
+            self.flat[start:stop].reshape(shape)
+            for start, stop, shape in zip(self.offsets[:-1], self.offsets[1:], shapes)
+        ]
+
+    @classmethod
+    def like(cls, arrays) -> "ParamBuffer":
+        """A zeroed buffer with the layout of ``arrays``."""
+        return cls([a.shape for a in arrays])
+
+    @classmethod
+    def adopt(cls, layers) -> "ParamBuffer":
+        """Copy each layer's weights then bias into one buffer and rebind them as views."""
+        buffer = cls([a.shape for layer in layers for a in (layer.weights, layer.bias)])
+        views = iter(buffer.arrays)
+        for layer in layers:
+            for name in ("weights", "bias"):
+                view = next(views)
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
+        return buffer
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __getitem__(self, index):
+        return self.arrays[index]
+
+    def index_of(self, position: int) -> int:
+        """Index of the array that holds element ``position`` of ``flat``."""
+        return int(np.searchsorted(self.offsets, position, side="right")) - 1
 
 
 @dataclass
@@ -44,18 +96,22 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
-    return x @ layer.weights.T + layer.bias
+    y = x @ layer.weights.T
+    y += layer.bias
+    return y
 
 
-def dense_backward(layer, x, grad_out):
+def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True):
     """Gradients of a dense layer given upstream grad at its output.
 
     Returns (grad_x, grad_weights, grad_bias); ``x`` and ``grad_out``
-    must be 2-D batches.
+    must be 2-D batches. The weight and bias gradients are written into
+    ``grad_w`` and ``grad_b`` when given. With ``input_grad=False`` the
+    input gradient is not computed and ``grad_x`` is None.
     """
-    grad_x = grad_out @ layer.weights
-    grad_w = grad_out.T @ x
-    grad_b = grad_out.sum(axis=0)
+    grad_x = grad_out @ layer.weights if input_grad else None
+    grad_w = np.matmul(grad_out.T, x, out=grad_w)
+    grad_b = np.add.reduce(grad_out, axis=0, out=grad_b)
     return grad_x, grad_w, grad_b
 
 
@@ -71,12 +127,21 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
 
 def activation_grad(kind: str, x: np.ndarray) -> np.ndarray:
     """Elementwise derivative evaluated at pre-activation ``x``."""
+    y = activation(kind, x)
+    return chain_activation(kind, y, np.ones_like(y))
+
+
+def chain_activation(kind: str, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times the activation's derivative, written through its output ``y``.
+
+    relu' is 1 where y > 0, and tanh' = 1 - y**2 with y = tanh(x).
+    """
     if kind == "relu":
-        return (x > 0).astype(float)
+        return g * (y > 0)
     if kind == "tanh":
-        return 1.0 - np.tanh(x) ** 2
+        return g * (1.0 - y ** 2)
     if kind == "linear":
-        return np.ones_like(x)
+        return g
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -86,7 +151,10 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)  # 1.0 keeps, 0.0 drops
+    mask *= 1.0 / (1.0 - rate)
+    return mask
 
 
 def dropout(x, rate, mode="train", rng=None):
@@ -134,13 +202,12 @@ class DenseStack:
         return self._forward(np.atleast_2d(np.asarray(x, dtype=float)), "train", None, masks)
 
     def _forward(self, x, mode, rng, masks):
-        inputs, preacts, used_masks = [], [], []
+        inputs, acts, used_masks = [], [], []
         h = x
         for i, layer in enumerate(self.layers):
             inputs.append(h)
-            z = dense_forward(layer, h)
-            preacts.append(z)
-            h = activation(self.kinds[i], z)
+            h = activation(self.kinds[i], dense_forward(layer, h))
+            acts.append(h)
             if self.dropout_layers[i] and self.dropout_rate > 0.0:
                 if masks is not None:
                     m = masks[i]
@@ -153,14 +220,17 @@ class DenseStack:
                 used_masks.append(m)
             else:
                 used_masks.append(None)
-        cache = {"inputs": inputs, "preacts": preacts, "masks": used_masks}
+        cache = {"inputs": inputs, "acts": acts, "masks": used_masks}
         return h, cache
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, out=None, input_grad=True):
         """Exact gradients through the cached forward pass.
 
         Returns (grad_input, grads) where grads is a list of
-        (grad_weights, grad_bias) in layer order.
+        (grad_weights, grad_bias) in layer order. ``out``, a list of
+        (weights, bias) arrays per layer, receives the gradients in place
+        when given. With ``input_grad=False`` the first layer's input
+        gradient is skipped and grad_input is None.
         """
         if cache is None:
             raise ValueError("backward requires the cache of a forward pass")
@@ -169,17 +239,13 @@ class DenseStack:
         for i in range(len(self.layers) - 1, -1, -1):
             if cache["masks"][i] is not None:
                 g = g * cache["masks"][i]
-            g = g * activation_grad(self.kinds[i], cache["preacts"][i])
-            g, gw, gb = dense_backward(self.layers[i], cache["inputs"][i], g)
+            g = chain_activation(self.kinds[i], cache["acts"][i], g)
+            gw, gb = out[i] if out is not None else (None, None)
+            g, gw, gb = dense_backward(
+                self.layers[i], cache["inputs"][i], g, gw, gb, input_grad=input_grad or i > 0
+            )
             grads[i] = (gw, gb)
         return g, grads
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
 
 
 def backprop(stack: DenseStack, x, grad_out, mode="eval", rng=None, masks=None):
@@ -197,7 +263,12 @@ def backprop(stack: DenseStack, x, grad_out, mode="eval", rng=None, masks=None):
 
 @dataclass
 class AdamState:
-    """Adam accumulators; learning rate is mutable so a scheduler can act."""
+    """Adam accumulators; learning rate is mutable so a scheduler can act.
+
+    ``m`` and ``v`` hold one array per array that ``adam_step`` updates:
+    one for a ``ParamBuffer``, one per parameter for a list. ``work`` is
+    scratch that the first step allocates and later steps reuse.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -206,30 +277,61 @@ class AdamState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    work: list = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params, lr):
+        arrays = _update_arrays(params)
         return cls(
             lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=[np.zeros_like(p) for p in arrays],
+            v=[np.zeros_like(p) for p in arrays],
         )
 
 
+def _update_arrays(params) -> list:
+    """The arrays Adam updates: a buffer's flat array, or each array of a list."""
+    if isinstance(params, ParamBuffer):
+        return [params.flat]
+    return list(params)
+
+
 def adam_step(state: AdamState, params, grads):
-    """One in-place Adam update with bias correction; returns ``params``."""
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
+    """One in-place Adam update with bias correction; returns ``params``.
+
+    ``params`` and ``grads`` are both lists of arrays or both
+    ``ParamBuffer``s of one layout; a buffer is updated as one flat array.
+    Each element follows the same operations in the same order either way,
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= lr*(m/b1t) / (sqrt(v/b2t) + eps), so both give the same bits.
+    """
+    ps, gs = _update_arrays(params), _update_arrays(grads)
+    for i, g in enumerate(gs):
+        if not np.isfinite(g).all():
+            if isinstance(grads, ParamBuffer):
+                i = grads.index_of(int(np.flatnonzero(~np.isfinite(g))[0]))
             raise NumericalError(
                 f"non-finite gradient in parameter {i} at Adam step {state.step + 1}"
             )
     state.step += 1
-    b1t = 1.0 - state.beta1 ** state.step
-    b2t = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    b1t = 1.0 - b1 ** state.step
+    b2t = 1.0 - b2 ** state.step
+    if len(state.work) != len(ps):
+        state.work = [(np.empty_like(p), np.empty_like(p)) for p in ps]
+    for p, g, m, v, (step, denom) in zip(ps, gs, state.m, state.v, state.work):
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v += step
+        np.divide(m, b1t, out=step)
+        step *= state.lr
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params

@@ -10,19 +10,33 @@ closed-form KL term against the standard normal prior; see ``objective``.
 Training is fully deterministic given the config seed. Inference
 (reconstruction) decodes the posterior mean with dropout off, so
 anomalies and thresholds are reproducible.
+
+All parameters live in one flat buffer in checkpoint order (encoder,
+mean head, log-variance head, decoder; weights before bias). A training
+step writes its gradients into a second buffer of that layout and Adam
+updates the whole buffer at once; best-epoch snapshots and checkpoints
+copy that buffer directly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, NumericalError, ShapeError
 from .grid import AnomalyField, MassSeries, _paths
-from .nn import AdamState, DenseLayer, DenseStack, adam_step, dense_backward, dense_forward
+from .nn import (
+    AdamState,
+    DenseLayer,
+    DenseStack,
+    ParamBuffer,
+    adam_step,
+    dense_backward,
+    dense_forward,
+)
 
 SEQ_LEN = 12
 
@@ -92,15 +106,17 @@ class VaeModel:
     x_min: float
     x_max: float
     likelihood_var: float = 0.1
+    params: ParamBuffer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        layers = (
+            self.encoder.layers + [self.mu_head, self.logvar_head] + self.decoder.layers
+        )
+        self.params = ParamBuffer.adopt(layers)
 
     def parameters(self):
         """All parameter arrays in declaration order (checkpoint order)."""
-        return (
-            self.encoder.parameters()
-            + [self.mu_head.weights, self.mu_head.bias]
-            + [self.logvar_head.weights, self.logvar_head.bias]
-            + self.decoder.parameters()
-        )
+        return list(self.params)
 
 
 def build_model(config: TrainConfig, x_min: float, x_max: float,
@@ -261,17 +277,22 @@ def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list:
     return masks
 
 
-def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=None):
+def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=None,
+                   out=None):
     """One training step's loss terms and exact parameter gradients.
 
     ``eps`` is the reparameterization draw, supplied by the caller so
     gradient checks can hold it fixed. Dropout masks are drawn from
     ``rng`` unless given explicitly (again for finite-difference checks).
-    Returns ((total, recon, kl), grads) with grads aligned to
-    ``model.parameters()``.
+    Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
+    aligned to ``model.parameters()``: ``out`` when given (its contents
+    are overwritten), else a new one.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
+    grads = ParamBuffer.like(model.params) if out is None else out
+    pairs = list(zip(grads.arrays[0::2], grads.arrays[1::2]))
+    n_enc = len(model.encoder.layers)
 
     if enc_masks is not None:
         h, cache_e = model.encoder.forward_with_masks(x, enc_masks)
@@ -289,19 +310,12 @@ def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=
     total, recon, kl = objective(x, xhat, mu, logvar, model.beta, model.likelihood_var)
 
     dxhat = (xhat - x) / (model.likelihood_var * n)
-    dz, dec_grads = model.decoder.backward(cache_d, dxhat)
+    dz, _ = model.decoder.backward(cache_d, dxhat, out=pairs[n_enc + 2:])
     dmu = dz + model.beta * mu / n
     dlogvar = dz * (0.5 * sigma * eps) + model.beta * (np.exp(logvar) - 1.0) * 0.5 / n
-    dh_mu, gw_mu, gb_mu = dense_backward(model.mu_head, h, dmu)
-    dh_lv, gw_lv, gb_lv = dense_backward(model.logvar_head, h, dlogvar)
-    _, enc_grads = model.encoder.backward(cache_e, dh_mu + dh_lv)
-
-    grads = []
-    for gw, gb in enc_grads:
-        grads.extend([gw, gb])
-    grads.extend([gw_mu, gb_mu, gw_lv, gb_lv])
-    for gw, gb in dec_grads:
-        grads.extend([gw, gb])
+    dh_mu, _, _ = dense_backward(model.mu_head, h, dmu, *pairs[n_enc])
+    dh_lv, _, _ = dense_backward(model.logvar_head, h, dlogvar, *pairs[n_enc + 1])
+    model.encoder.backward(cache_e, dh_mu + dh_lv, out=pairs[:n_enc], input_grad=False)
     return (total, recon, kl), grads
 
 
@@ -328,7 +342,8 @@ def train(windows: WindowSet, config: TrainConfig):
 
     rng = np.random.default_rng(config.seed)
     model = build_model(config, windows.x_min, windows.x_max, rng)
-    params = model.parameters()
+    params = model.params
+    grads = ParamBuffer.like(params)
 
     perm = rng.permutation(n)
     n_val = int(round(config.validation_fraction * n))
@@ -338,7 +353,7 @@ def train(windows: WindowSet, config: TrainConfig):
 
     opt = AdamState.for_params(params, config.learning_rate)
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = params.flat.copy()
     best_epoch = 0
     stale_early = 0
     stale_plateau = 0
@@ -352,7 +367,7 @@ def train(windows: WindowSet, config: TrainConfig):
             batch = x_train[idx]
             eps = rng.standard_normal((idx.size, config.latent_dim))
             try:
-                (total, _, _), grads = loss_and_grads(model, batch, eps, rng=rng)
+                (total, _, _), _ = loss_and_grads(model, batch, eps, rng=rng, out=grads)
                 if not np.isfinite(total):
                     raise NumericalError("non-finite loss")
                 adam_step(opt, params, grads)
@@ -378,7 +393,7 @@ def train(windows: WindowSet, config: TrainConfig):
         if val_total < best_val:
             best_val = val_total
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_params = params.flat.copy()
             stale_early = 0
             stale_plateau = 0
         else:
@@ -390,8 +405,7 @@ def train(windows: WindowSet, config: TrainConfig):
             if stale_early >= config.early_stop_patience:
                 break
 
-    for p, b in zip(params, best_params):
-        p[...] = b
+    params.flat[...] = best_params
     history_meta = {"best_epoch": best_epoch, "best_val_loss": best_val}
     return model, {"epochs": history, **history_meta}
 
@@ -461,7 +475,7 @@ def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> AnomalyFie
 
 def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
     """JSON manifest + little-endian float64 parameter payload."""
-    params = model.parameters()
+    flat = model.params.flat
     manifest = {
         "input_dim": SEQ_LEN,
         "hidden_dims": [layer.out_dim for layer in model.encoder.layers],
@@ -475,12 +489,11 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
         "x_max": model.x_max,
         "seed": seed,
         "epoch": epoch,
-        "n_params": int(sum(p.size for p in params)),
+        "n_params": int(flat.size),
     }
     header_path, payload_path = _paths(path, ".f64")
     header_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    payload = np.concatenate([p.ravel() for p in params]).astype("<f8")
-    payload_path.write_bytes(payload.tobytes())
+    payload_path.write_bytes(flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
@@ -494,15 +507,12 @@ def load_checkpoint(path) -> tuple[VaeModel, dict]:
         likelihood_var=manifest.get("likelihood_var", 0.1),
     )
     model = build_model(config, manifest["x_min"], manifest["x_max"], np.random.default_rng(0))
-    params = model.parameters()
+    flat = model.params.flat
     payload = np.frombuffer(payload_path.read_bytes(), dtype="<f8")
-    if payload.size != sum(p.size for p in params):
+    if payload.size != flat.size:
         raise ShapeError(
             f"{payload_path}: payload holds {payload.size} parameters, manifest "
-            f"implies {sum(p.size for p in params)}"
+            f"implies {flat.size}"
         )
-    offset = 0
-    for p in params:
-        p[...] = payload[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    flat[...] = payload
     return model, manifest

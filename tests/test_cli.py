@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpp_extremes import cli
+from gpp_extremes import cli, grid, ssa
 from gpp_extremes.grid import load_grid
 
 
@@ -247,3 +247,39 @@ def test_period_outside_grid_rejected(tmp_path):
 def test_schema_version_checked(tmp_path):
     cfg = write_config(tmp_path, schema_version=2)
     assert run(["synth", "--config", str(cfg)]) == 1
+
+
+def test_ssa_dump_reuses_the_extremes_decomposition(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, method="ssa", ssa={"window": 18, "dump_cells": [0, 2, 99]})
+    run(["synth", "--config", str(cfg)])
+    decompose = ssa.decompose_series
+    calls = []
+
+    def counting(series, config):
+        calls.append(config)
+        return decompose(series, config)
+
+    monkeypatch.setattr(ssa, "decompose_series", counting)
+    assert run(["extremes", "--config", str(cfg)]) == 0
+    assert len(calls) == 4  # one per region cell; the dumps add none
+    tables = tmp_path / "out" / "tables"
+    assert sorted(p.name for p in tables.glob("ssa_decomp_*")) == [
+        "ssa_decomp_quad_y1850-53_cell0.csv",
+        "ssa_decomp_quad_y1850-53_cell2.csv",
+    ]
+    mass = grid.flux_to_mass(load_grid(tmp_path / "out" / "toy"),
+                             grid.RegionMask("quad", np.arange(4)))
+    series = mass.values[list(mass.cells).index(2)]
+    dec = decompose(series, ssa.SsaConfig(window=18))
+    lines = (tables / "ssa_decomp_quad_y1850-53_cell2.csv").read_text().splitlines()
+    for t in (0, 17, 47):
+        parts = (series[t], dec.trend[t], dec.seasonal[t], dec.residual[t])
+        assert lines[1 + t] == ",".join([str(t)] + [repr(float(v)) for v in parts])
+
+
+@pytest.mark.parametrize("dump_cells", [[[0]], ["0"], 3])
+def test_malformed_dump_cells_is_a_config_error(tmp_path, capsys, dump_cells):
+    cfg = write_config(tmp_path, method="ssa", ssa={"window": 18, "dump_cells": dump_cells})
+    run(["synth", "--config", str(cfg)])
+    assert run(["extremes", "--config", str(cfg)]) == 1
+    assert "dump_cells" in capsys.readouterr().err

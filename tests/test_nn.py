@@ -256,3 +256,61 @@ def test_backprop_entry_point_matches_manual(rng):
     for (wa, ba), (wb, bb) in zip(grads_a, grads_b):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffer
+
+def _adam_reference(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1.0e-8):
+    """Per-array Adam, written out as the textbook update (Kingma & Ba)."""
+    b1t = 1.0 - b1 ** step
+    b2t = 1.0 - b2 ** step
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * g * g
+        p -= lr * (mm / b1t) / (np.sqrt(vv / b2t) + eps)
+
+
+def test_param_buffer_views_share_one_buffer(rng):
+    buf = nn.ParamBuffer([(3, 4), (4,), (0,), (2, 3)])
+    assert buf.flat.size == 12 + 4 + 0 + 6
+    for a in buf:
+        assert np.shares_memory(a, buf.flat) or a.size == 0
+    buf[3][1, 2] = 7.0
+    assert buf.flat[-1] == 7.0
+    assert [buf.index_of(i) for i in (0, 11, 12, 15, 16, 21)] == [0, 0, 1, 1, 3, 3]
+
+
+def test_flat_adam_matches_per_array_formula_bitwise(rng):
+    shapes = [(5, 3), (5,), (2, 5), (2,)]
+    params = nn.ParamBuffer(shapes)
+    params.flat[...] = rng.normal(size=params.flat.size)
+    ref = [p.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    grads = nn.ParamBuffer(shapes)
+    state = nn.AdamState.for_params(params, lr=0.01)
+    lr = 0.01
+    for step in range(1, 4):
+        grads.flat[...] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+        if step == 3:  # a plateau cut, as the trainer makes
+            state.lr *= 0.5
+            lr *= 0.5
+        nn.adam_step(state, params, grads)
+        _adam_reference(ref, list(grads), ref_m, ref_v, step, lr)
+    assert params.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+    assert state.m[0].tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+    assert state.v[0].tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def test_flat_adam_names_the_non_finite_parameter(rng):
+    params = nn.ParamBuffer([(3, 2), (3,), (4, 3), (4,)])
+    grads = nn.ParamBuffer.like(params)
+    state = nn.AdamState.for_params(params, lr=0.01)
+    nn.adam_step(state, params, grads)
+    grads[2][1, 1] = np.inf
+    with pytest.raises(NumericalError, match=r"parameter 2 at Adam step 2"):
+        nn.adam_step(state, params, grads)
+    assert state.step == 1

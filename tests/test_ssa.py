@@ -261,3 +261,61 @@ def test_ssa_config_validation():
         ssa.SsaConfig(trend_cutoff=60).validate_for(372)
     with pytest.raises(SsaWindowError):
         ssa.SsaConfig(window=6).validate_for(372)
+
+
+# ---------------------------------------------------------------------------
+# batched periodogram and grouping against per-component loops
+
+def test_dominant_frequency_block_matches_row_loop(rng):
+    t = np.arange(150.0)
+    block = np.vstack([
+        rng.normal(size=(4, 150)),
+        np.sin(2 * np.pi * t / 12.0),
+        np.zeros(150),
+        np.linspace(0.0, 1.0, 150),
+    ])
+    nfft = 4 * 150
+    expected = []
+    for row in block:
+        if not np.any(row != 0.0):
+            expected.append(np.nan)
+        else:
+            expected.append(np.argmax(np.abs(np.fft.rfft(row, nfft)) ** 2) / nfft)
+    freqs = ssa.dominant_frequency(block, pad_factor=4)
+    np.testing.assert_array_equal(freqs, expected)
+    assert np.isnan(freqs[5])
+
+
+def _group_reference(comps, config):
+    """Component-by-component grouping: classify, then add in index order."""
+    sums = {ssa.TREND: np.zeros(comps.shape[1]), ssa.SEASONAL: np.zeros(comps.shape[1]),
+            ssa.RESIDUAL: np.zeros(comps.shape[1])}
+    groups = []
+    for comp in comps:
+        freq = ssa.dominant_frequency(comp, config.pad_factor)
+        if freq is None:
+            cls = ssa.RESIDUAL
+        elif freq < 1.0 / config.trend_cutoff:
+            cls = ssa.TREND
+        elif any(abs(freq - k * (1.0 / config.seasonal_period)) < config.freq_tolerance
+                 for k in range(1, config.max_harmonic + 1)):
+            cls = ssa.SEASONAL
+        else:
+            cls = ssa.RESIDUAL
+        sums[cls] += comp
+        groups.append(cls)
+    return sums, groups
+
+
+def test_group_matches_component_loop_bitwise():
+    series, _, _ = synth_series(noise=2.0, seed=5)
+    config = ssa.SsaConfig()
+    u, s, vt = ssa.decompose(ssa.embed(series, config.window))
+    vt[-1] = 0.0  # one all-zero component, which must land in the residual
+    dec = ssa.group(u, s, vt, config)
+    sums, groups = _group_reference(kernels.rank_one_series(u, s, vt), config)
+    assert [e.group for e in dec.eigentriples] == groups
+    assert dec.eigentriples[-1].frequency is None
+    for name, got in ((ssa.TREND, dec.trend), (ssa.SEASONAL, dec.seasonal),
+                      (ssa.RESIDUAL, dec.residual)):
+        assert got.tobytes() == sums[name].tobytes()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gpp_extremes import grid, kernels, vae
-from gpp_extremes.errors import ConfigError, DegenerateInputError, ShapeError
+from gpp_extremes import grid, kernels, nn, vae
+from gpp_extremes.errors import ConfigError, DegenerateInputError, NumericalError, ShapeError
 
 
 def tiny_model(rng, hidden=(8, 4), latent=2, dropout=0.0, beta=0.5):
@@ -405,3 +405,41 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         assert a.tobytes() == b.tobytes()
     w = rng.uniform(-1, 1, 12)
     np.testing.assert_array_equal(vae.encode(model, w)[0], vae.encode(loaded, w)[0])
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffer
+
+def test_parameters_are_views_of_one_buffer(rng):
+    model, _ = tiny_model(rng)
+    params = model.parameters()
+    assert sum(p.size for p in params) == model.params.flat.size
+    for p in params:
+        assert np.shares_memory(p, model.params.flat)
+    assert np.shares_memory(model.encoder.layers[0].weights, model.params.flat)
+    assert np.shares_memory(model.decoder.layers[-1].bias, model.params.flat)
+
+
+def test_nan_gradient_names_its_parameter_index(rng):
+    model, cfg = tiny_model(rng)
+    x = rng.uniform(-1, 1, size=(4, 12))
+    eps = rng.standard_normal((4, cfg.latent_dim))
+    _, grads = vae.loss_and_grads(model, x, eps, rng=rng)
+    opt = nn.AdamState.for_params(model.params, lr=0.01)
+    nn.adam_step(opt, model.params, grads)
+    grads[5][0] = np.nan  # the mean head's bias
+    with pytest.raises(NumericalError, match=r"parameter 5 at Adam step 2"):
+        nn.adam_step(opt, model.params, grads)
+
+
+def test_checkpoint_save_load_save_bytes_identical(tmp_path, rng):
+    windows, _ = vae.normalize(annual_mass(noise=0.05))
+    cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
+    model, history = vae.train(windows, cfg)
+    vae.save_checkpoint(model, tmp_path / "a", seed=3, epoch=history["best_epoch"])
+    loaded, manifest = vae.load_checkpoint(tmp_path / "a")
+    vae.save_checkpoint(loaded, tmp_path / "b", seed=manifest["seed"], epoch=manifest["epoch"])
+    first = (tmp_path / "a.f64").read_bytes()
+    assert first == (tmp_path / "b.f64").read_bytes()
+    assert first == model.params.flat.astype("<f8").tobytes()
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
