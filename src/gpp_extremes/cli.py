@@ -9,6 +9,7 @@ outputs. Exit codes: 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -86,9 +87,7 @@ def _regions(cfg: dict) -> list:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"regions[{i}]: {exc}") from exc
-    names = [m.name for m in masks]
-    if len(set(names)) != len(names):
-        raise ConfigError("region names must be unique")
+    _check_tags("regions", [m.name for m in masks])
     return masks
 
 
@@ -106,6 +105,7 @@ def _periods(cfg: dict) -> list:
             raise ConfigError(f"periods[{i}]: end_year {end} before start_year {start}")
         name = str(p.get("name", f"{start}-{end % 100:02d}"))
         periods.append({"name": name, "start_year": start, "end_year": end})
+    _check_tags("periods", [p["name"] for p in periods])
     return periods
 
 
@@ -147,11 +147,28 @@ def _slug(name: str) -> str:
     return "".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name)
 
 
+def _check_tags(section: str, names: list) -> None:
+    """Reject two entries whose names share a file tag, so no output overwrites another."""
+    first = {}
+    for i, name in enumerate(names):
+        j = first.setdefault(_slug(name), i)
+        if j != i:
+            raise ConfigError(
+                f"{section}[{j}] {names[j]!r} and {section}[{i}] {name!r} would write "
+                f"the same files (tag {_slug(name)!r}); rename one of them"
+            )
+
+
 def _write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """One row per line; a field holding a comma, quote or newline is quoted.
+
+    Values are formatted with str() first: csv.writer would repr() a float,
+    which for a numpy float is not the number alone.
+    """
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([str(v) for v in row] for row in rows)
 
 
 def _year_axis(report) -> np.ndarray:
@@ -550,9 +567,14 @@ def cmd_compare(args) -> int:
     tpath = out / "tables" / "thresholds.csv"
     if not tpath.exists():
         raise DataError(f"{tpath} missing; run `gpp-extremes extremes --config ...` first")
-    for line in tpath.read_text().strip().splitlines()[1:]:
-        region, period, method, q_neg, q_pos = line.split(",")
-        thresholds[(region, period, method)] = float(q_neg)
+    with tpath.open(newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    for n, row in enumerate(rows, start=2):
+        try:
+            region, period, method, q_neg, _ = row
+            thresholds[(region, period, method)] = float(q_neg)
+        except ValueError as exc:
+            raise DataError(f"{tpath} line {n}: {exc}") from exc
 
     stats = []
     for mask in masks:

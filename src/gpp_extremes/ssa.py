@@ -1,10 +1,17 @@
 """Singular spectrum analysis baseline.
 
 Per-cell pipeline: embed the series into a Hankel trajectory matrix, take
-its SVD, diagonal-average every rank-1 term back into a component series,
-classify each component by its dominant periodogram frequency into trend
-(10-year-and-longer periodicities), seasonal (annual cycle and its
+its eigentriples, diagonal-average every rank-1 term back into a component
+series, classify each component by its dominant periodogram frequency into
+trend (10-year-and-longer periodicities), seasonal (annual cycle and its
 harmonics) or residual, and report the residual as the anomaly series.
+
+The eigentriples come from the eigendecomposition of the L x L lag
+covariance ``X @ X.T`` (the covariance form of Vautard & Ghil, 1989),
+about twice as fast as ``np.linalg.svd`` of the L x K trajectory matrix
+at L=120, K=253. The two agree to rounding, not bit for bit; the
+tolerance gate (singular values, orthonormality, group sums and group
+labels against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
 
 The periodograms of a cell's components are computed in blocks of
 ``PERIODOGRAM_BLOCK`` rows, one batched ``rfft`` and one row-wise argmax
@@ -56,7 +63,7 @@ class SsaConfig:
 
 @dataclass(frozen=True)
 class Eigentriple:
-    """Bookkeeping for one SVD component after grouping."""
+    """Bookkeeping for one eigentriple after grouping."""
 
     singular_value: float
     frequency: float | None  # cycles/month; None when the component is zero
@@ -81,13 +88,38 @@ def embed(series: np.ndarray, window: int) -> np.ndarray:
 
 
 def decompose(trajectory: np.ndarray):
-    """Full SVD of the trajectory matrix, singular values non-increasing."""
+    """Thin SVD ``(u, s, vt)`` of an L x K trajectory matrix from its lag covariance.
+
+    ``u`` holds the eigenvectors of the L x L lag covariance ``X @ X.T``
+    (for L > K, of ``X.T @ X`` with the roles swapped). Each singular
+    value is the norm of the projection ``u[:, c] @ X`` and ``vt[c]`` is
+    that projection divided by it, a zero row where the value is 0. The
+    norm, not the square root of the eigenvalue, keeps the small values
+    of a rank-deficient matrix near zero. Triples come out with
+    non-increasing singular values, ties in eigenvalue order. Agrees with
+    ``np.linalg.svd`` to rounding, not bit for bit: the gate is in
+    ``tests/test_ssa_tolerance.py``.
+    """
+    x = np.asarray(trajectory, dtype=float)
+    if x.shape[0] > x.shape[1]:
+        v, s, ut = decompose(x.T)
+        return ut.T, s, v.T
+    cov = x @ x.T
+    if not np.isfinite(cov).all():
+        raise NumericalError(f"non-finite values in a {x.shape} trajectory matrix")
     try:
-        u, s, vt = np.linalg.svd(np.asarray(trajectory, dtype=float), full_matrices=False)
+        _, eigvecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"SVD did not converge on a {trajectory.shape} trajectory matrix"
+            f"eigendecomposition did not converge on a {x.shape} trajectory matrix"
         ) from exc
+    u = eigvecs[:, ::-1].copy()  # eigenvalues descending
+    vt = u.T @ x
+    s = np.sqrt(np.einsum("ij,ij->i", vt, vt))
+    np.divide(vt, s[:, None], out=vt, where=s[:, None] > 0.0)
+    if np.any(s[1:] > s[:-1]):
+        order = np.argsort(-s, kind="stable")
+        u, s, vt = u[:, order], s[order], vt[order]
     return u, s, vt
 
 
@@ -166,7 +198,7 @@ def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
 
 
 def decompose_series(series: np.ndarray, config: SsaConfig) -> SsaDecomposition:
-    """embed -> SVD -> diagonal averaging -> frequency grouping for one cell."""
+    """embed -> eigentriples -> diagonal averaging -> frequency grouping for one cell."""
     series = np.asarray(series, dtype=float)
     config.validate_for(series.shape[0])
     u, s, vt = decompose(embed(series, config.window))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DegenerateInputError, NumericalError, ShapeError
+from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
 from .grid import AnomalyField, MassSeries, _paths
 from .nn import (
     AdamState,
@@ -39,6 +39,9 @@ from .nn import (
 )
 
 SEQ_LEN = 12
+# Manifest fields that load_checkpoint checks: the model it builds always has these.
+_FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
+                       "activation_output": "tanh"}
 
 
 @dataclass(frozen=True)
@@ -499,6 +502,11 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
     header_path, payload_path = _paths(path, ".f64")
     manifest = json.loads(header_path.read_text())
+    for name, expected in _FIXED_ARCHITECTURE.items():
+        if manifest.get(name) != expected:
+            raise FormatError(
+                f"{header_path}: {name} is {manifest.get(name)!r}, expected {expected!r}"
+            )
     config = TrainConfig(
         hidden_dims=tuple(manifest["hidden_dims"]),
         latent_dim=manifest["latent_dim"],

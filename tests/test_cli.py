@@ -283,3 +283,50 @@ def test_malformed_dump_cells_is_a_config_error(tmp_path, capsys, dump_cells):
     run(["synth", "--config", str(cfg)])
     assert run(["extremes", "--config", str(cfg)]) == 1
     assert "dump_cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("regions", [{"name": "a b", "cells": [0, 1]}, {"name": "a-b", "cells": [2, 3]}]),
+    ("regions", [{"name": "quad", "cells": [0, 1]}, {"name": "quad", "cells": [2, 3]}]),
+    ("periods", [{"name": "p 1", "start_year": 1850, "end_year": 1853},
+                 {"name": "p-1", "start_year": 1850, "end_year": 1852}]),
+    ("periods", [{"name": "p1", "start_year": 1850, "end_year": 1853},
+                 {"name": "p1", "start_year": 1850, "end_year": 1853}]),
+])
+def test_names_sharing_an_output_tag_are_rejected(tmp_path, capsys, key, entries):
+    cfg = write_config(tmp_path, method="ssa", **{key: entries})
+    run(["synth", "--config", str(cfg)])
+    assert run(["extremes", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}[0] {entries[0]['name']!r}" in err
+    assert f"{key}[1] {entries[1]['name']!r}" in err
+    assert not (tmp_path / "out" / "tables" / "thresholds.csv").exists()
+
+
+def test_region_name_with_comma_round_trips(tmp_path):
+    import csv
+
+    cfg = write_config(tmp_path, regions=[{"name": 'W, NA "x"', "cells": [0, 1, 2, 3]}])
+    assert run(["synth", "--config", str(cfg)]) == 0
+    assert run(["train", "--config", str(cfg)]) == 0
+    assert run(["extremes", "--config", str(cfg)]) == 0
+    assert run(["compare", "--config", str(cfg)]) == 0
+    tables = tmp_path / "out" / "tables"
+    with (tables / "thresholds.csv").open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert [r[:3] for r in rows[1:]] == [['W, NA "x"', "y1850-53", m] for m in ("vae", "ssa")]
+    thresholds = {r[2]: r[3] for r in rows[1:]}
+    with (tables / "threshold_table.csv").open(newline="") as f:
+        table = list(csv.reader(f))
+    assert table[1] == ['W, NA "x"', "y1850-53", thresholds["vae"], thresholds["ssa"]]
+
+
+def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    tables = tmp_path / "out" / "tables"
+    tables.mkdir(parents=True)
+    (tables / "thresholds.csv").write_text(
+        "region,period,method,threshold_GgC_neg,threshold_GgC_pos\nquad,y1850-53,vae\n"
+    )
+    assert run(["compare", "--config", str(cfg)]) == 2
+    assert "thresholds.csv line 2" in capsys.readouterr().err

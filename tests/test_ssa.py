@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpp_extremes import grid, kernels, ssa
-from gpp_extremes.errors import SsaWindowError
+from gpp_extremes.errors import NumericalError, SsaWindowError
 
 
 def synth_series(n=372, trend_scale=5.0, annual_amp=10.0, noise=0.0, seed=0):
@@ -71,6 +71,22 @@ def test_decompose_energy_identity(rng):
 def test_decompose_singular_values_sorted(rng):
     _, s, _ = ssa.decompose(ssa.embed(rng.normal(size=80), 30))
     assert np.all(np.diff(s) <= 0)
+
+
+def test_decompose_tall_matrix_is_thin(rng):
+    mat = rng.normal(size=(30, 12))
+    u, s, vt = ssa.decompose(mat)
+    assert (u.shape, s.shape, vt.shape) == ((30, 12), (12,), (12, 12))
+    np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-12)
+    np.testing.assert_allclose((u * s) @ vt, mat, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_series_non_finite_raises_numerical_error(bad):
+    series, _, _ = synth_series(noise=1.0, seed=2)
+    series[200] = bad
+    with pytest.raises(NumericalError):
+        ssa.decompose_series(series, ssa.SsaConfig())
 
 
 # ---------------------------------------------------------------------------

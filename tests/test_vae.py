@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from gpp_extremes import grid, kernels, nn, vae
-from gpp_extremes.errors import ConfigError, DegenerateInputError, NumericalError, ShapeError
+from gpp_extremes.errors import (
+    ConfigError,
+    DegenerateInputError,
+    FormatError,
+    NumericalError,
+    ShapeError,
+)
 
 
 def tiny_model(rng, hidden=(8, 4), latent=2, dropout=0.0, beta=0.5):
@@ -405,6 +413,22 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         assert a.tobytes() == b.tobytes()
     w = rng.uniform(-1, 1, 12)
     np.testing.assert_array_equal(vae.encode(model, w)[0], vae.encode(loaded, w)[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_dim", 24),
+    ("activation_hidden", "tanh"),
+    ("activation_output", "linear"),
+])
+def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field, value):
+    model, _ = tiny_model(rng)
+    vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=1)
+    header = tmp_path / "m.json"
+    manifest = json.loads(header.read_text())
+    manifest[field] = value
+    header.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=field):
+        vae.load_checkpoint(tmp_path / "m")
 
 
 # ---------------------------------------------------------------------------
