@@ -87,7 +87,7 @@ def _regions(cfg: dict) -> list:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"regions[{i}]: {exc}") from exc
-    _check_tags("regions", [m.name for m in masks])
+    _check_tags((f"regions[{i}] {m.name!r}", _slug(m.name)) for i, m in enumerate(masks))
     return masks
 
 
@@ -105,8 +105,28 @@ def _periods(cfg: dict) -> list:
             raise ConfigError(f"periods[{i}]: end_year {end} before start_year {start}")
         name = str(p.get("name", f"{start}-{end % 100:02d}"))
         periods.append({"name": name, "start_year": start, "end_year": end})
-    _check_tags("periods", [p["name"] for p in periods])
+    _check_tags(
+        (f"periods[{i}] {p['name']!r}", _slug(p["name"])) for i, p in enumerate(periods)
+    )
     return periods
+
+
+def _units(cfg: dict) -> tuple:
+    """Regions and periods, rejecting two (region, period) pairs that share a file tag.
+
+    Distinct region tags and distinct period tags can still join into one
+    unit tag: regions "a" and "a_b" with periods "b_c" and "c" both give "a_b_c".
+    """
+    masks, periods = _regions(cfg), _periods(cfg)
+    _check_tags(
+        (
+            f"(regions[{ri}] {m.name!r}, periods[{pi}] {p['name']!r})",
+            _unit_tag(m.name, p["name"]),
+        )
+        for ri, m in enumerate(masks)
+        for pi, p in enumerate(periods)
+    )
+    return masks, periods
 
 
 def _methods(cfg: dict) -> list:
@@ -147,15 +167,23 @@ def _slug(name: str) -> str:
     return "".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name)
 
 
-def _check_tags(section: str, names: list) -> None:
-    """Reject two entries whose names share a file tag, so no output overwrites another."""
+def _unit_tag(region: str, period: str) -> str:
+    """The file tag of one (region, period) unit."""
+    return f"{_slug(region)}_{_slug(period)}"
+
+
+def _check_tags(entries) -> None:
+    """Reject two entries that share a file tag, so no output overwrites another.
+
+    ``entries`` yields (label, tag) pairs; each label names its entry uniquely.
+    """
     first = {}
-    for i, name in enumerate(names):
-        j = first.setdefault(_slug(name), i)
-        if j != i:
+    for label, tag in entries:
+        other = first.setdefault(tag, label)
+        if other != label:
             raise ConfigError(
-                f"{section}[{j}] {names[j]!r} and {section}[{i}] {name!r} would write "
-                f"the same files (tag {_slug(name)!r}); rename one of them"
+                f"{other} and {label} would write the same files (tag {tag!r}); "
+                f"rename one of them"
             )
 
 
@@ -214,8 +242,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg, args)
     seed = _seed(cfg, args)
     grid = _load_input_grid(cfg)
-    masks = _regions(cfg)
-    periods = _periods(cfg)
+    masks, periods = _units(cfg)
     train_cfg = dict(cfg.get("train", {}))
     train_cfg.pop("seed", None)
     if "hidden_dims" in train_cfg:
@@ -225,7 +252,7 @@ def cmd_train(args) -> int:
         for pi, period in enumerate(periods):
             job_seed = _job_seed(seed, ri, pi)
             model, history, config = _train_one(grid, mask, period, train_cfg, job_seed)
-            tag = f"{_slug(mask.name)}_{_slug(period['name'])}"
+            tag = _unit_tag(mask.name, period["name"])
             vae_mod.save_checkpoint(
                 model,
                 out / "checkpoints" / f"vae_{tag}",
@@ -280,7 +307,7 @@ def _ssa_config(cfg: dict) -> tuple:
 def _anomalies_for(method, grid, mask, period, out, cfg, jobs):
     sub = _period_slice(grid, period)
     mass = flux_to_mass(sub, mask)
-    tag = f"{_slug(mask.name)}_{_slug(period['name'])}"
+    tag = _unit_tag(mask.name, period["name"])
     if method == "vae":
         ckpt = out / "checkpoints" / f"vae_{tag}"
         if not ckpt.with_suffix(".json").exists():
@@ -321,7 +348,7 @@ def _full_grid(values_masked, cells, n_cells, fill=0.0):
 
 
 def _write_report_outputs(report, grid, out):
-    tag = f"{report.method}_{_slug(report.region)}_{_slug(report.period)}"
+    tag = f"{report.method}_{_unit_tag(report.region, report.period)}"
     n_cells = grid.n_cells
 
     # frequency map: grid file (zeros outside region) and per-region heat map
@@ -419,8 +446,7 @@ def cmd_extremes(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
     grid = _load_input_grid(cfg)
-    masks = _regions(cfg)
-    periods = _periods(cfg)
+    masks, periods = _units(cfg)
     methods = _methods(cfg)
     mode = cfg.get("extremes", {}).get("threshold_mode", "two-sided")
     jobs = max(1, args.jobs)
@@ -560,8 +586,7 @@ def cmd_compare(args) -> int:
     """Rebuild agreement outputs from artifacts written by `extremes`."""
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
-    masks = _regions(cfg)
-    periods = _periods(cfg)
+    masks, periods = _units(cfg)
 
     thresholds = {}
     tpath = out / "tables" / "thresholds.csv"
@@ -581,7 +606,7 @@ def cmd_compare(args) -> int:
         for period in periods:
             pair = {}
             for method in ("vae", "ssa"):
-                tag = f"{method}_{_slug(mask.name)}_{_slug(period['name'])}"
+                tag = f"{method}_{_unit_tag(mask.name, period['name'])}"
                 gpath = out / "grids" / f"flags_{tag}"
                 if not gpath.with_suffix(".json").exists():
                     raise DataError(

@@ -11,6 +11,10 @@ passes can write gradients straight into the views of a second buffer of
 the same layout, and Adam then updates the whole buffer at once instead of
 looping over the arrays. Activation derivatives are taken from the
 activations the forward pass cached, not recomputed from pre-activations.
+
+Inference uses ``DenseStack.infer`` instead of ``forward``: no dropout, no
+cache for a backward pass, and each activation applied in place, so a pass
+holds one layer's input and output at a time.
 """
 
 from __future__ import annotations
@@ -115,11 +119,13 @@ def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True
     return grad_x, grad_w, grad_b
 
 
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
+def activation(kind: str, x: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """The activation of ``x``; with ``inplace`` it overwrites ``x`` and returns it."""
+    out = x if inplace else None
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if kind == "linear":
         return x
     raise ValueError(f"unknown activation {kind!r}")
@@ -197,6 +203,18 @@ class DenseStack:
         ``masks=`` for finite-difference checks against fixed masks.
         """
         return self._forward(np.atleast_2d(np.asarray(x, dtype=float)), mode, rng, None)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode output of a 2-D float batch: no dropout and no cache.
+
+        Each activation is applied in place on its layer's output, so only
+        one layer's input and output are alive at a time.
+        """
+        h = x
+        for layer, kind in zip(self.layers, self.kinds):
+            h = dense_forward(layer, h)
+            activation(kind, h, inplace=True)
+        return h
 
     def forward_with_masks(self, x, masks):
         return self._forward(np.atleast_2d(np.asarray(x, dtype=float)), "train", None, masks)

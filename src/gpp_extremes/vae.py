@@ -8,8 +8,14 @@ window, scaled by a fixed decoder variance) plus a beta-weighted
 closed-form KL term against the standard normal prior; see ``objective``.
 
 Training is fully deterministic given the config seed. Inference
-(reconstruction) decodes the posterior mean with dropout off, so
-anomalies and thresholds are reproducible.
+(reconstruction and the validation loss) decodes the posterior mean with
+dropout off, so anomalies and thresholds are reproducible. It runs the
+cache-free eval pass of ``nn.DenseStack.infer`` on blocks of at most
+``INFER_BLOCK_ROWS`` windows (whole cells for reconstruction), so its
+memory stays at a few MB whatever the region size. Blocks are cut to
+near-equal lengths: a product of a few hundred rows or fewer can take
+another BLAS kernel, with other rounding, than one of thousands, and
+blocks of thousands of rows give the same bits as one pass over all rows.
 
 All parameters live in one flat buffer in checkpoint order (encoder,
 mean head, log-variance head, decoder; weights before bias). A training
@@ -42,6 +48,9 @@ SEQ_LEN = 12
 # Manifest fields that load_checkpoint checks: the model it builds always has these.
 _FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
                        "activation_output": "tanh"}
+# Most rows per eval-mode pass (reconstruct, eval_loss): bounds inference
+# memory at a few MB of activations whatever the region size.
+INFER_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -172,15 +181,24 @@ def normalize(mass: MassSeries) -> tuple[WindowSet, tuple[float, float]]:
     x_max = float(values.max())
     if x_max == x_min:
         raise DegenerateInputError("constant mass field cannot be normalized to [-1, 1]")
-    scaled = scale_to_unit(values, x_min, x_max)
-    per_cell = scaled.shape[1] - SEQ_LEN + 1
-    wins = np.lib.stride_tricks.sliding_window_view(scaled, SEQ_LEN, axis=1)
-    windows = wins.reshape(-1, SEQ_LEN).copy()
+    windows = _windows(scale_to_unit(values, x_min, x_max))
+    per_cell = values.shape[1] - SEQ_LEN + 1
     n_cells = values.shape[0]
     cells = np.repeat(np.arange(n_cells), per_cell)
     starts = np.tile(np.arange(per_cell), n_cells)
     ws = WindowSet(windows=windows, cells=cells, starts=starts, x_min=x_min, x_max=x_max)
     return ws, (x_min, x_max)
+
+
+def _windows(scaled: np.ndarray) -> np.ndarray:
+    """Stride-1 windows of every row, row after row, as one C-contiguous array.
+
+    The windows are copied at most once: ``reshape`` copies those of
+    several rows, and for one row returns a view of overlapping windows,
+    which ``ascontiguousarray`` copies.
+    """
+    wins = np.lib.stride_tricks.sliding_window_view(scaled, SEQ_LEN, axis=1)
+    return np.ascontiguousarray(wins.reshape(-1, SEQ_LEN))
 
 
 def scale_to_unit(x, x_min, x_max):
@@ -194,10 +212,10 @@ def denormalize(x, x_min, x_max):
 # ---------------------------------------------------------------------------
 # core operations
 
-def encode(model: VaeModel, window, mode: str = "eval", rng=None):
-    """Latent mean and log-variance of a window (deterministic in eval mode)."""
+def encode(model: VaeModel, window):
+    """Latent mean and log-variance of a window or a batch of windows (eval mode)."""
     x = np.atleast_2d(np.asarray(window, dtype=float))
-    h, _ = model.encoder.forward(x, mode=mode, rng=rng)
+    h = model.encoder.infer(x)
     mu = dense_forward(model.mu_head, h)
     logvar = dense_forward(model.logvar_head, h)
     if np.ndim(window) == 1:
@@ -214,9 +232,9 @@ def reparameterize(mu, logvar, rng=None, eps=None):
     return mu + np.exp(0.5 * logvar) * eps
 
 
-def decode(model: VaeModel, z, mode: str = "eval", rng=None):
-    zz = np.atleast_2d(np.asarray(z, dtype=float))
-    xhat, _ = model.decoder.forward(zz, mode=mode, rng=rng)
+def decode(model: VaeModel, z):
+    """Reconstructed window(s) of a latent point or a batch of them (eval mode)."""
+    xhat = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=float)))
     if np.ndim(z) == 1:
         return xhat[0]
     return xhat
@@ -258,9 +276,18 @@ def objective(x, xhat, mu, logvar, beta, likelihood_var):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    sq = (xhat - x) ** 2
-    recon_sum = float(sq.sum(axis=1).mean())
-    kl = float(np.mean(kl_divergence(mu, logvar)))
+    return _batch_loss(*_row_losses(xhat - x, mu, logvar), beta, likelihood_var)
+
+
+def _row_losses(err, mu, logvar):
+    """Each row's squared reconstruction error summed over the window, and its KL."""
+    return np.square(err).sum(axis=1), kl_divergence(mu, logvar)
+
+
+def _batch_loss(sq_sum, kl, beta, likelihood_var):
+    """``objective``'s (total, recon_mse, kl) from the per-row terms of a batch."""
+    recon_sum = float(np.mean(sq_sum))
+    kl = float(np.mean(kl))
     total = recon_sum / (2.0 * likelihood_var) + beta * kl
     return total, recon_sum / SEQ_LEN, kl
 
@@ -310,9 +337,11 @@ def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=
     else:
         xhat, cache_d = model.decoder.forward(z, mode="train", rng=rng)
 
-    total, recon, kl = objective(x, xhat, mu, logvar, model.beta, model.likelihood_var)
+    err = xhat - x
+    total, recon, kl = _batch_loss(*_row_losses(err, mu, logvar), model.beta,
+                                   model.likelihood_var)
 
-    dxhat = (xhat - x) / (model.likelihood_var * n)
+    dxhat = err / (model.likelihood_var * n)
     dz, _ = model.decoder.backward(cache_d, dxhat, out=pairs[n_enc + 2:])
     dmu = dz + model.beta * mu / n
     dlogvar = dz * (0.5 * sigma * eps) + model.beta * (np.exp(logvar) - 1.0) * 0.5 / n
@@ -323,11 +352,30 @@ def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=
 
 
 def eval_loss(model: VaeModel, x):
-    """Validation loss terms: dropout off, decode the posterior mean (z = mu)."""
+    """Validation loss terms: dropout off, decode the posterior mean (z = mu).
+
+    The windows go through the network in blocks of at most
+    ``INFER_BLOCK_ROWS`` rows; each row's terms land in one vector per
+    term, so the batch means are those of a single pass.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    mu, logvar = encode(model, x)
-    xhat = decode(model, mu)
-    return objective(x, xhat, mu, logvar, model.beta, model.likelihood_var)
+    sq_sum = np.empty(x.shape[0])
+    kl = np.empty(x.shape[0])
+    for rows in _blocks(x.shape[0], INFER_BLOCK_ROWS):
+        mu, logvar = encode(model, x[rows])
+        sq_sum[rows], kl[rows] = _row_losses(decode(model, mu) - x[rows], mu, logvar)
+    return _batch_loss(sq_sum, kl, model.beta, model.likelihood_var)
+
+
+def _blocks(n: int, size: int) -> list:
+    """Slices that cut range(n) into the fewest runs of at most ``size``, of near-equal length.
+
+    No run is a short remainder, which could round differently from one
+    pass over all rows (see the module docstring).
+    """
+    count = max(1, -(-n // size))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def train(windows: WindowSet, config: TrainConfig):
@@ -421,23 +469,24 @@ def reconstruct(model: VaeModel, mass: MassSeries) -> MassSeries:
 
     Every stride-1 window is encoded and decoded at the posterior mean
     (eval mode); overlapping reconstructed values are averaged per month
-    and denormalized. The first and last year are flagged invalid, which
-    keeps the effective span aligned with the trimming rule downstream.
+    and denormalized. Cells go through the network in blocks of whole
+    cells of at most ``INFER_BLOCK_ROWS`` windows (one cell when a cell
+    has more), and only the current block's windows are built. The first
+    and last year are flagged invalid, which keeps the effective span
+    aligned with the trimming rule downstream.
     """
     values = np.asarray(mass.values, dtype=float)
     n_cells, n_months = values.shape
     if n_months < SEQ_LEN:
         raise ShapeError(f"need at least {SEQ_LEN} months to reconstruct, got {n_months}")
     scaled = scale_to_unit(values, model.x_min, model.x_max)
-    wins = np.lib.stride_tricks.sliding_window_view(scaled, SEQ_LEN, axis=1)
-    per_cell = wins.shape[1]
-    flat = wins.reshape(-1, SEQ_LEN)
-    mu, _ = encode(model, flat)
-    xhat = decode(model, mu).reshape(n_cells, per_cell, SEQ_LEN)
-
+    per_cell = n_months - SEQ_LEN + 1
     recon_scaled = np.empty_like(scaled)
-    for c in range(n_cells):
-        recon_scaled[c] = kernels.overlap_average(np.ascontiguousarray(xhat[c]))
+    for cells in _blocks(n_cells, max(1, INFER_BLOCK_ROWS // per_cell)):
+        mu, _ = encode(model, _windows(scaled[cells]))
+        xhat = decode(model, mu).reshape(-1, per_cell, SEQ_LEN)
+        for c, cell_hat in enumerate(xhat, start=cells.start):
+            recon_scaled[c] = kernels.overlap_average(cell_hat)
     recon = denormalize(recon_scaled, model.x_min, model.x_max)
 
     valid = np.zeros(n_months, dtype=bool)

@@ -303,6 +303,28 @@ def test_names_sharing_an_output_tag_are_rejected(tmp_path, capsys, key, entries
     assert not (tmp_path / "out" / "tables" / "thresholds.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "extremes", "compare"])
+def test_unit_pairs_sharing_an_output_tag_are_rejected(tmp_path, capsys, command):
+    # every region tag and every period tag differs, yet (a, b_c) and
+    # (a_b, c) both join into the unit tag a_b_c
+    cfg = write_config(
+        tmp_path,
+        method="ssa",
+        regions=[{"name": "a", "cells": [0, 1]}, {"name": "a_b", "cells": [2, 3]}],
+        periods=[{"name": "b_c", "start_year": 1850, "end_year": 1853},
+                 {"name": "c", "start_year": 1850, "end_year": 1853}],
+    )
+    run(["synth", "--config", str(cfg)])
+    assert run([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "(regions[0] 'a', periods[0] 'b_c')" in err
+    assert "(regions[1] 'a_b', periods[1] 'c')" in err
+    assert "'a_b_c'" in err
+    out = tmp_path / "out"
+    for sub in ("tables", "figures", "grids", "checkpoints", "reports"):
+        assert not any((out / sub).iterdir())
+
+
 def test_region_name_with_comma_round_trips(tmp_path):
     import csv
 

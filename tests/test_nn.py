@@ -258,6 +258,32 @@ def test_backprop_entry_point_matches_manual(rng):
         np.testing.assert_array_equal(ba, bb)
 
 
+def test_infer_matches_cached_eval_forward(rng, monkeypatch):
+    stack = nn.DenseStack.init(
+        dims=[12, 16, 8, 3],
+        kinds=["relu", "tanh", "linear"],
+        dropout_layers=[True, True, False],
+        dropout_rate=0.3,
+        rng=rng,
+    )
+    x = rng.normal(size=(40, 12))
+    x_before = x.copy()
+    expected, _ = stack.forward(x)
+    rows = []
+    dense_forward = nn.dense_forward
+
+    def counted(layer, h):
+        rows.append(h.shape[0])
+        return dense_forward(layer, h)
+
+    # infer calls dense_forward through the module, so a wrapper sees every layer
+    monkeypatch.setattr(nn, "dense_forward", counted)
+    got = stack.infer(x)
+    assert got.tobytes() == expected.tobytes()
+    assert rows == [40, 40, 40]
+    np.testing.assert_array_equal(x, x_before)
+
+
 # ---------------------------------------------------------------------------
 # flat parameter buffer
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def test_normalize_window_count():
         mass.values[c, s:s + 12],
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize("n_cells", [1, 9])
+def test_normalize_windows_are_one_contiguous_copy(n_cells):
+    mass = annual_mass(n_cells=n_cells, n_months=40, noise=0.05)
+    ws, (lo, hi) = vae.normalize(mass)
+    scaled = vae.scale_to_unit(mass.values, lo, hi)
+    # the earlier construction: reshape, which copies for several cells, then copy again
+    reference = np.lib.stride_tricks.sliding_window_view(scaled, 12, axis=1)
+    reference = reference.reshape(-1, 12).copy()
+    assert ws.windows.flags.c_contiguous
+    assert ws.windows.tobytes() == reference.tobytes()
+    assert not np.shares_memory(ws.windows, mass.values)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +383,96 @@ def test_reconstruct_overfit_oracle():
     scaled_recon = vae.scale_to_unit(recon.values, model.x_min, model.x_max)
     err = np.abs(scaled_recon - scaled_orig)[:, recon.valid]
     assert err.max() < 0.02
+
+
+def default_model(rng, mass):
+    """The default architecture with its seeded initial weights, scaled to ``mass``."""
+    lo, hi = float(mass.values.min()), float(mass.values.max())
+    return vae.build_model(vae.TrainConfig(), lo, hi, rng)
+
+
+def count_encode_calls(monkeypatch):
+    calls = []
+    encode = vae.encode
+
+    def counted(model, window):
+        calls.append(len(window))
+        return encode(model, window)
+
+    monkeypatch.setattr(vae, "encode", counted)
+    return calls
+
+
+@pytest.mark.parametrize("block, passes", [
+    (300, 100),  # smaller than one cell's 361 windows: one cell per pass
+    (1083, 34),  # three cells' windows: 100 cells split into 2- and 3-cell passes
+])
+def test_reconstruct_blocks_match_one_pass(rng, monkeypatch, block, passes):
+    mass = annual_mass(100, 372, noise=0.05)
+    model = default_model(rng, mass)
+    calls = count_encode_calls(monkeypatch)
+    monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 10 ** 9)
+    whole = vae.reconstruct(model, mass)
+    assert calls == [100 * 361]
+    monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", block)
+    blocked = vae.reconstruct(model, mass)
+    assert len(calls) == 1 + passes
+    assert max(calls[1:]) <= max(block, 361)
+    assert blocked.values.tobytes() == whole.values.tobytes()
+    np.testing.assert_array_equal(blocked.valid, whole.valid)
+
+
+def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
+    mass = annual_mass(100, 372, noise=0.05)
+    model = default_model(rng, mass)
+    windows, _ = vae.normalize(mass)
+    x_val = windows.windows[rng.permutation(len(windows))[:7220]]
+    calls = count_encode_calls(monkeypatch)
+    whole = vae.eval_loss(model, x_val)
+    assert calls == [3610, 3610]  # the default block splits 7,220 rows evenly
+    monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 10 ** 9)
+    assert vae.eval_loss(model, x_val) == whole
+    monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 1000)
+    assert vae.eval_loss(model, x_val) == whole
+
+
+def test_eval_loss_seven_row_blocks_match_one_block(rng, monkeypatch):
+    # Matrix products of a few rows may take another BLAS kernel, with
+    # other rounding, than one over all rows. With parameters in {-1/8, 0,
+    # 1/8} and windows in multiples of 1/8, every pre-activation is a
+    # multiple of 2**-27 below 2**26 in size, so every product and sum is
+    # exact and the blocked losses can only differ from one block through
+    # how the per-row terms are gathered and averaged.
+    model, _ = tiny_model(rng, hidden=(128, 64, 32), latent=5)
+    for p in model.parameters():
+        p[...] = rng.integers(-1, 2, size=p.shape) / 8.0
+    x = rng.integers(-8, 9, size=(50, 12)) / 8.0
+    calls = count_encode_calls(monkeypatch)
+    whole = vae.eval_loss(model, x)
+    monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 7)
+    blocked = vae.eval_loss(model, x)
+    assert calls[0] == 50 and sorted(set(calls[1:])) == [6, 7] and sum(calls[1:]) == 50
+    assert np.isfinite(whole).all()
+    assert blocked == whole
+
+
+def test_inference_memory_is_bounded(rng):
+    # 100 cells x 372 months is 36,100 windows; one pass with a backward
+    # cache held about 100 MiB of activations
+    mass = annual_mass(100, 372, noise=0.05)
+    model = default_model(rng, mass)
+    windows, _ = vae.normalize(mass)
+    tracemalloc.start()
+    try:
+        vae.reconstruct(model, mass)
+        _, reconstruct_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        vae.eval_loss(model, windows.windows)
+        _, eval_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reconstruct_peak < 16 * 2 ** 20
+    assert eval_peak < 16 * 2 ** 20
 
 
 def test_vae_anomalies_sign_convention():
