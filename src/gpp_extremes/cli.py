@@ -443,13 +443,14 @@ def _write_report_outputs(report, grid, out):
 
 
 def cmd_extremes(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
     grid = _load_input_grid(cfg)
     masks, periods = _units(cfg)
     methods = _methods(cfg)
     mode = cfg.get("extremes", {}).get("threshold_mode", "two-sided")
-    jobs = max(1, args.jobs)
 
     threshold_rows = []
     totals = []
@@ -458,7 +459,7 @@ def cmd_extremes(args) -> int:
         for period in periods:
             reports = {}
             for method in methods:
-                anoms, _ = _anomalies_for(method, grid, mask, period, out, cfg, jobs)
+                anoms, _ = _anomalies_for(method, grid, mask, period, out, cfg, args.jobs)
                 report = extremes_mod.build_report(anoms, mask.name, period["name"], mode)
                 reports[method] = report
                 _write_report_outputs(report, grid, out)

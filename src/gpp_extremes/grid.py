@@ -311,13 +311,6 @@ def flux_to_mass(grid: GridSeries, mask: RegionMask) -> MassSeries:
     )
 
 
-def regional_mean_series(mass: MassSeries) -> np.ndarray:
-    """Per-month mean mass across the region's cells (GgC/month)."""
-    if mass.values.shape[0] == 0:
-        raise EmptyRegionError("mass series has no cells")
-    return mass.values.mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 

@@ -1,65 +1,12 @@
-"""Hot numeric kernels, each in a numba-loop and a pure-numpy variant.
+"""Diagonal-averaging kernels shared by the SSA and VAE engines.
 
-The module-level names ``hankel_average``, ``rank_one_series`` and
-``overlap_average`` are bound to one variant at import time (see
-:mod:`gpp_extremes.accel`). Both variants of a kernel agree to float
-rounding; each variant is individually deterministic.
+``rank_one_series`` turns SSA eigentriples back into component series and
+``overlap_average`` turns reconstructed stride-1 windows back into one
+series. Both divide anti-diagonal sums by the same coverage counts.
 """
 
 import numpy as np
 
-from . import accel
-
-
-# ---------------------------------------------------------------------------
-# loop bodies (numba-compilable, also valid plain Python)
-
-def _hankel_average_loops(mat):
-    rows, cols = mat.shape
-    n = rows + cols - 1
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for i in range(rows):
-        for j in range(cols):
-            sums[i + j] += mat[i, j]
-            counts[i + j] += 1.0
-    return sums / counts
-
-
-def _rank_one_series_loops(u, s, vt):
-    rows = u.shape[0]
-    k = s.shape[0]
-    cols = vt.shape[1]
-    n = rows + cols - 1
-    out = np.zeros((k, n))
-    counts = np.zeros(n)
-    for i in range(rows):
-        for j in range(cols):
-            counts[i + j] += 1.0
-    for c in range(k):
-        for i in range(rows):
-            ui = s[c] * u[i, c]
-            for j in range(cols):
-                out[c, i + j] += ui * vt[c, j]
-        for t in range(n):
-            out[c, t] /= counts[t]
-    return out
-
-
-def _overlap_average_loops(windows):
-    n_win, width = windows.shape
-    n = n_win + width - 1
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for w in range(n_win):
-        for j in range(width):
-            sums[w + j] += windows[w, j]
-            counts[w + j] += 1.0
-    return sums / counts
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy twins
 
 def _antidiag_counts(rows, cols):
     n = rows + cols - 1
@@ -67,16 +14,7 @@ def _antidiag_counts(rows, cols):
     return np.minimum(np.minimum(k + 1, n - k), min(rows, cols)).astype(float)
 
 
-def hankel_average_numpy(mat):
-    """Anti-diagonal means of ``mat`` -> series of length rows+cols-1."""
-    mat = np.asarray(mat, dtype=float)
-    rows, cols = mat.shape
-    idx = (np.arange(rows)[:, None] + np.arange(cols)[None, :]).ravel()
-    sums = np.bincount(idx, weights=mat.ravel(), minlength=rows + cols - 1)
-    return sums / _antidiag_counts(rows, cols)
-
-
-def rank_one_series_numpy(u, s, vt):
+def rank_one_series(u, s, vt):
     """Diagonal-averaged series of every rank-1 term ``s[c] * u[:,c] @ vt[c,:]``.
 
     The anti-diagonal sums of an outer product are exactly the full
@@ -95,7 +33,7 @@ def rank_one_series_numpy(u, s, vt):
     return out
 
 
-def overlap_average_numpy(windows):
+def overlap_average(windows):
     """Average stride-1 windows back into a series of length n_win+width-1."""
     windows = np.asarray(windows, dtype=float)
     n_win, width = windows.shape
@@ -104,29 +42,3 @@ def overlap_average_numpy(windows):
     for j in range(width):
         sums[j:j + n_win] += windows[:, j]
     return sums / _antidiag_counts(width, n_win)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_hankel_average_nb = accel.jit(_hankel_average_loops)
-_rank_one_series_nb = accel.jit(_rank_one_series_loops)
-_overlap_average_nb = accel.jit(_overlap_average_loops)
-
-if accel.NUMBA_ENABLED:
-    hankel_average = _hankel_average_nb
-    rank_one_series = _rank_one_series_nb
-    overlap_average = _overlap_average_nb
-else:
-    hankel_average = hankel_average_numpy
-    rank_one_series = rank_one_series_numpy
-    overlap_average = overlap_average_numpy
-
-
-def variants():
-    """Both builds of every kernel, keyed for the benchmark harness."""
-    return {
-        "hankel_average": {"numpy": hankel_average_numpy, "numba": _hankel_average_nb},
-        "rank_one_series": {"numpy": rank_one_series_numpy, "numba": _rank_one_series_nb},
-        "overlap_average": {"numpy": overlap_average_numpy, "numba": _overlap_average_nb},
-    }

@@ -20,7 +20,7 @@ holds one layer's input and output at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,12 +131,6 @@ def activation(kind: str, x: np.ndarray, inplace: bool = False) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_grad(kind: str, x: np.ndarray) -> np.ndarray:
-    """Elementwise derivative evaluated at pre-activation ``x``."""
-    y = activation(kind, x)
-    return chain_activation(kind, y, np.ones_like(y))
-
-
 def chain_activation(kind: str, y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``g`` times the activation's derivative, written through its output ``y``.
 
@@ -161,14 +155,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     np.greater_equal(mask, rate, out=mask)  # 1.0 keeps, 0.0 drops
     mask *= 1.0 / (1.0 - rate)
     return mask
-
-
-def dropout(x, rate, mode="train", rng=None):
-    if mode == "eval" or rate == 0.0:
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        return np.asarray(x, dtype=float)
-    return np.asarray(x, dtype=float) * dropout_mask(np.shape(x), rate, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -266,90 +252,69 @@ class DenseStack:
         return g, grads
 
 
-def backprop(stack: DenseStack, x, grad_out, mode="eval", rng=None, masks=None):
-    """Forward ``x`` through ``stack`` then return gradients for all parameters."""
-    if masks is not None:
-        _, cache = stack.forward_with_masks(x, masks)
-    else:
-        _, cache = stack.forward(x, mode=mode, rng=rng)
-    grad_in, grads = stack.backward(cache, np.atleast_2d(np.asarray(grad_out, dtype=float)))
-    return grad_in, grads
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
 @dataclass
 class AdamState:
-    """Adam accumulators; learning rate is mutable so a scheduler can act.
+    """Adam accumulators of one ``ParamBuffer``; the learning rate is
+    mutable so a scheduler can act.
 
-    ``m`` and ``v`` hold one array per array that ``adam_step`` updates:
-    one for a ``ParamBuffer``, one per parameter for a list. ``work`` is
-    scratch that the first step allocates and later steps reuse.
+    ``m`` and ``v`` are flat like the buffer, and ``work`` holds two
+    scratch arrays of that size that every step reuses.
     """
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
+    work: tuple
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1.0e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    work: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, lr):
-        arrays = _update_arrays(params)
+    def for_params(cls, params: ParamBuffer, lr: float) -> "AdamState":
+        flat = params.flat
         return cls(
             lr=lr,
-            m=[np.zeros_like(p) for p in arrays],
-            v=[np.zeros_like(p) for p in arrays],
+            m=np.zeros_like(flat),
+            v=np.zeros_like(flat),
+            work=(np.empty_like(flat), np.empty_like(flat)),
         )
 
 
-def _update_arrays(params) -> list:
-    """The arrays Adam updates: a buffer's flat array, or each array of a list."""
-    if isinstance(params, ParamBuffer):
-        return [params.flat]
-    return list(params)
-
-
-def adam_step(state: AdamState, params, grads):
+def adam_step(state: AdamState, params: ParamBuffer, grads: ParamBuffer) -> ParamBuffer:
     """One in-place Adam update with bias correction; returns ``params``.
 
-    ``params`` and ``grads`` are both lists of arrays or both
-    ``ParamBuffer``s of one layout; a buffer is updated as one flat array.
-    Each element follows the same operations in the same order either way,
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= lr*(m/b1t) / (sqrt(v/b2t) + eps), so both give the same bits.
+    ``params`` and ``grads`` share one layout and are updated as flat
+    arrays, each element as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+    and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps).
     """
-    ps, gs = _update_arrays(params), _update_arrays(grads)
-    for i, g in enumerate(gs):
-        if not np.isfinite(g).all():
-            if isinstance(grads, ParamBuffer):
-                i = grads.index_of(int(np.flatnonzero(~np.isfinite(g))[0]))
-            raise NumericalError(
-                f"non-finite gradient in parameter {i} at Adam step {state.step + 1}"
-            )
+    p, g = params.flat, grads.flat
+    if not np.isfinite(g).all():
+        i = grads.index_of(int(np.flatnonzero(~np.isfinite(g))[0]))
+        raise NumericalError(
+            f"non-finite gradient in parameter {i} at Adam step {state.step + 1}"
+        )
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     b1t = 1.0 - b1 ** state.step
     b2t = 1.0 - b2 ** state.step
-    if len(state.work) != len(ps):
-        state.work = [(np.empty_like(p), np.empty_like(p)) for p in ps]
-    for p, g, m, v, (step, denom) in zip(ps, gs, state.m, state.v, state.work):
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=step)
-        m += step
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v += step
-        np.divide(m, b1t, out=step)
-        step *= state.lr
-        np.divide(v, b2t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p -= step
+    m, v = state.m, state.v
+    step, denom = state.work
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(m, b1t, out=step)
+    step *= state.lr
+    np.divide(v, b2t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step
     return params

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import NumericalError, ShapeError, SsaWindowError
+from .errors import NumericalError, SsaWindowError
 from .grid import AnomalyField, MassSeries
 
 TREND = "trend"
@@ -121,14 +121,6 @@ def decompose(trajectory: np.ndarray):
         order = np.argsort(-s, kind="stable")
         u, s, vt = u[:, order], s[order], vt[order]
     return u, s, vt
-
-
-def hankelize(matrix: np.ndarray) -> np.ndarray:
-    """Anti-diagonal averaging back to a series of length rows + cols - 1."""
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ShapeError("hankelize expects a 2-D matrix")
-    return kernels.hankel_average(matrix)
 
 
 def dominant_frequency(components: np.ndarray, pad_factor: int = 4):

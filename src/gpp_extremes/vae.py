@@ -126,10 +126,6 @@ class VaeModel:
         )
         self.params = ParamBuffer.adopt(layers)
 
-    def parameters(self):
-        """All parameter arrays in declaration order (checkpoint order)."""
-        return list(self.params)
-
 
 def build_model(config: TrainConfig, x_min: float, x_max: float,
                 rng: np.random.Generator) -> VaeModel:
@@ -223,15 +219,6 @@ def encode(model: VaeModel, window):
     return mu, logvar
 
 
-def reparameterize(mu, logvar, rng=None, eps=None):
-    """z = mu + sigma * eps with eps ~ N(0, I); pass ``eps`` to fix the draw."""
-    mu = np.asarray(mu, dtype=float)
-    logvar = np.asarray(logvar, dtype=float)
-    if eps is None:
-        eps = rng.standard_normal(mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
-
-
 def decode(model: VaeModel, z):
     """Reconstructed window(s) of a latent point or a batch of them (eval mode)."""
     xhat = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=float)))
@@ -251,15 +238,6 @@ def kl_divergence(mu, logvar):
     if per.ndim == 1:
         return float(per.sum())
     return per.sum(axis=1)
-
-
-def vae_loss(x, xhat, mu, logvar, beta):
-    """(total, recon, kl) for one window: MSE over 12 values + beta * KL."""
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    recon = float(np.mean((x - xhat) ** 2))
-    kl = float(np.mean(kl_divergence(mu, logvar)))
-    return recon + beta * kl, recon, kl
 
 
 def objective(x, xhat, mu, logvar, beta, likelihood_var):
@@ -315,7 +293,7 @@ def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=
     gradient checks can hold it fixed. Dropout masks are drawn from
     ``rng`` unless given explicitly (again for finite-difference checks).
     Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
-    aligned to ``model.parameters()``: ``out`` when given (its contents
+    aligned to ``model.params``: ``out`` when given (its contents
     are overwritten), else a new one.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -51,7 +51,7 @@ def test_criterion_2_gradients_vs_finite_differences():
     rng = np.random.default_rng(1)
     cfg = vae.TrainConfig(hidden_dims=(8, 4), latent_dim=2, dropout_rate=0.05)
     model = vae.build_model(cfg, -1.0, 1.0, rng)
-    params = model.parameters()
+    params = list(model.params)
     h = 1e-5
     worst = 0.0
     for _ in range(10):

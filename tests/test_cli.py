@@ -228,6 +228,15 @@ def test_extremes_accepts_jobs_flag(tmp_path):
     assert (tmp_path / "out" / "tables" / "thresholds.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_extremes_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, method="ssa")
+    run(["synth", "--config", str(cfg)])
+    assert run(["extremes", "--config", str(cfg), "--jobs", jobs]) == 1
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tables" / "thresholds.csv").exists()
+
+
 def test_seed_override_changes_synth(tmp_path):
     cfg = write_config(tmp_path)
     run(["synth", "--config", str(cfg)])

@@ -182,35 +182,6 @@ def test_mask_cell_out_of_range(small_grid):
 
 
 # ---------------------------------------------------------------------------
-# regional mean
-
-def test_regional_mean_single_cell(small_grid):
-    mass = grid.flux_to_mass(small_grid, grid.RegionMask("one", np.array([0])))
-    np.testing.assert_array_equal(grid.regional_mean_series(mass), mass.values[0])
-
-
-def test_regional_mean_constant_cells():
-    mass = grid.MassSeries(
-        values=np.array([[2.0, 2.0], [4.0, 4.0]]),
-        cells=np.array([0, 1]),
-        start_year=1850,
-        start_month=1,
-    )
-    np.testing.assert_array_equal(grid.regional_mean_series(mass), [3.0, 3.0])
-
-
-def test_regional_mean_matches_bruteforce(small_grid, rng):
-    mask = grid.RegionMask("few", np.array([0, 1, 2, 5]))
-    mass = grid.flux_to_mass(small_grid, mask)
-    mean = grid.regional_mean_series(mass)
-    for t in range(mass.n_months):
-        acc = 0.0
-        for c in range(mass.values.shape[0]):
-            acc += mass.values[c, t]
-        assert mean[t] == pytest.approx(acc / mass.values.shape[0], rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # synthetic generator
 
 def test_synth_pure_annual_is_periodic():

@@ -51,9 +51,14 @@ def test_relu_values():
     )
 
 
+def _activation_grad(kind, x):
+    """The derivative at pre-activation ``x``, taken through the activation's output."""
+    return nn.chain_activation(kind, nn.activation(kind, x), np.ones_like(x))
+
+
 def test_tanh_at_zero():
     assert nn.activation("tanh", np.array([0.0]))[0] == 0.0
-    assert nn.activation_grad("tanh", np.array([0.0]))[0] == 1.0
+    assert _activation_grad("tanh", np.array([0.0]))[0] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["relu", "tanh"])
@@ -62,7 +67,7 @@ def test_activation_grad_matches_fd(kind, rng):
     x = x[np.abs(x) > 1e-3]  # keep away from the relu kink
     h = 1e-6
     fd = (nn.activation(kind, x + h) - nn.activation(kind, x - h)) / (2 * h)
-    grad = nn.activation_grad(kind, x)
+    grad = _activation_grad(kind, x)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -71,89 +76,102 @@ def test_activation_grad_matches_fd(kind, rng):
 
 def test_dropout_rate_zero_identity(rng):
     x = rng.normal(size=100)
-    np.testing.assert_array_equal(nn.dropout(x, 0.0, "train", rng), x)
-    np.testing.assert_array_equal(nn.dropout(x, 0.0, "eval"), x)
+    np.testing.assert_array_equal(x * nn.dropout_mask(x.shape, 0.0, rng), x)
 
 
 def test_dropout_eval_identity(rng):
-    x = rng.normal(size=100)
-    np.testing.assert_array_equal(nn.dropout(x, 0.5, "eval"), x)
+    stack = nn.DenseStack(
+        layers=[nn.DenseLayer(weights=np.eye(100), bias=np.zeros(100))],
+        kinds=["linear"],
+        dropout_layers=[True],
+        dropout_rate=0.5,
+    )
+    x = rng.normal(size=(1, 100))
+    y, cache = stack.forward(x)  # eval mode draws no mask
+    np.testing.assert_array_equal(y, x)
+    assert cache["masks"] == [None]
 
 
 def test_dropout_zero_fraction(rng):
     rate = 0.3
-    x = np.ones(100_000)
-    dropped = nn.dropout(x, rate, "train", rng)
-    zero_frac = np.mean(dropped == 0.0)
+    mask = nn.dropout_mask(100_000, rate, rng)
+    zero_frac = np.mean(mask == 0.0)
     assert abs(zero_frac - rate) < 0.005
 
 
 def test_dropout_preserves_expectation(rng):
     rate = 0.25
-    x = np.full(100_000, 3.0)
-    dropped = nn.dropout(x, rate, "train", rng)
+    dropped = np.full(100_000, 3.0) * nn.dropout_mask(100_000, rate, rng)
     assert abs(dropped.mean() - 3.0) < 0.03  # 1% tolerance
 
 
 def test_dropout_invalid_rate(rng):
     with pytest.raises(ValueError):
-        nn.dropout(np.zeros(3), 1.0, "train", rng)
+        nn.dropout_mask(3, 1.0, rng)
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
+def _buffer(*arrays):
+    """A ``ParamBuffer`` holding copies of ``arrays``."""
+    buf = nn.ParamBuffer.like(arrays)
+    for view, a in zip(buf, arrays):
+        view[...] = a
+    return buf
+
+
 def test_adam_zero_gradient_keeps_params(rng):
-    params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-    before = [p.copy() for p in params]
+    params = _buffer(rng.normal(size=(3, 2)), rng.normal(size=3))
+    before = params.flat.copy()
     state = nn.AdamState.for_params(params, lr=0.1)
-    state.m = [np.ones_like(p) for p in params]  # preloaded moments decay
-    nn.adam_step(state, params, [np.zeros_like(p) for p in params])
+    state.m[...] = 1.0  # preloaded moments decay
+    nn.adam_step(state, params, nn.ParamBuffer.like(params))
     # zero gradient: m decays but v stays zero, so the update direction is
     # m / (sqrt(0) + eps) — parameters move only if moments were nonzero.
-    assert state.m[0][0, 0] == pytest.approx(0.9)
-    fresh = [before[0].copy(), before[1].copy()]
+    assert state.m[0] == pytest.approx(0.9)
+    fresh = nn.ParamBuffer.like(params)
+    fresh.flat[...] = before
     state2 = nn.AdamState.for_params(fresh, lr=0.1)
-    nn.adam_step(state2, fresh, [np.zeros_like(p) for p in fresh])
-    np.testing.assert_array_equal(fresh[0], before[0])
-    np.testing.assert_array_equal(fresh[1], before[1])
+    nn.adam_step(state2, fresh, nn.ParamBuffer.like(fresh))
+    np.testing.assert_array_equal(fresh.flat, before)
 
 
 def test_adam_first_step_closed_form(rng):
     g = rng.normal(size=5)
-    params = [np.zeros(5)]
+    params = nn.ParamBuffer([(5,)])
     state = nn.AdamState.for_params(params, lr=0.01)
-    nn.adam_step(state, params, [g.copy()])
+    nn.adam_step(state, params, _buffer(g))
     expected = -0.01 * g / (np.abs(g) + state.eps)
     np.testing.assert_allclose(params[0], expected, rtol=1e-12)
 
 
 def test_adam_constant_gradient_limit():
     g = np.array([2.0, -0.5])
-    params = [np.zeros(2)]
+    params = nn.ParamBuffer([(2,)])
     state = nn.AdamState.for_params(params, lr=0.003)
     prev = params[0].copy()
     for _ in range(500):
         prev = params[0].copy()
-        nn.adam_step(state, params, [g.copy()])
+        nn.adam_step(state, params, _buffer(g))
     step = params[0] - prev
     np.testing.assert_allclose(step, -0.003 * np.sign(g), rtol=1e-6)
 
 
 def test_adam_lr_zero_keeps_params(rng):
-    params = [rng.normal(size=4)]
+    params = _buffer(rng.normal(size=4))
     before = params[0].copy()
     state = nn.AdamState.for_params(params, lr=0.0)
     for _ in range(3):
-        nn.adam_step(state, params, [rng.normal(size=4)])
+        nn.adam_step(state, params, _buffer(rng.normal(size=4)))
     np.testing.assert_array_equal(params[0], before)
 
 
 def test_adam_rejects_non_finite():
-    params = [np.zeros(2)]
+    params = nn.ParamBuffer([(2,)])
     state = nn.AdamState.for_params(params, lr=0.01)
     with pytest.raises(NumericalError):
-        nn.adam_step(state, params, [np.array([1.0, np.nan])])
+        nn.adam_step(state, params, _buffer(np.array([1.0, np.nan])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +264,6 @@ def test_backprop_requires_cache(rng):
         stack.backward(None, np.zeros((1, 2)))
 
 
-def test_backprop_entry_point_matches_manual(rng):
-    stack = _stack_2_2_2(rng)
-    x = rng.normal(size=(3, 2))
-    grad_out = rng.normal(size=(3, 2))
-    _, grads_a = nn.backprop(stack, x, grad_out)
-    _, cache = stack.forward(x)
-    _, grads_b = stack.backward(cache, grad_out)
-    for (wa, ba), (wb, bb) in zip(grads_a, grads_b):
-        np.testing.assert_array_equal(wa, wb)
-        np.testing.assert_array_equal(ba, bb)
-
-
 def test_infer_matches_cached_eval_forward(rng, monkeypatch):
     stack = nn.DenseStack.init(
         dims=[12, 16, 8, 3],
@@ -327,8 +333,8 @@ def test_flat_adam_matches_per_array_formula_bitwise(rng):
         nn.adam_step(state, params, grads)
         _adam_reference(ref, list(grads), ref_m, ref_v, step, lr)
     assert params.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
-    assert state.m[0].tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
-    assert state.v[0].tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
 
 def test_flat_adam_names_the_non_finite_parameter(rng):

@@ -114,17 +114,20 @@ def test_dominant_frequency_zero_component():
 
 
 # ---------------------------------------------------------------------------
-# hankelize
+# diagonal-averaging kernels
+
+# ``kernels.overlap_average`` averages any matrix along its anti-diagonals,
+# which is the Hankelization step of SSA.
 
 def test_hankelize_fixed_point_on_hankel(rng):
     series = rng.normal(size=30)
     mat = ssa.embed(series, 10)
-    np.testing.assert_allclose(ssa.hankelize(mat), series, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(kernels.overlap_average(mat), series, rtol=1e-12, atol=1e-12)
 
 
 def test_hankelize_hand_case():
     np.testing.assert_array_equal(
-        ssa.hankelize(np.array([[1.0, 3.0], [3.0, 5.0]])), [1.0, 3.0, 5.0]
+        kernels.overlap_average(np.array([[1.0, 3.0], [3.0, 5.0]])), [1.0, 3.0, 5.0]
     )
 
 
@@ -132,31 +135,59 @@ def test_hankelize_linearity(rng):
     a = rng.normal(size=(8, 15))
     b = rng.normal(size=(8, 15))
     np.testing.assert_allclose(
-        ssa.hankelize(a + b), ssa.hankelize(a) + ssa.hankelize(b), rtol=1e-10, atol=1e-12
+        kernels.overlap_average(a + b),
+        kernels.overlap_average(a) + kernels.overlap_average(b),
+        rtol=1e-10,
+        atol=1e-12,
     )
+
+
+def _rank_one_series_loops(u, s, vt):
+    """Every rank-1 term summed along its anti-diagonals, one element at a time."""
+    rows, k = u.shape
+    cols = vt.shape[1]
+    n = rows + cols - 1
+    out = np.zeros((k, n))
+    counts = np.zeros(n)
+    for i in range(rows):
+        for j in range(cols):
+            counts[i + j] += 1.0
+    for c in range(k):
+        for i in range(rows):
+            ui = s[c] * u[i, c]
+            for j in range(cols):
+                out[c, i + j] += ui * vt[c, j]
+        for t in range(n):
+            out[c, t] /= counts[t]
+    return out
+
+
+def _overlap_average_loops(windows):
+    """Stride-1 windows summed into their months, one element at a time."""
+    n_win, width = windows.shape
+    n = n_win + width - 1
+    sums = np.zeros(n)
+    counts = np.zeros(n)
+    for w in range(n_win):
+        for j in range(width):
+            sums[w + j] += windows[w, j]
+            counts[w + j] += 1.0
+    return sums / counts
 
 
 def test_kernel_variants_agree(rng):
-    """numba and numpy builds of every kernel return the same values."""
-    variants = kernels.variants()
-    mat = rng.normal(size=(17, 29))
-    np.testing.assert_allclose(
-        variants["hankel_average"]["numba"](mat),
-        variants["hankel_average"]["numpy"](mat),
-        rtol=1e-12,
-        atol=1e-14,
-    )
+    """The numpy kernels return the values of their plain-Python loop references."""
     u, s, vt = np.linalg.svd(rng.normal(size=(15, 25)), full_matrices=False)
     np.testing.assert_allclose(
-        variants["rank_one_series"]["numba"](u, s, vt),
-        variants["rank_one_series"]["numpy"](u, s, vt),
+        kernels.rank_one_series(u, s, vt),
+        _rank_one_series_loops(u, s, vt),
         rtol=1e-10,
         atol=1e-12,
     )
     wins = rng.normal(size=(40, 12))
     np.testing.assert_allclose(
-        variants["overlap_average"]["numba"](wins),
-        variants["overlap_average"]["numpy"](wins),
+        kernels.overlap_average(wins),
+        _overlap_average_loops(wins),
         rtol=1e-12,
         atol=1e-14,
     )

@@ -23,7 +23,7 @@ def tiny_model(rng, hidden=(8, 4), latent=2, dropout=0.0, beta=0.5):
 
 def zero_model(rng, latent=3):
     model, _ = tiny_model(rng, latent=latent)
-    for p in model.parameters():
+    for p in model.params:
         p[...] = 0.0
     return model
 
@@ -99,7 +99,7 @@ def test_normalize_windows_are_one_contiguous_copy(n_cells):
 
 
 # ---------------------------------------------------------------------------
-# encode / reparameterize / decode
+# encode / decode
 
 def test_encode_zero_weights_gives_zero(rng):
     model = zero_model(rng)
@@ -122,26 +122,6 @@ def test_encode_output_dims(rng):
     mu, logvar = vae.encode(model, rng.uniform(-1, 1, 12))
     assert mu.shape == (5,)
     assert logvar.shape == (5,)
-
-
-def test_reparameterize_zero_variance_limit():
-    mu = np.array([0.3, -0.7])
-    z = vae.reparameterize(mu, np.full(2, -1e6), eps=np.ones(2))
-    np.testing.assert_array_equal(z, mu)
-
-
-def test_reparameterize_unit_case():
-    z = vae.reparameterize(np.zeros(3), np.zeros(3), eps=np.ones(3))
-    np.testing.assert_array_equal(z, np.ones(3))
-
-
-def test_reparameterize_sample_mean(rng):
-    mu = np.array([0.5])
-    logvar = np.array([0.2])
-    sigma = np.exp(0.1)
-    n = 1_000_000
-    z = vae.reparameterize(np.full(n, 0.5), np.full(n, 0.2), rng=rng)
-    assert abs(z.mean() - 0.5) < 4 * sigma / np.sqrt(n)
 
 
 def test_decode_bounded_by_tanh(rng):
@@ -189,31 +169,35 @@ def test_kl_matches_monte_carlo(rng):
         assert abs(closed - mc) / abs(closed) < 0.02
 
 
+
 def test_vae_loss_zero_case():
     x = np.linspace(-1, 1, 12)
-    total, recon, kl = vae.vae_loss(x, x, np.zeros(2), np.zeros(2), beta=0.5)
+    total, recon, kl = vae.objective(x, x, np.zeros(2), np.zeros(2), beta=0.5,
+                                     likelihood_var=0.1)
     assert total == 0.0 and recon == 0.0 and kl == 0.0
 
 
 def test_vae_loss_beta_zero():
     x = np.linspace(-1, 1, 12)
     xhat = x + 0.1
-    total, recon, kl = vae.vae_loss(x, xhat, np.ones(2), np.zeros(2), beta=0.0)
-    assert total == recon
+    total, recon, kl = vae.objective(x, xhat, np.ones(2), np.zeros(2), beta=0.0,
+                                     likelihood_var=0.1)
+    # only the Gaussian term is left: the window's squared error over 2 * 0.1
+    assert total == pytest.approx(recon * 12 / 0.2, rel=1e-15)
     assert kl > 0
 
 
 def test_vae_loss_matches_recomputation(rng):
-    x = rng.uniform(-1, 1, 12)
-    xhat = rng.uniform(-1, 1, 12)
-    mu = rng.uniform(-1, 1, 3)
-    logvar = rng.uniform(-1, 1, 3)
-    total, recon, kl = vae.vae_loss(x, xhat, mu, logvar, beta=0.7)
-    recon_ref = float(np.mean((x - xhat) ** 2))
-    kl_ref = float(-0.5 * np.sum(1 + logvar - mu ** 2 - np.exp(logvar)))
-    assert recon == pytest.approx(recon_ref, abs=1e-15)
-    assert kl == pytest.approx(kl_ref, abs=1e-15)
-    assert total == pytest.approx(recon_ref + 0.7 * kl_ref, abs=1e-15)
+    x = rng.uniform(-1, 1, (4, 12))
+    xhat = rng.uniform(-1, 1, (4, 12))
+    mu = rng.uniform(-1, 1, (4, 3))
+    logvar = rng.uniform(-1, 1, (4, 3))
+    total, recon, kl = vae.objective(x, xhat, mu, logvar, beta=0.7, likelihood_var=0.05)
+    sq_ref = np.mean(np.sum((x - xhat) ** 2, axis=1))
+    kl_ref = np.mean(-0.5 * np.sum(1 + logvar - mu ** 2 - np.exp(logvar), axis=1))
+    assert recon == pytest.approx(sq_ref / 12, rel=1e-14)
+    assert kl == pytest.approx(kl_ref, rel=1e-14)
+    assert total == pytest.approx(sq_ref / 0.1 + 0.7 * kl_ref, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +205,7 @@ def test_vae_loss_matches_recomputation(rng):
 
 def test_objective_gradients_match_fd(rng):
     model, cfg = tiny_model(rng, dropout=0.1)
-    params = model.parameters()
+    params = list(model.params)
     x = rng.uniform(-1, 1, size=(3, 12))
     eps = rng.standard_normal((3, 2))
     enc_masks = vae.draw_dropout_masks(model.encoder, 3, rng)
@@ -285,7 +269,7 @@ def test_train_deterministic_replay():
     m1, h1 = vae.train(ws, cfg)
     m2, h2 = vae.train(ws, cfg)
     assert h1 == h2
-    for a, b in zip(m1.parameters(), m2.parameters()):
+    for a, b in zip(m1.params, m2.params):
         assert a.tobytes() == b.tobytes()
 
 
@@ -352,6 +336,16 @@ def test_reconstruct_coverage_arithmetic():
     assert counts[11] == 12
     assert counts[12] == 12
     assert series.shape == (61,)
+
+
+def test_overlap_average_full_coverage_values(rng):
+    # interior months average exactly their 12 covering windows
+    wins = rng.normal(size=(30, 12))
+    series = kernels.overlap_average(wins)
+    m = 20
+    covering = [wins[w, m - w] for w in range(m - 11, m + 1)]
+    assert len(covering) == 12
+    np.testing.assert_allclose(series[m], np.mean(covering), rtol=1e-12)
 
 
 def test_reconstruct_output_shape_and_validity(rng):
@@ -444,7 +438,7 @@ def test_eval_loss_seven_row_blocks_match_one_block(rng, monkeypatch):
     # exact and the blocked losses can only differ from one block through
     # how the per-row terms are gathered and averaged.
     model, _ = tiny_model(rng, hidden=(128, 64, 32), latent=5)
-    for p in model.parameters():
+    for p in model.params:
         p[...] = rng.integers(-1, 2, size=p.shape) / 8.0
     x = rng.integers(-8, 9, size=(50, 12)) / 8.0
     calls = count_encode_calls(monkeypatch)
@@ -513,7 +507,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert manifest["epoch"] == 17
     assert loaded.latent_dim == 3
     assert (loaded.x_min, loaded.x_max) == (2.5, 9.0)
-    for a, b in zip(model.parameters(), loaded.parameters()):
+    for a, b in zip(model.params, loaded.params):
         assert a.tobytes() == b.tobytes()
     w = rng.uniform(-1, 1, 12)
     np.testing.assert_array_equal(vae.encode(model, w)[0], vae.encode(loaded, w)[0])
@@ -540,7 +534,7 @@ def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field
 
 def test_parameters_are_views_of_one_buffer(rng):
     model, _ = tiny_model(rng)
-    params = model.parameters()
+    params = list(model.params)
     assert sum(p.size for p in params) == model.params.flat.size
     for p in params:
         assert np.shares_memory(p, model.params.flat)
