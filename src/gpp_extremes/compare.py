@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeError
-from .extremes import NEG, POS, ExtremesReport, cumulative_totals
+from .extremes import NEG, POS, ExtremesReport, cumulative_totals, frequency_map
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,8 @@ class AgreementStats:
     """How closely the two anomaly engines agree for one region-period.
 
     ``freq_correlation`` is the Pearson correlation of the per-cell
-    negative-extreme frequency maps over the region's cells.
+    negative-extreme frequency maps over the region's cells. The cumulative
+    totals are NaN when only flags were compared: flags hold no magnitudes.
     """
 
     region: str
@@ -25,10 +26,10 @@ class AgreementStats:
     jaccard_pos: float
     threshold_vae: float
     threshold_ssa: float
-    cumulative_neg_vae: float
-    cumulative_neg_ssa: float
-    cumulative_pos_vae: float
-    cumulative_pos_ssa: float
+    cumulative_neg_vae: float = float("nan")
+    cumulative_neg_ssa: float = float("nan")
+    cumulative_pos_vae: float = float("nan")
+    cumulative_pos_ssa: float = float("nan")
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,6 +53,20 @@ def jaccard(flags_a: np.ndarray, flags_b: np.ndarray, sign: int) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
+def agreement(region: str, period: str, flags_vae: np.ndarray, flags_ssa: np.ndarray,
+              threshold_vae: float, threshold_ssa: float) -> AgreementStats:
+    """Agreement of two (cell, month) flag arrays over the same cells and months."""
+    return AgreementStats(
+        region=region,
+        period=period,
+        freq_correlation=pearson(frequency_map(flags_vae, NEG), frequency_map(flags_ssa, NEG)),
+        jaccard_neg=jaccard(flags_vae, flags_ssa, NEG),
+        jaccard_pos=jaccard(flags_vae, flags_ssa, POS),
+        threshold_vae=threshold_vae,
+        threshold_ssa=threshold_ssa,
+    )
+
+
 def compare_methods(report_vae: ExtremesReport, report_ssa: ExtremesReport) -> AgreementStats:
     """Agreement statistics for two reports over the same region-period."""
     if report_vae.region != report_ssa.region or report_vae.period != report_ssa.period:
@@ -64,16 +79,12 @@ def compare_methods(report_vae: ExtremesReport, report_ssa: ExtremesReport) -> A
     if not np.array_equal(report_vae.valid, report_ssa.valid):
         raise ShapeError("reports cover different valid-month spans")
 
+    stats = agreement(report_vae.region, report_vae.period, report_vae.flags, report_ssa.flags,
+                      report_vae.thresholds.q_neg, report_ssa.thresholds.q_neg)
     totals_vae = cumulative_totals(report_vae)
     totals_ssa = cumulative_totals(report_ssa)
-    return AgreementStats(
-        region=report_vae.region,
-        period=report_vae.period,
-        freq_correlation=pearson(report_vae.freq_neg, report_ssa.freq_neg),
-        jaccard_neg=jaccard(report_vae.flags, report_ssa.flags, NEG),
-        jaccard_pos=jaccard(report_vae.flags, report_ssa.flags, POS),
-        threshold_vae=report_vae.thresholds.q_neg,
-        threshold_ssa=report_ssa.thresholds.q_neg,
+    return replace(
+        stats,
         cumulative_neg_vae=totals_vae["negative_TgC"],
         cumulative_neg_ssa=totals_ssa["negative_TgC"],
         cumulative_pos_vae=totals_vae["positive_TgC"],

@@ -1,6 +1,6 @@
 """Gridded monthly GPP data model.
 
-Owns the on-disk formats (flat-binary + JSON header, or CSV), the flux to
+Owns the on-disk formats (flat-binary + JSON header; CSV input), the flux to
 per-cell carbon-mass conversion, region masking and the synthetic-data
 generator used for desk-scale validation.
 
@@ -162,17 +162,6 @@ class AnomalyField:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _header_dict(grid: GridSeries, layout: str) -> dict:
-    return {
-        "n_lat": grid.n_lat,
-        "n_lon": grid.n_lon,
-        "n_months": grid.n_months,
-        "start_year": grid.start_year,
-        "start_month": grid.start_month,
-        "layout": layout,
-    }
-
-
 def _paths(path: str | Path, payload_suffix: str) -> tuple[Path, Path]:
     base = Path(path)
     if base.suffix == ".json":
@@ -202,38 +191,31 @@ def _read_header(header_path: Path, expect_layout: str) -> dict:
     return raw
 
 
-def save_grid(grid: GridSeries, path: str | Path, format: str = "flat-binary") -> None:
-    """Write a grid as `<base>.json` plus a payload file.
+def save_grid(grid: GridSeries, path: str | Path) -> None:
+    """Write a grid as `<base>.json` plus a flat-binary payload `<base>.f64`.
 
-    flat-binary payload (`<base>.f64`): little-endian float64, values in
-    cell-major order (all months of cell 0, then cell 1, ...), then the
-    cell_area block, then the land_frac block. CSV payload (`<base>.csv`):
-    one row per cell, columns cell,area_m2,land_frac followed by one
-    column per month; the JSON header carries the grid dimensions.
+    The payload is little-endian float64: values in cell-major order (all
+    months of cell 0, then cell 1, ...), then the cell_area block, then the
+    land_frac block.
     """
     grid.validate()
-    if format == "flat-binary":
-        header_path, payload_path = _paths(path, ".f64")
-        header_path.write_text(json.dumps(_header_dict(grid, "cell-major"), indent=2) + "\n")
-        payload = np.concatenate(
-            [grid.values.ravel(), grid.cell_area, grid.land_frac]
-        ).astype("<f8")
-        payload_path.write_bytes(payload.tobytes())
-    elif format == "csv":
-        header_path, payload_path = _paths(path, ".csv")
-        header_path.write_text(json.dumps(_header_dict(grid, "csv"), indent=2) + "\n")
-        lines = ["cell,area_m2,land_frac," + ",".join(f"m{t:03d}" for t in range(grid.n_months))]
-        for c in range(grid.n_cells):
-            row = [str(c), repr(float(grid.cell_area[c])), repr(float(grid.land_frac[c]))]
-            row.extend(repr(float(v)) for v in grid.values[c])
-            lines.append(",".join(row))
-        payload_path.write_text("\n".join(lines) + "\n")
-    else:
-        raise FormatError(f"unknown grid format {format!r}")
+    header_path, payload_path = _paths(path, ".f64")
+    header = {name: getattr(grid, name) for name in _HEADER_FIELDS}
+    header["layout"] = "cell-major"
+    header_path.write_text(json.dumps(header, indent=2) + "\n")
+    payload = np.concatenate(
+        [grid.values.ravel(), grid.cell_area, grid.land_frac]
+    ).astype("<f8")
+    payload_path.write_bytes(payload.tobytes())
 
 
 def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
-    """Read a grid written by :func:`save_grid`; inverse for both formats."""
+    """Read a grid: flat-binary as :func:`save_grid` writes it, or CSV.
+
+    A CSV payload (`<base>.csv`) holds one row per cell, columns
+    cell,area_m2,land_frac followed by one column per month, with a JSON
+    header `<base>.json` of layout "csv" carrying the grid dimensions.
+    """
     if format == "flat-binary":
         header_path, payload_path = _paths(path, ".f64")
         raw = _read_header(header_path, "cell-major")
@@ -366,7 +348,8 @@ class SynthSpec:
         known = {f for f in cls.__dataclass_fields__ if f != "events"}
         unknown = set(data) - known
         if unknown:
-            raise SynthSpecError(f"unknown synth spec fields: {sorted(unknown)}")
+            keys = ", ".join(f"synth.{k}" for k in sorted(unknown))
+            raise SynthSpecError(f"unknown key(s) {keys}")
         missing = {"n_lat", "n_lon", "n_months"} - set(data)
         if missing:
             raise SynthSpecError(f"synth spec missing fields: {sorted(missing)}")

@@ -208,23 +208,15 @@ def denormalize(x, x_min, x_max):
 # ---------------------------------------------------------------------------
 # core operations
 
-def encode(model: VaeModel, window):
-    """Latent mean and log-variance of a window or a batch of windows (eval mode)."""
-    x = np.atleast_2d(np.asarray(window, dtype=float))
-    h = model.encoder.infer(x)
-    mu = dense_forward(model.mu_head, h)
-    logvar = dense_forward(model.logvar_head, h)
-    if np.ndim(window) == 1:
-        return mu[0], logvar[0]
-    return mu, logvar
+def encode(model: VaeModel, windows):
+    """Latent means and log-variances of a 2-D batch of windows (eval mode)."""
+    h = model.encoder.infer(np.asarray(windows, dtype=float))
+    return dense_forward(model.mu_head, h), dense_forward(model.logvar_head, h)
 
 
 def decode(model: VaeModel, z):
-    """Reconstructed window(s) of a latent point or a batch of them (eval mode)."""
-    xhat = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=float)))
-    if np.ndim(z) == 1:
-        return xhat[0]
-    return xhat
+    """Reconstructed windows of a 2-D batch of latent points (eval mode)."""
+    return model.decoder.infer(np.asarray(z, dtype=float))
 
 
 def kl_divergence(mu, logvar):

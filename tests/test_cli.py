@@ -228,13 +228,16 @@ def test_extremes_accepts_jobs_flag(tmp_path):
     assert (tmp_path / "out" / "tables" / "thresholds.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_extremes_rejects_jobs_below_one(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("command, jobs", [
+    ("extremes", "0"), ("extremes", "-3"), ("train", "0"),
+], ids=["0", "-3", "train-0"])
+def test_extremes_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     cfg = write_config(tmp_path, method="ssa")
     run(["synth", "--config", str(cfg)])
-    assert run(["extremes", "--config", str(cfg), "--jobs", jobs]) == 1
+    assert run([command, "--config", str(cfg), "--jobs", jobs]) == 1
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tables" / "thresholds.csv").exists()
+    assert not any((tmp_path / "out" / "checkpoints").iterdir())
 
 
 def test_seed_override_changes_synth(tmp_path):
@@ -361,3 +364,46 @@ def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
     )
     assert run(["compare", "--config", str(cfg)]) == 2
     assert "thresholds.csv line 2" in capsys.readouterr().err
+
+
+# (command, key path the error must name, top-level config overrides);
+# a None value removes the key
+CONFIG_MISTAKES = [
+    ("train", "train.max_epoch", {"train": {"max_epoch": 2}}),
+    ("extremes", "ssa.windw", {"ssa": {"windw": 18}}),
+    ("extremes", "ssa.window", {"ssa": {"window": "18"}}),
+    ("train", "train.batch_size", {"train": {"max_epochs": 2, "batch_size": "8"}}),
+    ("train", "train.hidden_dims", {"train": {"max_epochs": 2, "hidden_dims": 5}}),
+    ("train", "seed", {"seed": "x"}),
+    ("gridsearch", "gridsearch.latent_dims", {"gridsearch": {"latent_dims": "5"}}),
+    ("synth", "synth.n_lat", {"synth": {"name": "toy", "n_lat": "2", "n_lon": 2,
+                                        "n_months": 48}}),
+    ("extremes", "extremes.threshold_mode", {"extremes": {"threshold_mode": "abs"}}),
+    ("extremes", "metod", {"method": None, "metod": "ssa"}),
+    ("extremes", "regions[0].min_land",
+     {"regions": [{"name": "quad", "cells": [0, 1, 2, 3], "min_land": 0.5}]}),
+    ("extremes", "extremes.threshold", {"extremes": {"threshold": 0.9}}),
+    ("train", "train.seed", {"train": {"max_epochs": 2, "seed": 3}}),
+    ("extremes", "periods[0].start",
+     {"periods": [{"name": "p", "start_year": 1850, "end_year": 1853, "start": 1851}]}),
+    ("extremes", "grid.fromat", {"grid": {"path": "out/toy", "fromat": "csv"}}),
+    ("gridsearch", "gridsearch.learning_rate", {"gridsearch": {"learning_rate": [0.1]}}),
+]
+
+
+@pytest.mark.parametrize("command, key, overrides",
+                         [pytest.param(*case, id=case[1]) for case in CONFIG_MISTAKES])
+def test_config_mistakes_exit_1_naming_the_key(tmp_path, capsys, command, key, overrides):
+    # a valid grid first, then the config with one mistake; the command must
+    # stop on the config before it writes any table
+    cfg = write_config(tmp_path, method="ssa")
+    assert run(["synth", "--config", str(cfg)]) == 0
+    raw = json.loads(cfg.read_text())
+    raw.update(overrides)
+    cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "out" / "tables").iterdir())

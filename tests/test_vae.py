@@ -103,14 +103,14 @@ def test_normalize_windows_are_one_contiguous_copy(n_cells):
 
 def test_encode_zero_weights_gives_zero(rng):
     model = zero_model(rng)
-    mu, logvar = vae.encode(model, np.full(12, 0.5))
-    np.testing.assert_array_equal(mu, np.zeros(3))
-    np.testing.assert_array_equal(logvar, np.zeros(3))
+    mu, logvar = vae.encode(model, np.full(12, 0.5)[None])
+    np.testing.assert_array_equal(mu[0], np.zeros(3))
+    np.testing.assert_array_equal(logvar[0], np.zeros(3))
 
 
 def test_encode_eval_deterministic(rng):
     model, _ = tiny_model(rng, dropout=0.3)
-    w = rng.uniform(-1, 1, 12)
+    w = rng.uniform(-1, 1, 12)[None]
     a = vae.encode(model, w)
     b = vae.encode(model, w)
     np.testing.assert_array_equal(a[0], b[0])
@@ -119,21 +119,21 @@ def test_encode_eval_deterministic(rng):
 
 def test_encode_output_dims(rng):
     model, _ = tiny_model(rng, latent=5)
-    mu, logvar = vae.encode(model, rng.uniform(-1, 1, 12))
-    assert mu.shape == (5,)
-    assert logvar.shape == (5,)
+    mu, logvar = vae.encode(model, rng.uniform(-1, 1, 12)[None])
+    assert mu[0].shape == (5,)
+    assert logvar[0].shape == (5,)
 
 
 def test_decode_bounded_by_tanh(rng):
     model, _ = tiny_model(rng)
     for _ in range(20):
-        out = vae.decode(model, rng.normal(size=2) * 5)
+        out = vae.decode(model, (rng.normal(size=2) * 5)[None])[0]
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 def test_decode_zero_weights(rng):
     model = zero_model(rng)
-    np.testing.assert_array_equal(vae.decode(model, np.ones(3)), np.zeros(12))
+    np.testing.assert_array_equal(vae.decode(model, np.ones(3)[None])[0], np.zeros(12))
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +509,8 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert (loaded.x_min, loaded.x_max) == (2.5, 9.0)
     for a, b in zip(model.params, loaded.params):
         assert a.tobytes() == b.tobytes()
-    w = rng.uniform(-1, 1, 12)
-    np.testing.assert_array_equal(vae.encode(model, w)[0], vae.encode(loaded, w)[0])
+    w = rng.uniform(-1, 1, 12)[None]
+    np.testing.assert_array_equal(vae.encode(model, w)[0][0], vae.encode(loaded, w)[0][0])
 
 
 @pytest.mark.parametrize("field, value", [
