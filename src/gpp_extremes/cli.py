@@ -84,7 +84,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     out = cfg.out
     for unit in units:
         config = replace(cfg.train, seed=unit.seed)
-        windows, _ = vae_mod.normalize(_unit_mass(grid, unit))
+        windows = vae_mod.normalize(_unit_mass(grid, unit))
         model, history = vae_mod.train(windows, config)
         region, period = unit.region.name, unit.period.name
         vae_mod.save_checkpoint(
@@ -160,28 +160,8 @@ def _write_ssa_decomposition(out, tag, cell, mass, dec):
     )
 
 
-def _save_region_grid(path, values, report, grid):
-    """Save one row per region cell as a grid over the whole input grid, zeros elsewhere."""
-    full = np.zeros((grid.n_cells, values.shape[1]))
-    full[report.cells] = values
-    save_grid(
-        GridSeries(
-            n_lat=grid.n_lat,
-            n_lon=grid.n_lon,
-            n_months=values.shape[1],
-            start_year=report.start_year,
-            start_month=report.start_month,
-            values=full,
-            cell_area=grid.cell_area,
-            land_frac=grid.land_frac,
-        ),
-        path,
-    )
-
-
 def _write_report_outputs(report, tag, grid, out):
-    # frequency map: grid file (zeros outside region) and per-region heat map
-    _save_region_grid(out / "grids" / f"freq_{tag}", report.freq_neg[:, None], report, grid)
+    # frequency map: per-cell table and per-region heat map
     _write_csv(
         out / "tables" / f"freq_{tag}.csv",
         ["cell", "lat", "lon", "count_neg", "count_pos"],
@@ -199,14 +179,22 @@ def _write_report_outputs(report, tag, grid, out):
     )
     (out / "figures" / f"freq_{tag}.svg").write_text(fig)
 
-    # flags: flat-binary grid plus sparse CSV
-    _save_region_grid(out / "grids" / f"flags_{tag}", report.flags, report, grid)
-    cells_idx, months_idx = np.nonzero(report.flags)
-    rows = [
-        (int(report.cells[c]), int(m), int(report.flags[c, m]))
-        for c, m in zip(cells_idx, months_idx)
-    ]
-    _write_csv(out / "tables" / f"flags_{tag}.csv", ["cell", "month", "sign"], rows)
+    # flags: a grid over the whole input grid, zeros outside the region
+    flags = np.zeros((grid.n_cells, report.flags.shape[1]))
+    flags[report.cells] = report.flags
+    save_grid(
+        GridSeries(
+            n_lat=grid.n_lat,
+            n_lon=grid.n_lon,
+            n_months=flags.shape[1],
+            start_year=report.start_year,
+            start_month=report.start_month,
+            values=flags,
+            cell_area=grid.cell_area,
+            land_frac=grid.land_frac,
+        ),
+        out / "grids" / f"flags_{tag}",
+    )
 
     # monthly series CSV + figures
     months = np.arange(report.valid.size, dtype=float)
@@ -288,9 +276,6 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
 
     if stats:
         _write_agreement(out, stats, "agreement.csv", AGREEMENT_COLUMNS)
-        (out / "tables" / "agreement.json").write_text(
-            json.dumps([vars(s) for s in stats], indent=2) + "\n"
-        )
     return 0
 
 
@@ -317,7 +302,7 @@ def _write_agreement(out, stats, name, columns):
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
     """Train every trial of the gridsearch space on the first unit."""
     unit = cfg.units()[0]
-    windows, _ = vae_mod.normalize(_unit_mass(_load_input_grid(cfg), unit))
+    windows = vae_mod.normalize(_unit_mass(_load_input_grid(cfg), unit))
     rows = []
     best_idx = 0
     best_loss = np.inf
@@ -367,7 +352,12 @@ def cmd_compare(cfg: PipelineConfig) -> int:
             gpath = out / "grids" / f"flags_{method}_{unit.tag}"
             if not gpath.with_suffix(".json").exists():
                 raise DataError(
-                    f"{gpath}.json missing; run `gpp-extremes extremes` with method=both"
+                    f"{gpath}.json missing; run `gpp-extremes extremes` with method: both"
+                )
+            if (*key, method) not in thresholds:
+                raise DataError(
+                    f"{tpath} has no row for ({key[0]}, {key[1]}, {method}); run "
+                    f"`gpp-extremes extremes` with method: both"
                 )
             flags[method] = load_grid(gpath)
         cells = unit.region.effective_cells(flags["vae"])
@@ -376,8 +366,8 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                 *key,
                 flags["vae"].values[cells],
                 flags["ssa"].values[cells],
-                thresholds.get((*key, "vae"), float("nan")),
-                thresholds.get((*key, "ssa"), float("nan")),
+                thresholds[(*key, "vae")],
+                thresholds[(*key, "ssa")],
             )
         )
     # the artifacts hold no magnitudes, so the cumulative columns are left out

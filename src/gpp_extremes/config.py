@@ -48,7 +48,7 @@ _SCHEMA = {
     "out_dir": str,
     "method": set(METHODS),
     "synth": dict,  # checked against _SYNTH_SCHEMA and SynthSpec.from_dict
-    "grid": {"path": str, "format": str},
+    "grid": {"path": str, "format": {"flat-binary", "csv"}},
     "regions": [{"name": str, "cells": [int], "min_land_frac": float}],
     "periods": [{"name": str, "start_year": int, "end_year": int}],
     "train": _fields(TrainConfig, drop=("seed",)),  # unit seeds derive from `seed`
@@ -56,7 +56,10 @@ _SCHEMA = {
     "extremes": {"threshold_mode": {"two-sided", "absolute"}},
     "gridsearch": {"latent_dims": [int], "hidden_dims": [[int]], "learning_rates": [float]},
 }
-_SYNTH_SCHEMA = dict(_fields(SynthSpec, drop=("events",)), name=str, events=list)
+_SYNTH_SCHEMA = dict(
+    _fields(SynthSpec, drop=("events",)), name=str,
+    events=[{"cell": int, "start": int, "length": int, "suppression": float}],
+)
 
 
 def _check(value, spec, path: str) -> None:
@@ -172,6 +175,9 @@ class PipelineConfig:
                 f"{p}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')}"
             )
         _check(raw, _SCHEMA, "")
+        seed = seed if seed is not None else raw.get("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
         methods = METHODS[raw.get("method", "both")]
         periods = tuple(_period(entry, i) for i, entry in enumerate(raw.get("periods", [])))
@@ -187,12 +193,12 @@ class PipelineConfig:
         grid = raw.get("grid", {})
         synth = raw.get("synth")
         if synth is not None:
-            # from_dict rejects the keys outside the schema and malformed events
+            # from_dict rejects the keys outside the schema and events missing a key
             _check({k: v for k, v in synth.items() if k in _SYNTH_SCHEMA}, _SYNTH_SCHEMA, "synth")
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})
         return cls(
             out=Path(out) if out else Path(raw.get("out_dir", "out")),
-            seed=seed if seed is not None else raw.get("seed", 0),
+            seed=seed,
             jobs=jobs,
             methods=methods,
             regions=tuple(_region(entry, i) for i, entry in enumerate(raw.get("regions", []))),

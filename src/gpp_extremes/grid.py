@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyRegionError,
     FormatError,
     ShapeError,
@@ -169,9 +170,17 @@ def _paths(path: str | Path, payload_suffix: str) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(payload_suffix)
 
 
+def _read(path: Path, read=Path.read_bytes):
+    """``read(path)``; a missing file is a DataError naming it."""
+    try:
+        return read(path)
+    except FileNotFoundError as exc:
+        raise DataError(f"{path}: file not found") from exc
+
+
 def _read_header(header_path: Path, expect_layout: str) -> dict:
     try:
-        raw = json.loads(header_path.read_text())
+        raw = json.loads(_read(header_path, Path.read_text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{header_path}: header is not valid JSON ({exc})") from exc
     for name in _HEADER_FIELDS:
@@ -221,7 +230,7 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
         raw = _read_header(header_path, "cell-major")
         n_cells = raw["n_lat"] * raw["n_lon"]
         expected = n_cells * raw["n_months"] + 2 * n_cells
-        payload = np.frombuffer(payload_path.read_bytes(), dtype="<f8")
+        payload = np.frombuffer(_read(payload_path), dtype="<f8")
         if payload.size != expected:
             raise ShapeError(
                 f"{payload_path}: payload holds {payload.size} values, header "
@@ -234,7 +243,7 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
         header_path, payload_path = _paths(path, ".csv")
         raw = _read_header(header_path, "csv")
         n_cells = raw["n_lat"] * raw["n_lon"]
-        lines = payload_path.read_text().strip().splitlines()
+        lines = _read(payload_path, Path.read_text).strip().splitlines()
         if len(lines) != n_cells + 1:
             raise ShapeError(
                 f"{payload_path}: {len(lines) - 1} data rows, header implies {n_cells}"

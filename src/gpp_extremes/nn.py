@@ -12,9 +12,11 @@ the same layout, and Adam then updates the whole buffer at once instead of
 looping over the arrays. Activation derivatives are taken from the
 activations the forward pass cached, not recomputed from pre-activations.
 
-Inference uses ``DenseStack.infer`` instead of ``forward``: no dropout, no
-cache for a backward pass, and each activation applied in place, so a pass
-holds one layer's input and output at a time.
+``DenseStack.forward`` is the one cached pass for a backward pass, used
+by training and the gradient checks alike. The caller supplies the dropout
+masks, so a check can hold them fixed; without masks there is no dropout.
+Inference uses ``DenseStack.infer`` instead: no dropout and no cache, so a
+pass holds one layer's input and output at a time.
 """
 
 from __future__ import annotations
@@ -119,13 +121,12 @@ def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True
     return grad_x, grad_w, grad_b
 
 
-def activation(kind: str, x: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """The activation of ``x``; with ``inplace`` it overwrites ``x`` and returns it."""
-    out = x if inplace else None
+def activation(kind: str, x: np.ndarray) -> np.ndarray:
+    """The activation of ``x``, written over ``x``, which is returned."""
     if kind == "relu":
-        return np.maximum(x, 0.0, out=out)
+        return np.maximum(x, 0.0, out=x)
     if kind == "tanh":
-        return np.tanh(x, out=out)
+        return np.tanh(x, out=x)
     if kind == "linear":
         return x
     raise ValueError(f"unknown activation {kind!r}")
@@ -181,51 +182,34 @@ class DenseStack:
             dropout_rate=dropout_rate,
         )
 
-    def forward(self, x, mode="eval", rng=None):
+    def forward(self, x, masks=None):
         """Run the stack; returns (output, cache) with cache usable by backward.
 
-        In train mode fresh dropout masks are drawn from ``rng``; eval mode
-        is deterministic. A cache from a previous call may be replayed via
-        ``masks=`` for finite-difference checks against fixed masks.
+        ``masks`` holds one inverted-dropout mask, or None, per layer; a
+        mask scales its layer's activations. Without masks there is no
+        dropout.
         """
-        return self._forward(np.atleast_2d(np.asarray(x, dtype=float)), mode, rng, None)
+        masks = masks or [None] * len(self.layers)
+        inputs, acts = [], []
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        for layer, kind, mask in zip(self.layers, self.kinds, masks):
+            inputs.append(h)
+            h = activation(kind, dense_forward(layer, h))
+            acts.append(h)
+            if mask is not None:
+                h = h * mask
+        return h, {"inputs": inputs, "acts": acts, "masks": masks}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode output of a 2-D float batch: no dropout and no cache.
+        """Output of a 2-D float batch without dropout and without a cache.
 
         Each activation is applied in place on its layer's output, so only
         one layer's input and output are alive at a time.
         """
         h = x
         for layer, kind in zip(self.layers, self.kinds):
-            h = dense_forward(layer, h)
-            activation(kind, h, inplace=True)
+            h = activation(kind, dense_forward(layer, h))
         return h
-
-    def forward_with_masks(self, x, masks):
-        return self._forward(np.atleast_2d(np.asarray(x, dtype=float)), "train", None, masks)
-
-    def _forward(self, x, mode, rng, masks):
-        inputs, acts, used_masks = [], [], []
-        h = x
-        for i, layer in enumerate(self.layers):
-            inputs.append(h)
-            h = activation(self.kinds[i], dense_forward(layer, h))
-            acts.append(h)
-            if self.dropout_layers[i] and self.dropout_rate > 0.0:
-                if masks is not None:
-                    m = masks[i]
-                elif mode == "train":
-                    m = dropout_mask(h.shape, self.dropout_rate, rng)
-                else:
-                    m = None
-                if m is not None:
-                    h = h * m
-                used_masks.append(m)
-            else:
-                used_masks.append(None)
-        cache = {"inputs": inputs, "acts": acts, "masks": used_masks}
-        return h, cache
 
     def backward(self, cache, grad_out, out=None, input_grad=True):
         """Exact gradients through the cached forward pass.

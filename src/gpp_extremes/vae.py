@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import AnomalyField, MassSeries, _paths
+from .grid import AnomalyField, MassSeries, _paths, _read
 from .nn import (
     AdamState,
     DenseLayer,
@@ -42,6 +43,7 @@ from .nn import (
     adam_step,
     dense_backward,
     dense_forward,
+    dropout_mask,
 )
 
 SEQ_LEN = 12
@@ -96,9 +98,7 @@ class TrainConfig:
 class WindowSet:
     """Stride-1 normalized 12-month windows pooled over a region's cells."""
 
-    windows: np.ndarray  # (n_windows, SEQ_LEN), values in [-1, 1]
-    cells: np.ndarray  # row index into the source MassSeries per window
-    starts: np.ndarray  # start month per window
+    windows: np.ndarray  # (n_windows, SEQ_LEN), cell after cell, values in [-1, 1]
     x_min: float
     x_max: float
 
@@ -164,7 +164,7 @@ def build_model(config: TrainConfig, x_min: float, x_max: float,
 # ---------------------------------------------------------------------------
 # normalization and window construction
 
-def normalize(mass: MassSeries) -> tuple[WindowSet, tuple[float, float]]:
+def normalize(mass: MassSeries) -> WindowSet:
     """Min-max scale to [-1, 1] and cut stride-1 windows from every cell.
 
     The scaling limits are the global min/max over all masked cells and
@@ -178,12 +178,7 @@ def normalize(mass: MassSeries) -> tuple[WindowSet, tuple[float, float]]:
     if x_max == x_min:
         raise DegenerateInputError("constant mass field cannot be normalized to [-1, 1]")
     windows = _windows(scale_to_unit(values, x_min, x_max))
-    per_cell = values.shape[1] - SEQ_LEN + 1
-    n_cells = values.shape[0]
-    cells = np.repeat(np.arange(n_cells), per_cell)
-    starts = np.tile(np.arange(per_cell), n_cells)
-    ws = WindowSet(windows=windows, cells=cells, starts=starts, x_min=x_min, x_max=x_max)
-    return ws, (x_min, x_max)
+    return WindowSet(windows=windows, x_min=x_min, x_max=x_max)
 
 
 def _windows(scaled: np.ndarray) -> np.ndarray:
@@ -266,8 +261,7 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
 # training
 
 def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list:
-    from .nn import dropout_mask
-
+    """One dropout mask per layer of ``stack`` that drops, None for the others."""
     masks = []
     for i, layer in enumerate(stack.layers):
         if stack.dropout_layers[i] and stack.dropout_rate > 0.0:
@@ -277,13 +271,12 @@ def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list:
     return masks
 
 
-def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=None,
-                   out=None):
+def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     """One training step's loss terms and exact parameter gradients.
 
-    ``eps`` is the reparameterization draw, supplied by the caller so
-    gradient checks can hold it fixed. Dropout masks are drawn from
-    ``rng`` unless given explicitly (again for finite-difference checks).
+    ``eps`` is the reparameterization draw and ``enc_masks``/``dec_masks``
+    the dropout masks of ``draw_dropout_masks``, all supplied by the
+    caller so gradient checks can hold them fixed.
     Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
     aligned to ``model.params``: ``out`` when given (its contents
     are overwritten), else a new one.
@@ -294,18 +287,12 @@ def loss_and_grads(model: VaeModel, x, eps, rng=None, enc_masks=None, dec_masks=
     pairs = list(zip(grads.arrays[0::2], grads.arrays[1::2]))
     n_enc = len(model.encoder.layers)
 
-    if enc_masks is not None:
-        h, cache_e = model.encoder.forward_with_masks(x, enc_masks)
-    else:
-        h, cache_e = model.encoder.forward(x, mode="train", rng=rng)
+    h, cache_e = model.encoder.forward(x, enc_masks)
     mu = dense_forward(model.mu_head, h)
     logvar = dense_forward(model.logvar_head, h)
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
-    if dec_masks is not None:
-        xhat, cache_d = model.decoder.forward_with_masks(z, dec_masks)
-    else:
-        xhat, cache_d = model.decoder.forward(z, mode="train", rng=rng)
+    xhat, cache_d = model.decoder.forward(z, dec_masks)
 
     err = xhat - x
     total, recon, kl = _batch_loss(*_row_losses(err, mu, logvar), model.beta,
@@ -355,7 +342,9 @@ def train(windows: WindowSet, config: TrainConfig):
     drives both the plateau scheduler (halve the learning rate after
     ``plateau_patience`` stale epochs) and early stopping
     (``early_stop_patience``). Parameters from the best-validation epoch
-    are returned. Bit-reproducible for a fixed seed.
+    are returned. Bit-reproducible for a fixed seed: one generator draws
+    the split, then per epoch the batch order and per step ``eps``, the
+    encoder's dropout masks and the decoder's, in that order.
     """
     n = len(windows)
     if n < config.batch_size:
@@ -387,8 +376,11 @@ def train(windows: WindowSet, config: TrainConfig):
             idx = order[start:start + config.batch_size]
             batch = x_train[idx]
             eps = rng.standard_normal((idx.size, config.latent_dim))
+            enc_masks = draw_dropout_masks(model.encoder, idx.size, rng)
+            dec_masks = draw_dropout_masks(model.decoder, idx.size, rng)
             try:
-                (total, _, _), _ = loss_and_grads(model, batch, eps, rng=rng, out=grads)
+                (total, _, _), _ = loss_and_grads(model, batch, eps, enc_masks, dec_masks,
+                                                  out=grads)
                 if not np.isfinite(total):
                     raise NumericalError("non-finite loss")
                 adam_step(opt, params, grads)
@@ -520,7 +512,7 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
 
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
     header_path, payload_path = _paths(path, ".f64")
-    manifest = json.loads(header_path.read_text())
+    manifest = json.loads(_read(header_path, Path.read_text))
     for name, expected in _FIXED_ARCHITECTURE.items():
         if manifest.get(name) != expected:
             raise FormatError(
@@ -535,7 +527,7 @@ def load_checkpoint(path) -> tuple[VaeModel, dict]:
     )
     model = build_model(config, manifest["x_min"], manifest["x_max"], np.random.default_rng(0))
     flat = model.params.flat
-    payload = np.frombuffer(payload_path.read_bytes(), dtype="<f8")
+    payload = np.frombuffer(_read(payload_path), dtype="<f8")
     if payload.size != flat.size:
         raise ShapeError(
             f"{payload_path}: payload holds {payload.size} parameters, manifest "

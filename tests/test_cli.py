@@ -366,6 +366,15 @@ def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
     assert "thresholds.csv line 2" in capsys.readouterr().err
 
 
+_EVENT = {"cell": 1, "start": 20, "length": 2, "suppression": 0.8}
+
+
+def _synth_events(*events):
+    """Overrides giving the toy synth section these events."""
+    return {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 48,
+                      "events": list(events)}}
+
+
 # (command, key path the error must name, top-level config overrides);
 # a None value removes the key
 CONFIG_MISTAKES = [
@@ -388,6 +397,13 @@ CONFIG_MISTAKES = [
      {"periods": [{"name": "p", "start_year": 1850, "end_year": 1853, "start": 1851}]}),
     ("extremes", "grid.fromat", {"grid": {"path": "out/toy", "fromat": "csv"}}),
     ("gridsearch", "gridsearch.learning_rate", {"gridsearch": {"learning_rate": [0.1]}}),
+    ("synth", "synth.events[0].cell", _synth_events(dict(_EVENT, cell="1"))),
+    ("synth", "synth.events[1].cell", _synth_events(_EVENT, dict(_EVENT, cell=1.9))),
+    ("synth", "synth.events[2].cell", _synth_events(_EVENT, _EVENT, dict(_EVENT, cell=True))),
+    ("synth", "synth.events[0].suppression", _synth_events(dict(_EVENT, suppression="0.8"))),
+    ("synth", "synth.events[0].sup", _synth_events(dict(_EVENT, sup=0.5))),
+    ("synth", "seed must be >= 0", {"seed": -1}),
+    ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
 ]
 
 
@@ -407,3 +423,72 @@ def test_config_mistakes_exit_1_naming_the_key(tmp_path, capsys, command, key, o
     assert key in err
     assert "Traceback" not in err
     assert not any((tmp_path / "out" / "tables").iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    assert run([command, "--config", str(cfg), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("train", "toy.json"),
+    ("train", "toy.f64"),
+    ("gridsearch", "toy.json"),
+    ("extremes", "checkpoints/vae_quad_y1850-53.f64"),
+])
+def test_missing_input_file_is_a_data_error(tmp_path, capsys, command, missing):
+    cfg = write_config(tmp_path, method="vae")
+    assert run(["synth", "--config", str(cfg)]) == 0
+    if command == "extremes":
+        assert run(["train", "--config", str(cfg)]) == 0
+    (tmp_path / "out" / missing).unlink()
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{Path(missing).name}: file not found" in err
+    assert "Traceback" not in err
+
+
+def test_compare_needs_both_methods_thresholds(tmp_path, capsys):
+    # a vae run then an ssa run: both flag grids exist, but the second run
+    # rewrote thresholds.csv with ssa rows only
+    cfg = write_config(tmp_path, method="vae")
+    for command in ("synth", "train", "extremes"):
+        assert run([command, "--config", str(cfg)]) == 0
+    cfg = write_config(tmp_path, method="ssa")
+    assert run(["extremes", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert run(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "no row for (quad, y1850-53, vae)" in err
+    assert "method: both" in err
+    assert not (tmp_path / "out" / "tables" / "agreement_from_artifacts.csv").exists()
+
+
+def test_pipeline_writes_each_output_once(tmp_path):
+    cfg = write_config(tmp_path)
+    for command in ("synth", "train", "extremes", "compare"):
+        assert run([command, "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    unit = "quad_y1850-53"
+    expected = {
+        "toy.json", "toy.f64", "toy_truth.csv",
+        f"checkpoints/vae_{unit}.json", f"checkpoints/vae_{unit}.f64",
+        f"reports/train_{unit}.json", f"figures/loss_{unit}.svg",
+        "tables/thresholds.csv", "tables/cumulative_totals.json", "tables/agreement.csv",
+        "tables/threshold_table.csv", "tables/agreement_from_artifacts.csv",
+        f"tables/ssa_decomp_{unit}_cell0.csv",
+    }
+    for method in ("vae", "ssa"):
+        tag = f"{method}_{unit}"
+        expected |= {
+            f"tables/freq_{tag}.csv", f"tables/monthly_{tag}.csv",
+            f"figures/freq_{tag}.svg", f"figures/count_{tag}.svg",
+            f"figures/magnitude_{tag}.svg", f"grids/flags_{tag}.json", f"grids/flags_{tag}.f64",
+        }
+    assert written == expected

@@ -191,15 +191,10 @@ def _fd_check(stack, x, target, masks, tol=1e-4):
     """Central finite differences of 0.5*sum((y-t)^2) against backprop."""
 
     def loss():
-        y, _ = stack.forward_with_masks(x, masks) if any(
-            m is not None for m in masks
-        ) else stack.forward(x)
+        y, _ = stack.forward(x, masks)
         return 0.5 * float(((y - target) ** 2).sum())
 
-    if any(m is not None for m in masks):
-        y, cache = stack.forward_with_masks(x, masks)
-    else:
-        y, cache = stack.forward(x)
+    y, cache = stack.forward(x, masks)
     _, grads = stack.backward(cache, y - target)
 
     h = 1e-5

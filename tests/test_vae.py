@@ -48,8 +48,8 @@ def test_normalize_endpoints():
         start_year=1850,
         start_month=1,
     )
-    ws, (lo, hi) = vae.normalize(mass)
-    assert (lo, hi) == (0.0, 10.0)
+    ws = vae.normalize(mass)
+    assert (ws.x_min, ws.x_max) == (0.0, 10.0)
     assert ws.windows.min() == -1.0
     assert ws.windows.max() == 1.0
 
@@ -65,19 +65,20 @@ def test_normalize_constant_field_rejected():
 
 def test_normalize_roundtrip(rng):
     mass = annual_mass()
-    ws, (lo, hi) = vae.normalize(mass)
+    ws = vae.normalize(mass)
+    lo, hi = ws.x_min, ws.x_max
     back = vae.denormalize(vae.scale_to_unit(mass.values, lo, hi), lo, hi)
     np.testing.assert_allclose(back, mass.values, rtol=1e-12)
 
 
 def test_normalize_window_count():
     mass = annual_mass(n_cells=4, n_months=48)
-    ws, _ = vae.normalize(mass)
+    ws = vae.normalize(mass)
     assert len(ws) == 4 * (48 - 11)
     assert ws.windows.shape == (len(ws), 12)
     # provenance points back at the source values
     k = 77
-    c, s = ws.cells[k], ws.starts[k]
+    c, s = divmod(k, 48 - 11)  # windows run cell after cell
     np.testing.assert_allclose(
         vae.denormalize(ws.windows[k], ws.x_min, ws.x_max),
         mass.values[c, s:s + 12],
@@ -88,8 +89,8 @@ def test_normalize_window_count():
 @pytest.mark.parametrize("n_cells", [1, 9])
 def test_normalize_windows_are_one_contiguous_copy(n_cells):
     mass = annual_mass(n_cells=n_cells, n_months=40, noise=0.05)
-    ws, (lo, hi) = vae.normalize(mass)
-    scaled = vae.scale_to_unit(mass.values, lo, hi)
+    ws = vae.normalize(mass)
+    scaled = vae.scale_to_unit(mass.values, ws.x_min, ws.x_max)
     # the earlier construction: reshape, which copies for several cells, then copy again
     reference = np.lib.stride_tricks.sliding_window_view(scaled, 12, axis=1)
     reference = reference.reshape(-1, 12).copy()
@@ -240,7 +241,7 @@ def test_objective_gradients_match_fd(rng):
 # training protocol
 
 def pure_annual_windows(n_cells=4, n_months=120):
-    ws, _ = vae.normalize(annual_mass(n_cells, n_months))
+    ws = vae.normalize(annual_mass(n_cells, n_months))
     return ws
 
 
@@ -350,7 +351,7 @@ def test_overlap_average_full_coverage_values(rng):
 
 def test_reconstruct_output_shape_and_validity(rng):
     mass = annual_mass(4, 60)
-    ws, _ = vae.normalize(mass)
+    ws = vae.normalize(mass)
     model, _ = tiny_model(rng)
     model.x_min, model.x_max = ws.x_min, ws.x_max
     recon = vae.reconstruct(model, mass)
@@ -365,7 +366,7 @@ def test_reconstruct_overfit_oracle():
     # dropout) behaves like the identity; the tanh output saturating
     # towards the +-1 normalization endpoints sets the error floor
     mass = annual_mass(1, 72, variation=0.0)
-    ws, _ = vae.normalize(mass)
+    ws = vae.normalize(mass)
     cfg = vae.TrainConfig(
         max_epochs=800, batch_size=32, seed=5, dropout_rate=0.0, beta=0.0,
         hidden_dims=(48, 24), latent_dim=4, likelihood_var=0.01,
@@ -419,7 +420,7 @@ def test_reconstruct_blocks_match_one_pass(rng, monkeypatch, block, passes):
 def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows, _ = vae.normalize(mass)
+    windows = vae.normalize(mass)
     x_val = windows.windows[rng.permutation(len(windows))[:7220]]
     calls = count_encode_calls(monkeypatch)
     whole = vae.eval_loss(model, x_val)
@@ -455,7 +456,7 @@ def test_inference_memory_is_bounded(rng):
     # cache held about 100 MiB of activations
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows, _ = vae.normalize(mass)
+    windows = vae.normalize(mass)
     tracemalloc.start()
     try:
         vae.reconstruct(model, mass)
@@ -546,7 +547,9 @@ def test_nan_gradient_names_its_parameter_index(rng):
     model, cfg = tiny_model(rng)
     x = rng.uniform(-1, 1, size=(4, 12))
     eps = rng.standard_normal((4, cfg.latent_dim))
-    _, grads = vae.loss_and_grads(model, x, eps, rng=rng)
+    enc_masks = vae.draw_dropout_masks(model.encoder, 4, rng)
+    dec_masks = vae.draw_dropout_masks(model.decoder, 4, rng)
+    _, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
     opt = nn.AdamState.for_params(model.params, lr=0.01)
     nn.adam_step(opt, model.params, grads)
     grads[5][0] = np.nan  # the mean head's bias
@@ -555,7 +558,7 @@ def test_nan_gradient_names_its_parameter_index(rng):
 
 
 def test_checkpoint_save_load_save_bytes_identical(tmp_path, rng):
-    windows, _ = vae.normalize(annual_mass(noise=0.05))
+    windows = vae.normalize(annual_mass(noise=0.05))
     cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
     model, history = vae.train(windows, cfg)
     vae.save_checkpoint(model, tmp_path / "a", seed=3, epoch=history["best_epoch"])
