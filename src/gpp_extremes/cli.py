@@ -238,33 +238,20 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     grid = _load_input_grid(cfg)
     threshold_rows = []
     totals = []
-    stats = []
     for unit in units:
         region, period = unit.region.name, unit.period.name
         mass = _unit_mass(grid, unit)
-        reports = {}
         for method in cfg.methods:
             anoms = _anomalies(method, mass, unit, cfg)
             report = extremes_mod.build_report(anoms, region, period, cfg.threshold_mode)
-            reports[method] = report
             _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
-            threshold_rows.append(
-                (
-                    region,
-                    period,
-                    method,
-                    f"{report.thresholds.q_neg:.6g}",
-                    f"{report.thresholds.q_pos:.6g}",
-                )
-            )
+            q = report.thresholds
+            threshold_rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))
             totals.append(extremes_mod.cumulative_totals(report))
             print(
-                f"extremes: {method} {region} {period} "
-                f"q_neg={report.thresholds.q_neg:.6g} GgC "
+                f"extremes: {method} {region} {period} q_neg={q.q_neg:.6g} GgC "
                 f"({int((report.flags == extremes_mod.NEG).sum())} negative flags)"
             )
-        if len(reports) == 2:
-            stats.append(compare_mod.compare_methods(reports["vae"], reports["ssa"]))
 
     out = cfg.out
     _write_csv(
@@ -273,30 +260,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
         threshold_rows,
     )
     (out / "tables" / "cumulative_totals.json").write_text(json.dumps(totals, indent=2) + "\n")
-
-    if stats:
-        _write_agreement(out, stats, "agreement.csv", AGREEMENT_COLUMNS)
     return 0
-
-
-# agreement table columns: (AgreementStats field, number format, unit suffix)
-AGREEMENT_COLUMNS = (
-    [("region", "", ""), ("period", "", "")]
-    + [(name, ".6f", "") for name in ("freq_correlation", "jaccard_neg", "jaccard_pos")]
-    + [(f"threshold_{m}", ".6g", "_GgC") for m in ("vae", "ssa")]
-    + [(f"cumulative_{s}_{m}", ".6g", "_TgC") for s in ("neg", "pos") for m in ("vae", "ssa")]
-)
-
-
-def _write_agreement(out, stats, name, columns):
-    """The agreement table ``name`` with ``columns``, and the threshold table."""
-    _write_csv(
-        out / "tables" / name,
-        [field + unit for field, _, unit in columns],
-        [[format(getattr(s, field), fmt) for field, fmt, _ in columns] for s in stats],
-    )
-    table = compare_mod.threshold_table(stats)
-    _write_csv(out / "tables" / "threshold_table.csv", table[0], table[1:])
 
 
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
@@ -327,14 +291,52 @@ def cmd_gridsearch(cfg: PipelineConfig) -> int:
     return 0
 
 
+# agreement table columns: (AgreementStats field, number format, unit suffix)
+AGREEMENT_COLUMNS = (
+    [("region", "", ""), ("period", "", "")]
+    + [(name, ".6f", "") for name in ("freq_correlation", "jaccard_neg", "jaccard_pos")]
+    + [(f"threshold_{m}", ".6g", "_GgC") for m in ("vae", "ssa")]
+    + [(f"cumulative_{s}_{m}", ".6g", "_TgC") for s in ("neg", "pos") for m in ("vae", "ssa")]
+)
+
+
+def _artifact(path: Path) -> Path:
+    """``path``, or a DataError when `extremes` has not written it."""
+    if not path.exists():
+        raise DataError(f"{path} missing; run `gpp-extremes extremes --config ...` first")
+    return path
+
+
+def _read_totals(path: Path) -> dict:
+    """(negative_TgC, positive_TgC) per (region, period, method) from cumulative_totals.json."""
+    try:
+        entries = json.loads(_artifact(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: expected a list of entries")
+    totals = {}
+    for i, e in enumerate(entries):
+        try:
+            totals[e["region"], e["period"], e["method"]] = (
+                float(e["negative_TgC"]), float(e["positive_TgC"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path} entry {i}: needs region, period, method, "
+                            f"negative_TgC and positive_TgC ({exc!r})") from exc
+    return totals
+
+
 def cmd_compare(cfg: PipelineConfig) -> int:
-    """Rebuild agreement outputs from artifacts written by `extremes`."""
+    """Write the agreement and threshold tables from the artifacts of `extremes`.
+
+    Each unit's two flags grids, ``tables/thresholds.csv`` and
+    ``tables/cumulative_totals.json`` must come from an `extremes` run with
+    method: both over the configured periods.
+    """
     units = cfg.units()
     out = cfg.out
     thresholds = {}
-    tpath = out / "tables" / "thresholds.csv"
-    if not tpath.exists():
-        raise DataError(f"{tpath} missing; run `gpp-extremes extremes --config ...` first")
+    tpath = _artifact(out / "tables" / "thresholds.csv")
     with tpath.open(newline="") as f:
         rows = list(csv.reader(f))[1:]
     for n, row in enumerate(rows, start=2):
@@ -343,10 +345,13 @@ def cmd_compare(cfg: PipelineConfig) -> int:
             thresholds[(region, period, method)] = float(q_neg)
         except ValueError as exc:
             raise DataError(f"{tpath} line {n}: {exc}") from exc
+    cpath = out / "tables" / "cumulative_totals.json"
+    totals = _read_totals(cpath)
 
     stats = []
     for unit in units:
-        key = (unit.region.name, unit.period.name)
+        period = unit.period
+        key = (unit.region.name, period.name)
         flags = {}
         for method in ("vae", "ssa"):
             gpath = out / "grids" / f"flags_{method}_{unit.tag}"
@@ -354,24 +359,30 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                 raise DataError(
                     f"{gpath}.json missing; run `gpp-extremes extremes` with method: both"
                 )
-            if (*key, method) not in thresholds:
+            for path, table, item in ((tpath, thresholds, "row"), (cpath, totals, "entry")):
+                if (*key, method) not in table:
+                    raise DataError(
+                        f"{path} has no {item} for ({key[0]}, {key[1]}, {method}); run "
+                        f"`gpp-extremes extremes` with method: both"
+                    )
+            flags[method] = g = load_grid(gpath)
+            if (g.start_year, g.start_month, g.n_months) != (period.start_year, 1, period.months):
                 raise DataError(
-                    f"{tpath} has no row for ({key[0]}, {key[1]}, {method}); run "
-                    f"`gpp-extremes extremes` with method: both"
+                    f"{gpath}.json does not span period {period.name} ({period.start_year}-"
+                    f"{period.end_year}); rerun `gpp-extremes extremes --config ...`"
                 )
-            flags[method] = load_grid(gpath)
         cells = unit.region.effective_cells(flags["vae"])
-        stats.append(
-            compare_mod.agreement(
-                *key,
-                flags["vae"].values[cells],
-                flags["ssa"].values[cells],
-                thresholds[(*key, "vae")],
-                thresholds[(*key, "ssa")],
-            )
-        )
-    # the artifacts hold no magnitudes, so the cumulative columns are left out
-    _write_agreement(out, stats, "agreement_from_artifacts.csv", AGREEMENT_COLUMNS[:7])
+        vae, ssa = (*key, "vae"), (*key, "ssa")
+        stats.append(compare_mod.compare_methods(
+            *key, flags["vae"].values[cells], flags["ssa"].values[cells],
+            thresholds[vae], thresholds[ssa], totals[vae], totals[ssa]))
+    _write_csv(
+        out / "tables" / "agreement.csv",
+        [field + suffix for field, _, suffix in AGREEMENT_COLUMNS],
+        [[format(getattr(s, field), fmt) for field, fmt, _ in AGREEMENT_COLUMNS] for s in stats],
+    )
+    table = compare_mod.threshold_table(stats)
+    _write_csv(out / "tables" / "threshold_table.csv", table[0], table[1:])
     for s in stats:
         print(
             f"compare: {s.region} {s.period} corr={s.freq_correlation:.3f} "
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", cmd_train, "train one VAE per region-period"),
         ("extremes", cmd_extremes, "detect extremes and write tables/figures"),
         ("gridsearch", cmd_gridsearch, "small hyperparameter grid search"),
-        ("compare", cmd_compare, "rebuild agreement tables from saved artifacts"),
+        ("compare", cmd_compare, "write the agreement and threshold tables"),
     ):
         sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
     return parser

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .extremes import NEG, POS, ExtremesReport, cumulative_totals, frequency_map
+from .extremes import NEG, POS, frequency_map
 
 
 @dataclass(frozen=True)
@@ -15,8 +15,7 @@ class AgreementStats:
     """How closely the two anomaly engines agree for one region-period.
 
     ``freq_correlation`` is the Pearson correlation of the per-cell
-    negative-extreme frequency maps over the region's cells. The cumulative
-    totals are NaN when only flags were compared: flags hold no magnitudes.
+    negative-extreme frequency maps over the region's cells.
     """
 
     region: str
@@ -26,10 +25,10 @@ class AgreementStats:
     jaccard_pos: float
     threshold_vae: float
     threshold_ssa: float
-    cumulative_neg_vae: float = float("nan")
-    cumulative_neg_ssa: float = float("nan")
-    cumulative_pos_vae: float = float("nan")
-    cumulative_pos_ssa: float = float("nan")
+    cumulative_neg_vae: float
+    cumulative_neg_ssa: float
+    cumulative_pos_vae: float
+    cumulative_pos_ssa: float
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -53,9 +52,12 @@ def jaccard(flags_a: np.ndarray, flags_b: np.ndarray, sign: int) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def agreement(region: str, period: str, flags_vae: np.ndarray, flags_ssa: np.ndarray,
-              threshold_vae: float, threshold_ssa: float) -> AgreementStats:
-    """Agreement of two (cell, month) flag arrays over the same cells and months."""
+def compare_methods(region: str, period: str, flags_vae: np.ndarray, flags_ssa: np.ndarray,
+                    threshold_vae: float, threshold_ssa: float,
+                    totals_vae: tuple, totals_ssa: tuple) -> AgreementStats:
+    """Agreement of two (cell, month) flag arrays; each totals is (negative, positive) TgC."""
+    if flags_vae.shape != flags_ssa.shape:
+        raise ShapeError(f"cannot compare flags of shapes {flags_vae.shape} and {flags_ssa.shape}")
     return AgreementStats(
         region=region,
         period=period,
@@ -64,31 +66,10 @@ def agreement(region: str, period: str, flags_vae: np.ndarray, flags_ssa: np.nda
         jaccard_pos=jaccard(flags_vae, flags_ssa, POS),
         threshold_vae=threshold_vae,
         threshold_ssa=threshold_ssa,
-    )
-
-
-def compare_methods(report_vae: ExtremesReport, report_ssa: ExtremesReport) -> AgreementStats:
-    """Agreement statistics for two reports over the same region-period."""
-    if report_vae.region != report_ssa.region or report_vae.period != report_ssa.period:
-        raise ShapeError(
-            f"cannot compare ({report_vae.region}, {report_vae.period}) with "
-            f"({report_ssa.region}, {report_ssa.period})"
-        )
-    if not np.array_equal(report_vae.cells, report_ssa.cells):
-        raise ShapeError("reports cover different cell sets")
-    if not np.array_equal(report_vae.valid, report_ssa.valid):
-        raise ShapeError("reports cover different valid-month spans")
-
-    stats = agreement(report_vae.region, report_vae.period, report_vae.flags, report_ssa.flags,
-                      report_vae.thresholds.q_neg, report_ssa.thresholds.q_neg)
-    totals_vae = cumulative_totals(report_vae)
-    totals_ssa = cumulative_totals(report_ssa)
-    return replace(
-        stats,
-        cumulative_neg_vae=totals_vae["negative_TgC"],
-        cumulative_neg_ssa=totals_ssa["negative_TgC"],
-        cumulative_pos_vae=totals_vae["positive_TgC"],
-        cumulative_pos_ssa=totals_ssa["positive_TgC"],
+        cumulative_neg_vae=totals_vae[0],
+        cumulative_neg_ssa=totals_ssa[0],
+        cumulative_pos_vae=totals_vae[1],
+        cumulative_pos_ssa=totals_ssa[1],
     )
 
 

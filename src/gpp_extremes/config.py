@@ -239,6 +239,10 @@ class PipelineConfig:
 
 def _region(raw: dict, i: int) -> RegionMask:
     _require(raw, f"regions[{i}]", "name", "cells")
+    first = {}
+    for j, cell in enumerate(raw["cells"]):
+        if first.setdefault(cell, j) != j:
+            raise ConfigError(f"regions[{i}].cells[{j}] repeats cell {cell} (cells[{first[cell]}])")
     return RegionMask(
         name=raw["name"],
         cells=np.asarray(raw["cells"], dtype=int),

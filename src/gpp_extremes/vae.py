@@ -82,6 +82,9 @@ class TrainConfig:
             raise ConfigError("plateau_factor must be in (0, 1)")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError(
+                f"hidden_dims must be one or more widths >= 1, got {list(self.hidden_dims)}")
         if self.beta < 0.0:
             raise ConfigError("beta must be >= 0")
         if self.max_epochs < 1 or self.batch_size < 1:

@@ -244,7 +244,10 @@ def test_criterion_7_injected_event_recall_and_jaccard():
     injected = truth & valid[None, :]
     recall_ssa = float((rep_ssa.flags[injected] == extremes.NEG).mean())
     recall_vae = float((rep_vae.flags[injected] == extremes.NEG).mean())
-    stats = compare.compare_methods(rep_vae, rep_ssa)
+    stats = compare.compare_methods(
+        "R", "P", rep_vae.flags, rep_ssa.flags, rep_vae.thresholds.q_neg, rep_ssa.thresholds.q_neg,
+        *((r.monthly_mag_neg.sum(), r.monthly_mag_pos.sum()) for r in (rep_vae, rep_ssa)),
+    )
 
     assert t_ssa < 600.0
     assert t_vae < 1200.0

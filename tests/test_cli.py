@@ -153,10 +153,9 @@ def test_extremes_full_outputs(tmp_path):
         monthly = (tables / f"monthly_{tag}.csv").read_text().splitlines()
         assert monthly[0].startswith("month,year,valid,count_neg")
         assert len(monthly) == 1 + 48
-    assert (tables / "agreement.csv").exists()
-    assert (tables / "threshold_table.csv").read_text().splitlines()[0] == (
-        "Region,Period,VAE (GgC),SSA (GgC)"
-    )
+    # the cross-method tables are written by compare alone
+    assert not (tables / "agreement.csv").exists()
+    assert not (tables / "threshold_table.csv").exists()
     totals = json.loads((tables / "cumulative_totals.json").read_text())
     assert len(totals) == 2
     assert {t["method"] for t in totals} == {"vae", "ssa"}
@@ -172,12 +171,20 @@ def test_compare_from_artifacts(tmp_path):
     run(["train", "--config", str(cfg)])
     run(["extremes", "--config", str(cfg)])
     assert run(["compare", "--config", str(cfg)]) == 0
-    table = (tmp_path / "out" / "tables" / "threshold_table.csv").read_text().splitlines()
+    tables = tmp_path / "out" / "tables"
+    table = (tables / "threshold_table.csv").read_text().splitlines()
     assert len(table) == 2
+    assert table[0] == "Region,Period,VAE (GgC),SSA (GgC)"
     assert table[1].startswith("quad,y1850-53,")
-    agreement = (tmp_path / "out" / "tables" / "agreement_from_artifacts.csv")
-    rows = agreement.read_text().splitlines()
+    rows = [r.split(",") for r in (tables / "agreement.csv").read_text().splitlines()]
     assert len(rows) == 2
+    assert len(rows[0]) == len(rows[1]) == 11
+    assert rows[0][7:] == [f"cumulative_{s}_{m}_TgC" for s in ("neg", "pos") for m in ("vae", "ssa")]
+    totals = {t["method"]: t for t in json.loads((tables / "cumulative_totals.json").read_text())}
+    assert rows[1][7:] == [
+        format(totals[m][f"{s}_TgC"], ".6g")
+        for s in ("negative", "positive") for m in ("vae", "ssa")
+    ]
 
 
 def test_gridsearch_rows_and_best_marker(tmp_path):
@@ -404,6 +411,14 @@ CONFIG_MISTAKES = [
     ("synth", "synth.events[0].sup", _synth_events(dict(_EVENT, sup=0.5))),
     ("synth", "seed must be >= 0", {"seed": -1}),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
+    ("train", "hidden_dims must be one or more widths >= 1, got []",
+     {"train": {"max_epochs": 2, "hidden_dims": []}}),
+    ("train", "hidden_dims must be one or more widths >= 1, got [0]",
+     {"train": {"max_epochs": 2, "hidden_dims": [0]}}),
+    ("gridsearch", "hidden_dims must be one or more widths >= 1",
+     {"gridsearch": {"hidden_dims": [[]]}}),
+    ("extremes", "regions[0].cells[1] repeats cell 0",
+     {"regions": [{"name": "quad", "cells": [0, 0, 1]}]}),
 ]
 
 
@@ -466,7 +481,7 @@ def test_compare_needs_both_methods_thresholds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no row for (quad, y1850-53, vae)" in err
     assert "method: both" in err
-    assert not (tmp_path / "out" / "tables" / "agreement_from_artifacts.csv").exists()
+    assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()
 
 
 def test_pipeline_writes_each_output_once(tmp_path):
@@ -481,8 +496,7 @@ def test_pipeline_writes_each_output_once(tmp_path):
         f"checkpoints/vae_{unit}.json", f"checkpoints/vae_{unit}.f64",
         f"reports/train_{unit}.json", f"figures/loss_{unit}.svg",
         "tables/thresholds.csv", "tables/cumulative_totals.json", "tables/agreement.csv",
-        "tables/threshold_table.csv", "tables/agreement_from_artifacts.csv",
-        f"tables/ssa_decomp_{unit}_cell0.csv",
+        "tables/threshold_table.csv", f"tables/ssa_decomp_{unit}_cell0.csv",
     }
     for method in ("vae", "ssa"):
         tag = f"{method}_{unit}"
@@ -492,3 +506,44 @@ def test_pipeline_writes_each_output_once(tmp_path):
             f"figures/magnitude_{tag}.svg", f"grids/flags_{tag}.json", f"grids/flags_{tag}.f64",
         }
     assert written == expected
+
+
+def _extremes_both(tmp_path):
+    """A config, and the artifacts of synth, train and extremes with method: both."""
+    cfg = write_config(tmp_path)
+    for command in ("synth", "train", "extremes"):
+        assert run([command, "--config", str(cfg)]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: path.unlink(), "cumulative_totals.json missing"),
+    (lambda path: path.write_text("[{"), "cumulative_totals.json: not valid JSON"),
+    (lambda path: path.write_text('[{"region": "quad"}]'), "cumulative_totals.json entry 0"),
+    (lambda path: path.write_text(json.dumps(json.loads(path.read_text())[1:])),
+     "cumulative_totals.json has no entry for (quad, y1850-53, vae)"),
+], ids=["missing", "invalid-json", "entry-without-keys", "no-unit-entry"])
+def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage, message):
+    cfg = _extremes_both(tmp_path)
+    damage(tmp_path / "out" / "tables" / "cumulative_totals.json")
+    capsys.readouterr()
+    assert run(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()
+
+
+def test_compare_rejects_flags_from_another_period(tmp_path, capsys):
+    # the period keeps its name but moves a year: the flags grids on disk
+    # cover 1850-53, so compare must not reuse them
+    cfg = _extremes_both(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["periods"] = [{"name": "y1850-53", "start_year": 1851, "end_year": 1854}]
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "flags_vae_quad_y1850-53.json does not span period y1850-53" in err
+    assert "rerun `gpp-extremes extremes" in err
+    assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()

@@ -19,11 +19,21 @@ def report_from(values, method, region="R", period="P"):
     return extremes.build_report(anoms, region, period)
 
 
+def compare_reports(a, b):
+    """compare_methods on two reports' flags, negative thresholds and totals."""
+    def totals(report):
+        t = extremes.cumulative_totals(report)
+        return t["negative_TgC"], t["positive_TgC"]
+
+    return compare.compare_methods(a.region, a.period, a.flags, b.flags, a.thresholds.q_neg,
+                                   b.thresholds.q_neg, totals(a), totals(b))
+
+
 def test_identical_reports_agree_fully(rng):
     values = rng.normal(0, 20, size=(8, 372))
     a = report_from(values, "vae")
     b = report_from(values, "ssa")
-    stats = compare.compare_methods(a, b)
+    stats = compare_reports(a, b)
     assert stats.freq_correlation == pytest.approx(1.0, abs=1e-12)
     assert stats.jaccard_neg == 1.0
     assert stats.jaccard_pos == 1.0
@@ -57,16 +67,16 @@ def test_compare_symmetric_statistics(rng):
     # correlation and jaccard are symmetric under swapping the reports
     a = report_from(rng.normal(0, 20, size=(6, 372)), "vae")
     b = report_from(rng.normal(0, 25, size=(6, 372)), "ssa")
-    ab = compare.compare_methods(a, b)
+    ab = compare_reports(a, b)
     assert ab.freq_correlation == pytest.approx(compare.pearson(b.freq_neg, a.freq_neg))
     assert compare.jaccard(b.flags, a.flags, extremes.NEG) == ab.jaccard_neg
 
 
 def test_compare_rejects_mismatched(rng):
-    a = report_from(rng.normal(size=(4, 372)), "vae", region="A")
-    b = report_from(rng.normal(size=(4, 372)), "ssa", region="B")
+    a = report_from(rng.normal(size=(4, 372)), "vae")
+    b = report_from(rng.normal(size=(5, 372)), "ssa")
     with pytest.raises(ShapeError):
-        compare.compare_methods(a, b)
+        compare_reports(a, b)
 
 
 def stats_stub(region, period, vae_q=100.0, ssa_q=80.0):
@@ -140,6 +150,6 @@ def test_both_engines_agree_on_hotspot_ground_truth():
     injected = truth & rep_ssa.valid[None, :]
     assert (rep_ssa.flags[injected] == extremes.NEG).mean() >= 0.8
     assert (rep_vae.flags[injected] == extremes.NEG).mean() >= 0.8
-    stats = compare.compare_methods(rep_vae, rep_ssa)
+    stats = compare_reports(rep_vae, rep_ssa)
     assert stats.jaccard_neg >= 0.5
     assert stats.freq_correlation >= 0.7
