@@ -243,7 +243,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
         mass = _unit_mass(grid, unit)
         for method in cfg.methods:
             anoms = _anomalies(method, mass, unit, cfg)
-            report = extremes_mod.build_report(anoms, region, period, cfg.threshold_mode)
+            report = extremes_mod.build_report(anoms, region, period, method, cfg.threshold_mode)
             _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
             q = report.thresholds
             threshold_rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))
@@ -308,7 +308,7 @@ def _artifact(path: Path) -> Path:
 
 
 def _read_totals(path: Path) -> dict:
-    """(negative_TgC, positive_TgC) per (region, period, method) from cumulative_totals.json."""
+    """((negative, positive) TgC, cells) per (region, period, method) of cumulative_totals.json."""
     try:
         entries = json.loads(_artifact(path).read_text())
     except json.JSONDecodeError as exc:
@@ -319,9 +319,9 @@ def _read_totals(path: Path) -> dict:
     for i, e in enumerate(entries):
         try:
             totals[e["region"], e["period"], e["method"]] = (
-                float(e["negative_TgC"]), float(e["positive_TgC"]))
+                (float(e["negative_TgC"]), float(e["positive_TgC"])), [int(c) for c in e["cells"]])
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path} entry {i}: needs region, period, method, "
+            raise DataError(f"{path} entry {i}: needs region, period, method, cells, "
                             f"negative_TgC and positive_TgC ({exc!r})") from exc
     return totals
 
@@ -371,11 +371,18 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                     f"{gpath}.json does not span period {period.name} ({period.start_year}-"
                     f"{period.end_year}); rerun `gpp-extremes extremes --config ...`"
                 )
-        cells = unit.region.effective_cells(flags["vae"])
+            cells = unit.region.effective_cells(g)
+            recorded = totals[(*key, method)][1]
+            if recorded != cells.tolist():
+                raise DataError(
+                    f"{cpath} entry for ({key[0]}, {key[1]}, {method}) covers cells {recorded}, "
+                    f"not the cells {cells.tolist()} of region {key[0]}; rerun "
+                    f"`gpp-extremes extremes --config ...`"
+                )
         vae, ssa = (*key, "vae"), (*key, "ssa")
         stats.append(compare_mod.compare_methods(
             *key, flags["vae"].values[cells], flags["ssa"].values[cells],
-            thresholds[vae], thresholds[ssa], totals[vae], totals[ssa]))
+            thresholds[vae], thresholds[ssa], totals[vae][0], totals[ssa][0]))
     _write_csv(
         out / "tables" / "agreement.csv",
         [field + suffix for field, _, suffix in AGREEMENT_COLUMNS],

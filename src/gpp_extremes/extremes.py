@@ -1,20 +1,22 @@
 """Percentile thresholds, extreme flags and regional aggregation.
 
-Protocol: trim the first and last year of anomalies, pool every valid
-(cell, month) anomaly of the region, set the negative threshold from the
-5th percentile and the positive one from the 95th (linear interpolation
-between order statistics), flag with strict inequalities, then aggregate
-flags into per-cell frequency maps and regional monthly series.
+Protocol: ``valid_months`` keeps every month but the first and last year,
+the one span both engines share, and is the only place that decides which
+months count. Pool every valid (cell, month) anomaly of the region, set
+the negative threshold from the 5th percentile and the positive one from
+the 95th (linear interpolation between order statistics), flag with
+strict inequalities, then aggregate flags into per-cell frequency maps
+and regional monthly series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, EmptyRegionError, ShapeError
-from .grid import GGC_PER_TGC, AnomalyField
+from .grid import GGC_PER_TGC, MassSeries
 
 NEG = -1
 POS = 1
@@ -25,7 +27,7 @@ TRIM_MONTHS = 12
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Extreme thresholds for one (region, period, method).
+    """Extreme thresholds of one anomaly pool, GgC.
 
     ``q_neg`` is the magnitude of the 5th-percentile anomaly (the headline
     threshold); negative extremes are anomalies < -q_neg. ``q_pos`` is the
@@ -33,12 +35,8 @@ class ThresholdSet:
     ``mode="absolute"`` both equal the 95th percentile of |anomaly|.
     """
 
-    region: str
-    period: str
-    method: str
     q_neg: float
     q_pos: float
-    mode: str = "two-sided"
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class ExtremesReport:
     thresholds: ThresholdSet
     flags: np.ndarray  # int8 (n_cells, n_months): NEG / NONE / POS
     cells: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray  # bool (n_months,): the months of valid_months
     start_year: int
     start_month: int
     freq_neg: np.ndarray  # per-cell negative-extreme counts
@@ -62,56 +60,45 @@ class ExtremesReport:
     monthly_mag_pos: np.ndarray  # TgC per month, >= 0
 
 
-def trim_edges(anoms: AnomalyField) -> AnomalyField:
-    """Invalidate the first and last year so both methods share a span.
+def valid_months(n_months: int) -> np.ndarray:
+    """Bool mask of the months that count: all but the first and last year.
 
-    A 31-year record keeps 29 years of usable months (372 -> 348),
-    mirroring the shortening a 12-month reconstruction window imposes.
-    Idempotent for a fixed span.
+    Both engines share this span: a 31-year record keeps 29 years of
+    usable months (372 -> 348), mirroring the shortening a 12-month
+    reconstruction window imposes.
     """
-    n = anoms.n_months
-    if n < 3 * TRIM_MONTHS:
-        raise ShapeError(f"need at least {3 * TRIM_MONTHS} months to trim, got {n}")
-    valid = anoms.valid.copy()
-    valid[:TRIM_MONTHS] = False
-    valid[n - TRIM_MONTHS:] = False
-    return replace(anoms, valid=valid)
+    if n_months < 3 * TRIM_MONTHS:
+        raise ShapeError(f"need at least {3 * TRIM_MONTHS} months to trim, got {n_months}")
+    valid = np.zeros(n_months, dtype=bool)
+    valid[TRIM_MONTHS:n_months - TRIM_MONTHS] = True
+    return valid
 
 
-def pooled_sample(anoms: AnomalyField) -> np.ndarray:
+def pooled_sample(anoms: MassSeries, valid: np.ndarray) -> np.ndarray:
     """All valid (cell, month) anomalies of the region as a flat array."""
-    pool = anoms.values[:, anoms.valid].ravel()
+    pool = anoms.values[:, valid].ravel()
     if pool.size == 0:
         raise EmptyRegionError("no valid anomaly samples to pool")
     return pool
 
 
-def compute_thresholds(anoms: AnomalyField, region: str, period: str,
+def compute_thresholds(anoms: MassSeries, valid: np.ndarray,
                        mode: str = "two-sided") -> ThresholdSet:
     """Percentile thresholds over the pooled regional anomaly sample."""
-    pool = pooled_sample(anoms)
+    pool = pooled_sample(anoms, valid)
     if mode == "two-sided":
-        q_neg = float(abs(np.percentile(pool, 5.0)))
-        q_pos = float(np.percentile(pool, 95.0))
-    elif mode == "absolute":
+        return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0))),
+                            q_pos=float(np.percentile(pool, 95.0)))
+    if mode == "absolute":
         q = float(np.percentile(np.abs(pool), 95.0))
-        q_neg = q_pos = q
-    else:
-        raise DataError(f"unknown threshold mode {mode!r}")
-    return ThresholdSet(
-        region=region,
-        period=period,
-        method=anoms.method,
-        q_neg=q_neg,
-        q_pos=q_pos,
-        mode=mode,
-    )
+        return ThresholdSet(q_neg=q, q_pos=q)
+    raise DataError(f"unknown threshold mode {mode!r}")
 
 
-def classify(anoms: AnomalyField, thresholds: ThresholdSet) -> np.ndarray:
-    """Per-sample flags; threshold ties are not extremes (strict inequality)."""
+def classify(anoms: MassSeries, valid: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
+    """Per-sample flags in the valid months; threshold ties are not extremes."""
     flags = np.zeros(anoms.values.shape, dtype=np.int8)
-    valid = anoms.valid[None, :]
+    valid = valid[None, :]
     flags[(anoms.values < -thresholds.q_neg) & valid] = NEG
     flags[(anoms.values > thresholds.q_pos) & valid] = POS
     return flags
@@ -122,7 +109,7 @@ def frequency_map(flags: np.ndarray, sign: int) -> np.ndarray:
     return (flags == sign).sum(axis=1)
 
 
-def regional_series(anoms: AnomalyField, flags: np.ndarray, sign: int):
+def regional_series(anoms: MassSeries, flags: np.ndarray, sign: int):
     """(monthly count, monthly magnitude in TgC) of one sign's extremes."""
     hits = flags == sign
     counts = hits.sum(axis=0)
@@ -136,29 +123,30 @@ def cumulative_totals(report: "ExtremesReport") -> dict:
         "region": report.region,
         "period": report.period,
         "method": report.method,
+        "cells": report.cells.tolist(),
         "negative_TgC": float(report.monthly_mag_neg.sum()),
         "positive_TgC": float(report.monthly_mag_pos.sum()),
     }
 
 
-def build_report(anoms: AnomalyField, region: str, period: str,
+def build_report(anoms: MassSeries, region: str, period: str, method: str,
                  mode: str = "two-sided") -> ExtremesReport:
-    """Trim, threshold, classify and aggregate one anomaly field."""
-    trimmed = trim_edges(anoms)
-    thresholds = compute_thresholds(trimmed, region, period, mode)
-    flags = classify(trimmed, thresholds)
-    count_neg, mag_neg = regional_series(trimmed, flags, NEG)
-    count_pos, mag_pos = regional_series(trimmed, flags, POS)
+    """Threshold, classify and aggregate one engine's anomalies over the valid months."""
+    valid = valid_months(anoms.n_months)
+    thresholds = compute_thresholds(anoms, valid, mode)
+    flags = classify(anoms, valid, thresholds)
+    count_neg, mag_neg = regional_series(anoms, flags, NEG)
+    count_pos, mag_pos = regional_series(anoms, flags, POS)
     return ExtremesReport(
         region=region,
         period=period,
-        method=trimmed.method,
+        method=method,
         thresholds=thresholds,
         flags=flags,
-        cells=trimmed.cells,
-        valid=trimmed.valid,
-        start_year=trimmed.start_year,
-        start_month=trimmed.start_month,
+        cells=anoms.cells,
+        valid=valid,
+        start_year=anoms.start_year,
+        start_month=anoms.start_month,
         freq_neg=frequency_map(flags, NEG),
         freq_pos=frequency_map(flags, POS),
         monthly_count_neg=count_neg,

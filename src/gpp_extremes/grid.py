@@ -123,35 +123,15 @@ class RegionMask:
 
 @dataclass(frozen=True)
 class MassSeries:
-    """Per-cell monthly carbon mass (GgC/month) for one region and period.
+    """Per-cell monthly series (GgC/month) for one region and period.
 
-    ``valid`` is None for source data; reconstructions set it to flag the
-    months with a trustworthy value.
+    The one per-cell series type: carbon mass, its VAE reconstruction and
+    either engine's anomalies. Which months count for extremes is decided
+    downstream by ``extremes.valid_months``, from ``n_months`` alone.
     """
 
     values: np.ndarray  # (n_cells_masked, n_months)
     cells: np.ndarray  # source grid cell indices, sorted
-    start_year: int
-    start_month: int
-    valid: np.ndarray | None = None
-
-    @property
-    def n_months(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class AnomalyField:
-    """Per-cell anomaly series (GgC/month) tagged with the producing method.
-
-    ``valid`` marks months usable for extreme classification; edge
-    trimming clears the first and last year.
-    """
-
-    values: np.ndarray  # (n_cells_masked, n_months)
-    cells: np.ndarray
-    valid: np.ndarray  # bool, (n_months,)
-    method: str
     start_year: int
     start_month: int
 
@@ -178,11 +158,19 @@ def _read(path: Path, read=Path.read_bytes):
         raise DataError(f"{path}: file not found") from exc
 
 
-def _read_header(header_path: Path, expect_layout: str) -> dict:
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; anything else is a FormatError naming the file."""
     try:
-        raw = json.loads(_read(header_path, Path.read_text))
+        raw = json.loads(_read(path, Path.read_text))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{header_path}: header is not valid JSON ({exc})") from exc
+        raise FormatError(f"{path}: {what} is not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _read_header(header_path: Path, expect_layout: str) -> dict:
+    raw = _read_json(header_path, "header")
     for name in _HEADER_FIELDS:
         if name not in raw:
             raise FormatError(f"{header_path}: header missing field {name!r}")
@@ -248,19 +236,21 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
             raise ShapeError(
                 f"{payload_path}: {len(lines) - 1} data rows, header implies {n_cells}"
             )
-        values = np.empty((n_cells, raw["n_months"]))
-        cell_area = np.empty(n_cells)
-        land_frac = np.empty(n_cells)
+        table = np.empty((n_cells, 3 + raw["n_months"]))  # column 0, the cell, is not read
         for i, line in enumerate(lines[1:]):
             parts = line.split(",")
-            if len(parts) != 3 + raw["n_months"]:
+            if len(parts) != table.shape[1]:
                 raise ShapeError(
                     f"{payload_path}: row {i} has {len(parts)} columns, expected "
-                    f"{3 + raw['n_months']}"
+                    f"{table.shape[1]}"
                 )
-            cell_area[i] = float(parts[1])
-            land_frac[i] = float(parts[2])
-            values[i] = [float(p) for p in parts[3:]]
+            for j in range(1, len(parts)):
+                try:
+                    table[i, j] = float(parts[j])
+                except ValueError:
+                    raise FormatError(f"{payload_path}: row {i} column {j}: "
+                                      f"{parts[j]!r} is not a number") from None
+        cell_area, land_frac, values = table[:, 1], table[:, 2], table[:, 3:]
     else:
         raise FormatError(f"unknown grid format {format!r}")
 

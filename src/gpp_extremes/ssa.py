@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, SsaWindowError
-from .grid import AnomalyField, MassSeries
+from .grid import MassSeries
 
 TREND = "trend"
 SEASONAL = "seasonal"
@@ -198,7 +198,7 @@ def decompose_series(series: np.ndarray, config: SsaConfig) -> SsaDecomposition:
 
 
 def ssa_anomalies(mass: MassSeries, config: SsaConfig | None = None,
-                  jobs: int = 1, keep: dict | None = None) -> AnomalyField:
+                  jobs: int = 1, keep: dict | None = None) -> MassSeries:
     """Residual anomalies per cell: original minus trend minus seasonal.
 
     The residual keeps inter-annual (1-10 year) and sub-annual variability,
@@ -230,11 +230,9 @@ def ssa_anomalies(mass: MassSeries, config: SsaConfig | None = None,
         for c in range(n_cells):
             run(c)
 
-    return AnomalyField(
+    return MassSeries(
         values=anoms,
-        cells=np.asarray(mass.cells, dtype=int),
-        valid=np.ones(n_months, dtype=bool),
-        method="ssa",
+        cells=mass.cells,
         start_year=mass.start_year,
         start_month=mass.start_month,
     )

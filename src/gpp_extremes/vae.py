@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import AnomalyField, MassSeries, _paths, _read
+from .grid import MassSeries, _paths, _read, _read_json
 from .nn import (
     AdamState,
     DenseLayer,
@@ -436,9 +436,9 @@ def reconstruct(model: VaeModel, mass: MassSeries) -> MassSeries:
     (eval mode); overlapping reconstructed values are averaged per month
     and denormalized. Cells go through the network in blocks of whole
     cells of at most ``INFER_BLOCK_ROWS`` windows (one cell when a cell
-    has more), and only the current block's windows are built. The first
-    and last year are flagged invalid, which keeps the effective span
-    aligned with the trimming rule downstream.
+    has more), and only the current block's windows are built. Every
+    month gets a value; the edge months, covered by fewer windows, are
+    among those ``extremes.valid_months`` leaves out.
     """
     values = np.asarray(mass.values, dtype=float)
     n_cells, n_months = values.shape
@@ -452,21 +452,16 @@ def reconstruct(model: VaeModel, mass: MassSeries) -> MassSeries:
         xhat = decode(model, mu).reshape(-1, per_cell, SEQ_LEN)
         for c, cell_hat in enumerate(xhat, start=cells.start):
             recon_scaled[c] = kernels.overlap_average(cell_hat)
-    recon = denormalize(recon_scaled, model.x_min, model.x_max)
-
-    valid = np.zeros(n_months, dtype=bool)
-    valid[SEQ_LEN:n_months - SEQ_LEN] = True
     return MassSeries(
-        values=recon,
+        values=denormalize(recon_scaled, model.x_min, model.x_max),
         cells=mass.cells,
         start_year=mass.start_year,
         start_month=mass.start_month,
-        valid=valid,
     )
 
 
-def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> AnomalyField:
-    """Anomaly = original - reconstructed, per cell per valid month (GgC)."""
+def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> MassSeries:
+    """Anomaly = original - reconstructed, per cell per month (GgC)."""
     if original.values.shape != reconstructed.values.shape:
         raise ShapeError(
             f"original {original.values.shape} and reconstructed "
@@ -474,14 +469,9 @@ def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> AnomalyFie
         )
     if not np.array_equal(original.cells, reconstructed.cells):
         raise ShapeError("original and reconstructed series cover different cells")
-    valid = reconstructed.valid
-    if valid is None:
-        valid = np.ones(original.values.shape[1], dtype=bool)
-    return AnomalyField(
+    return MassSeries(
         values=original.values - reconstructed.values,
-        cells=np.asarray(original.cells, dtype=int),
-        valid=valid.copy(),
-        method="vae",
+        cells=original.cells,
         start_year=original.start_year,
         start_month=original.start_month,
     )
@@ -513,22 +503,46 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
     payload_path.write_bytes(flat.astype("<f8", copy=False).tobytes())
 
 
+# Manifest fields that build the model: what each must hold, and its check.
+_MANIFEST_FIELDS = {
+    "hidden_dims": ("a list of integers",
+                    lambda v: isinstance(v, list) and all(isinstance(w, int) for w in v)),
+    "latent_dim": ("an integer", lambda v: isinstance(v, int)),
+    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var", "x_min", "x_max"),
+                    ("a number", lambda v: isinstance(v, (int, float)))),
+}
+
+
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
+    """The model and manifest of ``save_checkpoint``; a damaged file is a FormatError.
+
+    A manifest without ``likelihood_var`` gets the default 0.1.
+    """
     header_path, payload_path = _paths(path, ".f64")
-    manifest = json.loads(_read(header_path, Path.read_text))
+    manifest = _read_json(header_path, "manifest")
     for name, expected in _FIXED_ARCHITECTURE.items():
         if manifest.get(name) != expected:
             raise FormatError(
                 f"{header_path}: {name} is {manifest.get(name)!r}, expected {expected!r}"
             )
-    config = TrainConfig(
-        hidden_dims=tuple(manifest["hidden_dims"]),
-        latent_dim=manifest["latent_dim"],
-        beta=manifest["beta"],
-        dropout_rate=manifest["dropout_rate"],
-        likelihood_var=manifest.get("likelihood_var", 0.1),
-    )
-    model = build_model(config, manifest["x_min"], manifest["x_max"], np.random.default_rng(0))
+    fields = {"likelihood_var": 0.1, **manifest}
+    for name, (kind, check) in _MANIFEST_FIELDS.items():
+        if name not in fields:
+            raise FormatError(f"{header_path}: manifest missing field {name!r}")
+        if not check(fields[name]):
+            raise FormatError(
+                f"{header_path}: manifest field {name!r} must be {kind}, got {fields[name]!r}")
+    try:
+        config = TrainConfig(
+            hidden_dims=tuple(fields["hidden_dims"]),
+            latent_dim=fields["latent_dim"],
+            beta=fields["beta"],
+            dropout_rate=fields["dropout_rate"],
+            likelihood_var=fields["likelihood_var"],
+        )
+    except ConfigError as exc:
+        raise FormatError(f"{header_path}: {exc}") from exc
+    model = build_model(config, fields["x_min"], fields["x_max"], np.random.default_rng(0))
     flat = model.params.flat
     payload = np.frombuffer(_read(payload_path), dtype="<f8")
     if payload.size != flat.size:

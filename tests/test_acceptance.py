@@ -132,18 +132,16 @@ def test_criterion_4_ssa_separation():
 def test_criterion_5_flag_fractions():
     rng = np.random.default_rng(55)
     for n_cells, n_months in ((10, 372), (40, 132), (4, 732)):
-        anoms = grid.AnomalyField(
+        anoms = grid.MassSeries(
             values=rng.normal(0, 40, size=(n_cells, n_months)),
             cells=np.arange(n_cells),
-            valid=np.ones(n_months, dtype=bool),
-            method="ssa",
             start_year=1850,
             start_month=1,
         )
-        trimmed = extremes.trim_edges(anoms)
-        ts = extremes.compute_thresholds(trimmed, "R", "P")
-        flags = extremes.classify(trimmed, ts)
-        n = int(trimmed.valid.sum()) * n_cells
+        valid = extremes.valid_months(n_months)
+        ts = extremes.compute_thresholds(anoms, valid)
+        flags = extremes.classify(anoms, valid, ts)
+        n = int(valid.sum()) * n_cells
         assert n >= 1000
         neg = (flags == extremes.NEG).sum() / n
         pos = (flags == extremes.POS).sum() / n
@@ -156,19 +154,11 @@ def test_criterion_5_flag_fractions():
 # 6. edge trimming arithmetic
 
 def test_criterion_6_edge_trimming():
-    anoms = grid.AnomalyField(
-        values=np.zeros((3, 372)),
-        cells=np.arange(3),
-        valid=np.ones(372, dtype=bool),
-        method="vae",
-        start_year=1850,
-        start_month=1,
-    )
-    trimmed = extremes.trim_edges(anoms)
-    n_valid = int(trimmed.valid.sum())
+    valid = extremes.valid_months(372)
+    n_valid = int(valid.sum())
     assert n_valid == 348
     # 1850-80 input: first valid month is Jan 1851, last is Dec 1879
-    first, last = np.nonzero(trimmed.valid)[0][[0, -1]]
+    first, last = np.nonzero(valid)[0][[0, -1]]
     assert 1850 + first // 12 == 1851
     assert 1850 + last // 12 == 1879
     report(6, f"372 months -> {n_valid} valid (1851-79)")
@@ -228,7 +218,7 @@ def test_criterion_7_injected_event_recall_and_jaccard():
 
     t0 = time.time()
     an_ssa = ssa.ssa_anomalies(mass, ssa.SsaConfig())
-    rep_ssa = extremes.build_report(an_ssa, "R", "P")
+    rep_ssa = extremes.build_report(an_ssa, "R", "P", "ssa")
     t_ssa = time.time() - t0
 
     t0 = time.time()
@@ -237,7 +227,7 @@ def test_criterion_7_injected_event_recall_and_jaccard():
     model, _ = vae.train(windows, cfg)
     recon = vae.reconstruct(model, mass)
     an_vae = vae.vae_anomalies(mass, recon)
-    rep_vae = extremes.build_report(an_vae, "R", "P")
+    rep_vae = extremes.build_report(an_vae, "R", "P", "vae")
     t_vae = time.time() - t0
 
     valid = rep_ssa.valid

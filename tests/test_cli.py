@@ -522,7 +522,10 @@ def _extremes_both(tmp_path):
     (lambda path: path.write_text('[{"region": "quad"}]'), "cumulative_totals.json entry 0"),
     (lambda path: path.write_text(json.dumps(json.loads(path.read_text())[1:])),
      "cumulative_totals.json has no entry for (quad, y1850-53, vae)"),
-], ids=["missing", "invalid-json", "entry-without-keys", "no-unit-entry"])
+    (lambda path: path.write_text(json.dumps(
+        [{k: v for k, v in e.items() if k != "cells"} for e in json.loads(path.read_text())])),
+     "cumulative_totals.json entry 0: needs region, period, method, cells"),
+], ids=["missing", "invalid-json", "entry-without-keys", "no-unit-entry", "entry-without-cells"])
 def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage, message):
     cfg = _extremes_both(tmp_path)
     damage(tmp_path / "out" / "tables" / "cumulative_totals.json")
@@ -547,3 +550,33 @@ def test_compare_rejects_flags_from_another_period(tmp_path, capsys):
     assert "flags_vae_quad_y1850-53.json does not span period y1850-53" in err
     assert "rerun `gpp-extremes extremes" in err
     assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()
+
+
+def test_compare_rejects_totals_from_another_cell_set(tmp_path, capsys):
+    # the region keeps its name but loses two cells: the artifacts on disk
+    # cover all four, so compare must not pair them with the new cell set
+    cfg = _extremes_both(tmp_path)
+    tables = tmp_path / "out" / "tables"
+    totals = json.loads((tables / "cumulative_totals.json").read_text())
+    assert [t["cells"] for t in totals] == [[0, 1, 2, 3]] * 2
+    raw = json.loads(cfg.read_text())
+    raw["regions"] = [{"name": "quad", "cells": [0, 1]}]
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("cumulative_totals.json entry for (quad, y1850-53, vae) covers cells [0, 1, 2, 3], "
+            "not the cells [0, 1] of region quad; rerun `gpp-extremes extremes") in err
+    assert "Traceback" not in err
+    assert not (tables / "agreement.csv").exists()
+
+
+def test_both_engines_share_one_valid_span(tmp_path):
+    cfg = _extremes_both(tmp_path)
+    tables = tmp_path / "out" / "tables"
+    columns = {}
+    for method in ("vae", "ssa"):
+        rows = (tables / f"monthly_{method}_quad_y1850-53.csv").read_text().splitlines()[1:]
+        columns[method] = [int(row.split(",")[2]) for row in rows]
+    assert columns["vae"] == columns["ssa"]
+    assert columns["ssa"] == [0] * 12 + [1] * 24 + [0] * 12

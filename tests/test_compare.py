@@ -3,20 +3,18 @@ import pytest
 
 from gpp_extremes import compare, extremes
 from gpp_extremes.errors import ShapeError
-from gpp_extremes.grid import AnomalyField
+from gpp_extremes.grid import MassSeries
 
 
 def report_from(values, method, region="R", period="P"):
     values = np.asarray(values, dtype=float)
-    anoms = AnomalyField(
+    anoms = MassSeries(
         values=values,
         cells=np.arange(values.shape[0]),
-        valid=np.ones(values.shape[1], dtype=bool),
-        method=method,
         start_year=1850,
         start_month=1,
     )
-    return extremes.build_report(anoms, region, period)
+    return extremes.build_report(anoms, region, period, method)
 
 
 def compare_reports(a, b):
@@ -140,12 +138,12 @@ def test_both_engines_agree_on_hotspot_ground_truth():
     mass = grid.flux_to_mass(g, grid.RegionMask("R", np.arange(100)))
 
     an_ssa = ssa.ssa_anomalies(mass, ssa.SsaConfig())
-    rep_ssa = extremes.build_report(an_ssa, "R", "P")
+    rep_ssa = extremes.build_report(an_ssa, "R", "P", "ssa")
     windows = vae.normalize(mass)
     cfg = vae.TrainConfig(max_epochs=60, seed=7, batch_size=128, likelihood_var=0.05)
     model, _ = vae.train(windows, cfg)
     an_vae = vae.vae_anomalies(mass, vae.reconstruct(model, mass))
-    rep_vae = extremes.build_report(an_vae, "R", "P")
+    rep_vae = extremes.build_report(an_vae, "R", "P", "vae")
 
     injected = truth & rep_ssa.valid[None, :]
     assert (rep_ssa.flags[injected] == extremes.NEG).mean() >= 0.8

@@ -3,22 +3,21 @@ import pytest
 
 from gpp_extremes import extremes
 from gpp_extremes.errors import EmptyRegionError, ShapeError
-from gpp_extremes.grid import AnomalyField
+from gpp_extremes.grid import MassSeries
 
 
-def field(values, method="ssa", valid=None):
+def field(values):
     values = np.asarray(values, dtype=float)
-    n_cells, n_months = values.shape
-    if valid is None:
-        valid = np.ones(n_months, dtype=bool)
-    return AnomalyField(
+    return MassSeries(
         values=values,
-        cells=np.arange(n_cells),
-        valid=valid,
-        method=method,
+        cells=np.arange(values.shape[0]),
         start_year=1850,
         start_month=1,
     )
+
+
+def every_month(anoms):
+    return np.ones(anoms.n_months, dtype=bool)
 
 
 def random_field(rng, n_cells=10, n_months=372):
@@ -29,27 +28,19 @@ def random_field(rng, n_cells=10, n_months=372):
 # trimming
 
 def test_trim_372_months_keeps_348():
-    trimmed = extremes.trim_edges(field(np.zeros((2, 372))))
-    assert int(trimmed.valid.sum()) == 348
+    assert int(extremes.valid_months(372).sum()) == 348
 
 
 def test_trim_36_months_keeps_12():
-    trimmed = extremes.trim_edges(field(np.zeros((1, 36))))
-    assert int(trimmed.valid.sum()) == 12
-    assert not trimmed.valid[:12].any()
-    assert not trimmed.valid[24:].any()
-
-
-def test_trim_idempotent(rng):
-    once = extremes.trim_edges(random_field(rng))
-    twice = extremes.trim_edges(once)
-    np.testing.assert_array_equal(once.valid, twice.valid)
-    np.testing.assert_array_equal(once.values, twice.values)
+    valid = extremes.valid_months(36)
+    assert int(valid.sum()) == 12
+    assert not valid[:12].any()
+    assert not valid[24:].any()
 
 
 def test_trim_too_short():
     with pytest.raises(ShapeError):
-        extremes.trim_edges(field(np.zeros((1, 35))))
+        extremes.valid_months(35)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +49,7 @@ def test_trim_too_short():
 def test_thresholds_symmetric_sample():
     vals = np.concatenate([np.arange(-10, 0), np.arange(1, 11)]).astype(float)
     anoms = field(np.tile(vals, (3, 1)))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
+    ts = extremes.compute_thresholds(anoms, every_month(anoms))
     assert ts.q_neg == pytest.approx(ts.q_pos)
     assert ts.q_neg >= 0 and ts.q_pos >= 0
 
@@ -68,30 +59,30 @@ def test_thresholds_100_sample_boundary(rng):
     # fall strictly below -q_neg
     vals = rng.normal(size=100)
     anoms = field(vals[None, :])
-    ts = extremes.compute_thresholds(anoms, "R", "P")
+    ts = extremes.compute_thresholds(anoms, every_month(anoms))
     assert int((vals < -ts.q_neg).sum()) == 5
     assert int((vals > ts.q_pos).sum()) == 5
 
 
 def test_thresholds_absolute_mode(rng):
     anoms = field(rng.normal(size=(5, 200)))
-    ts = extremes.compute_thresholds(anoms, "R", "P", mode="absolute")
+    ts = extremes.compute_thresholds(anoms, every_month(anoms), mode="absolute")
     assert ts.q_neg == ts.q_pos
     pool = anoms.values.ravel()
     assert ts.q_neg == pytest.approx(np.percentile(np.abs(pool), 95.0))
 
 
 def test_thresholds_empty_pool():
-    anoms = field(np.zeros((2, 40)), valid=np.zeros(40, dtype=bool))
+    anoms = field(np.zeros((2, 40)))
     with pytest.raises(EmptyRegionError):
-        extremes.compute_thresholds(anoms, "R", "P")
+        extremes.compute_thresholds(anoms, np.zeros(40, dtype=bool))
 
 
 def test_thresholds_row_format():
     # Table-1-shaped row for a WNA-style region; the GgC value is data-led
     anoms = field(np.random.default_rng(0).normal(0, 100, size=(20, 372)))
-    ts = extremes.compute_thresholds(extremes.trim_edges(anoms), "WNA", "1850-80")
-    row = (ts.region, ts.period, ts.method, round(ts.q_neg))
+    report = extremes.build_report(anoms, "WNA", "1850-80", "ssa")
+    row = (report.region, report.period, report.method, round(report.thresholds.q_neg))
     assert row[0] == "WNA" and row[1] == "1850-80"
     assert isinstance(row[3], int)
 
@@ -101,33 +92,34 @@ def test_thresholds_row_format():
 
 def test_classify_boundary_is_strict():
     anoms = field(np.array([[-5.0, -4.999, 5.0, 4.999, 0.0]]))
-    ts = extremes.ThresholdSet("R", "P", "ssa", q_neg=5.0, q_pos=5.0)
-    flags = extremes.classify(anoms, ts)
+    ts = extremes.ThresholdSet(q_neg=5.0, q_pos=5.0)
+    flags = extremes.classify(anoms, every_month(anoms), ts)
     np.testing.assert_array_equal(flags[0], [0, 0, 0, 0, 0])
     anoms2 = field(np.array([[-5.001, 5.001]]))
-    np.testing.assert_array_equal(extremes.classify(anoms2, ts)[0], [-1, 1])
+    np.testing.assert_array_equal(extremes.classify(anoms2, every_month(anoms2), ts)[0], [-1, 1])
 
 
 def test_classify_all_zero_no_flags():
     anoms = field(np.zeros((4, 60)))
-    ts = extremes.ThresholdSet("R", "P", "ssa", q_neg=1.0, q_pos=1.0)
-    assert not extremes.classify(anoms, ts).any()
+    ts = extremes.ThresholdSet(q_neg=1.0, q_pos=1.0)
+    assert not extremes.classify(anoms, every_month(anoms), ts).any()
 
 
 def test_classify_respects_valid_mask(rng):
     valid = np.zeros(40, dtype=bool)
     valid[12:28] = True
-    anoms = field(np.full((2, 40), -10.0), valid=valid)
-    ts = extremes.ThresholdSet("R", "P", "ssa", q_neg=1.0, q_pos=1.0)
-    flags = extremes.classify(anoms, ts)
+    anoms = field(np.full((2, 40), -10.0))
+    ts = extremes.ThresholdSet(q_neg=1.0, q_pos=1.0)
+    flags = extremes.classify(anoms, valid, ts)
     assert (flags == extremes.NEG).sum() == 2 * 16
 
 
 def test_flag_fraction_five_percent(rng):
-    anoms = extremes.trim_edges(random_field(rng, n_cells=12, n_months=372))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
-    flags = extremes.classify(anoms, ts)
-    n = int(anoms.valid.sum()) * 12
+    anoms = random_field(rng, n_cells=12, n_months=372)
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    flags = extremes.classify(anoms, valid, ts)
+    n = int(valid.sum()) * 12
     neg_frac = (flags == extremes.NEG).sum() / n
     pos_frac = (flags == extremes.POS).sum() / n
     assert abs(neg_frac - 0.05) <= 1.0 / n
@@ -135,12 +127,13 @@ def test_flag_fraction_five_percent(rng):
 
 
 def test_flags_invariant_under_affine_rescale(rng):
-    anoms = extremes.trim_edges(random_field(rng))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
-    flags = extremes.classify(anoms, ts)
-    scaled = field(anoms.values * 3.5, valid=anoms.valid)
-    ts2 = extremes.compute_thresholds(scaled, "R", "P")
-    flags2 = extremes.classify(scaled, ts2)
+    anoms = random_field(rng)
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    flags = extremes.classify(anoms, valid, ts)
+    scaled = field(anoms.values * 3.5)
+    ts2 = extremes.compute_thresholds(scaled, valid)
+    flags2 = extremes.classify(scaled, valid, ts2)
     np.testing.assert_array_equal(flags, flags2)
 
 
@@ -155,9 +148,10 @@ def test_frequency_map_single_flag():
 
 
 def test_frequency_map_conservation(rng):
-    anoms = extremes.trim_edges(random_field(rng))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
-    flags = extremes.classify(anoms, ts)
+    anoms = random_field(rng)
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    flags = extremes.classify(anoms, valid, ts)
     assert extremes.frequency_map(flags, extremes.NEG).sum() == (flags == extremes.NEG).sum()
 
 
@@ -165,9 +159,10 @@ def test_frequency_map_hotspot():
     rng = np.random.default_rng(5)
     values = rng.normal(0, 10.0, size=(6, 372))
     values[3, 50:80] -= 100.0  # repeated suppressions in one cell
-    anoms = extremes.trim_edges(field(values))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
-    flags = extremes.classify(anoms, ts)
+    anoms = field(values)
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    flags = extremes.classify(anoms, valid, ts)
     counts = extremes.frequency_map(flags, extremes.NEG)
     assert counts.argmax() == 3
 
@@ -186,23 +181,24 @@ def test_regional_series_unit_conversion():
 
 
 def test_regional_series_conservation(rng):
-    anoms = extremes.trim_edges(random_field(rng))
-    ts = extremes.compute_thresholds(anoms, "R", "P")
-    flags = extremes.classify(anoms, ts)
+    anoms = random_field(rng)
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    flags = extremes.classify(anoms, valid, ts)
     _, mags = extremes.regional_series(anoms, flags, extremes.NEG)
     direct = anoms.values[flags == extremes.NEG].sum() / 1000.0
     assert mags.sum() == pytest.approx(direct, rel=1e-12)
 
 
 def test_cumulative_totals_zero_field():
-    report = extremes.build_report(field(np.zeros((2, 48))), "R", "P")
+    report = extremes.build_report(field(np.zeros((2, 48))), "R", "P", "ssa")
     totals = extremes.cumulative_totals(report)
     assert totals["negative_TgC"] == 0.0
     assert totals["positive_TgC"] == 0.0
 
 
 def test_report_aggregations_consistent(rng):
-    report = extremes.build_report(random_field(rng), "R", "P")
+    report = extremes.build_report(random_field(rng), "R", "P", "ssa")
     assert report.freq_neg.sum() == report.monthly_count_neg.sum()
     assert report.freq_pos.sum() == report.monthly_count_pos.sum()
     totals = extremes.cumulative_totals(report)
@@ -217,7 +213,7 @@ def test_report_trims_before_thresholding(rng):
     base = rng.normal(0, 10, size=(4, 372))
     spiked = base.copy()
     spiked[:, :12] -= 1e6
-    rep_a = extremes.build_report(field(base), "R", "P")
-    rep_b = extremes.build_report(field(spiked), "R", "P")
+    rep_a = extremes.build_report(field(base), "R", "P", "ssa")
+    rep_b = extremes.build_report(field(spiked), "R", "P", "ssa")
     assert rep_a.thresholds.q_neg == rep_b.thresholds.q_neg
     np.testing.assert_array_equal(rep_a.flags, rep_b.flags)

@@ -108,6 +108,17 @@ def test_csv_row_count_mismatch(tmp_path, rng):
         grid.load_grid(tmp_path / "g", format="csv")
 
 
+def test_csv_non_numeric_value_names_row_and_column(tmp_path, rng):
+    write_csv_grid(random_grid(rng), tmp_path / "g")
+    lines = (tmp_path / "g.csv").read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[5] = "n/a"
+    lines[2] = ",".join(parts)
+    (tmp_path / "g.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"g\.csv: row 1 column 5: 'n/a' is not a number"):
+        grid.load_grid(tmp_path / "g", format="csv")
+
+
 def test_unknown_format_rejected(tmp_path, rng):
     grid.save_grid(random_grid(rng), tmp_path / "g")
     with pytest.raises(FormatError):

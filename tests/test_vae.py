@@ -356,9 +356,6 @@ def test_reconstruct_output_shape_and_validity(rng):
     model.x_min, model.x_max = ws.x_min, ws.x_max
     recon = vae.reconstruct(model, mass)
     assert recon.values.shape == mass.values.shape
-    assert recon.valid.sum() == 60 - 24
-    assert not recon.valid[:12].any()
-    assert not recon.valid[-12:].any()
 
 
 def test_reconstruct_overfit_oracle():
@@ -376,7 +373,7 @@ def test_reconstruct_overfit_oracle():
     recon = vae.reconstruct(model, mass)
     scaled_orig = vae.scale_to_unit(mass.values, model.x_min, model.x_max)
     scaled_recon = vae.scale_to_unit(recon.values, model.x_min, model.x_max)
-    err = np.abs(scaled_recon - scaled_orig)[:, recon.valid]
+    err = np.abs(scaled_recon - scaled_orig)[:, 12:-12]
     assert err.max() < 0.02
 
 
@@ -414,7 +411,6 @@ def test_reconstruct_blocks_match_one_pass(rng, monkeypatch, block, passes):
     assert len(calls) == 1 + passes
     assert max(calls[1:]) <= max(block, 361)
     assert blocked.values.tobytes() == whole.values.tobytes()
-    np.testing.assert_array_equal(blocked.valid, whole.valid)
 
 
 def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
@@ -474,17 +470,13 @@ def test_vae_anomalies_sign_convention():
     mass = annual_mass(2, 48)
     recon_values = mass.values.copy()
     recon_values[0, 20] += 5.0  # reconstruction above original
-    valid = np.zeros(48, dtype=bool)
-    valid[12:36] = True
     recon = grid.MassSeries(
         values=recon_values, cells=mass.cells,
-        start_year=mass.start_year, start_month=mass.start_month, valid=valid,
+        start_year=mass.start_year, start_month=mass.start_month,
     )
     anoms = vae.vae_anomalies(mass, recon)
-    assert anoms.method == "vae"
     assert anoms.values[0, 20] == -5.0  # suppressed productivity is negative
     assert anoms.values[1, 20] == 0.0
-    np.testing.assert_array_equal(anoms.valid, valid)
 
 
 def test_vae_anomalies_misaligned_rejected():
@@ -528,6 +520,25 @@ def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field
     header.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=field):
         vae.load_checkpoint(tmp_path / "m")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: "{", "manifest is not valid JSON"),
+    (lambda text: "[]", "manifest must be a JSON object"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "x_min"}),
+     "manifest missing field 'x_min'"),
+    (lambda text: json.dumps({**json.loads(text), "latent_dim": "5"}),
+     "manifest field 'latent_dim' must be an integer"),
+    (lambda text: json.dumps({**json.loads(text), "hidden_dims": [0]}), "hidden_dims"),
+], ids=["invalid-json", "json-list", "no-x_min", "latent_dim-string", "zero-width-layer"])
+def test_malformed_manifest_is_a_format_error(tmp_path, rng, damage, message):
+    model, _ = tiny_model(rng)
+    vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=1)
+    header = tmp_path / "m.json"
+    header.write_text(damage(header.read_text()))
+    with pytest.raises(FormatError, match=message) as info:
+        vae.load_checkpoint(tmp_path / "m")
+    assert str(header) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
