@@ -243,10 +243,13 @@ def _region(raw: dict, i: int) -> RegionMask:
     for j, cell in enumerate(raw["cells"]):
         if first.setdefault(cell, j) != j:
             raise ConfigError(f"regions[{i}].cells[{j}] repeats cell {cell} (cells[{first[cell]}])")
+    min_land_frac = float(raw.get("min_land_frac", 0.10))
+    if not 0.0 <= min_land_frac < 1.0:
+        raise ConfigError(f"regions[{i}].min_land_frac must be in [0, 1), got {min_land_frac}")
     return RegionMask(
         name=raw["name"],
         cells=np.asarray(raw["cells"], dtype=int),
-        min_land_frac=float(raw.get("min_land_frac", 0.10)),
+        min_land_frac=min_land_frac,
     )
 
 

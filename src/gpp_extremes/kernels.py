@@ -21,9 +21,6 @@ def rank_one_series(u, s, vt):
     convolution of its two vectors, so each component costs one
     ``np.convolve`` instead of materializing an L x K matrix.
     """
-    u = np.asarray(u, dtype=float)
-    vt = np.asarray(vt, dtype=float)
-    s = np.asarray(s, dtype=float)
     rows, k = u.shape
     cols = vt.shape[1]
     counts = _antidiag_counts(rows, cols)
@@ -35,7 +32,6 @@ def rank_one_series(u, s, vt):
 
 def overlap_average(windows):
     """Average stride-1 windows back into a series of length n_win+width-1."""
-    windows = np.asarray(windows, dtype=float)
     n_win, width = windows.shape
     n = n_win + width - 1
     sums = np.zeros(n)

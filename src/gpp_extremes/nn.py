@@ -1,7 +1,8 @@
 """Minimal dense-network machinery with exact analytic backpropagation.
 
-Everything is float64 and operates on batches shaped (n, dim); 1-D inputs
-are treated as a batch of one. Training state (parameters, Adam moments)
+Everything is float64 and operates on batches shaped (n, dim). Inputs
+are used as given, with no coercion or width check: the VAE checks its
+batches once, at its API edge. Training state (parameters, Adam moments)
 is mutated sequentially by one owner; forward passes on frozen parameters
 are pure.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError
 
 
 def glorot_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,9 +100,6 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(f"input width {x.shape[-1]} != layer in_dim {layer.in_dim}")
     y = x @ layer.weights.T
     y += layer.bias
     return y
@@ -191,7 +189,7 @@ class DenseStack:
         """
         masks = masks or [None] * len(self.layers)
         inputs, acts = [], []
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = x
         for layer, kind, mask in zip(self.layers, self.kinds, masks):
             inputs.append(h)
             h = activation(kind, dense_forward(layer, h))
@@ -220,10 +218,8 @@ class DenseStack:
         when given. With ``input_grad=False`` the first layer's input
         gradient is skipped and grad_input is None.
         """
-        if cache is None:
-            raise ValueError("backward requires the cache of a forward pass")
         grads = [None] * len(self.layers)
-        g = np.asarray(grad_out, dtype=float)
+        g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             if cache["masks"][i] is not None:
                 g = g * cache["masks"][i]

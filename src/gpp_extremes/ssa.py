@@ -11,7 +11,7 @@ covariance ``X @ X.T`` (the covariance form of Vautard & Ghil, 1989),
 about twice as fast as ``np.linalg.svd`` of the L x K trajectory matrix
 at L=120, K=253. The two agree to rounding, not bit for bit; the
 tolerance gate (singular values, orthonormality, group sums and group
-labels against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
+classes against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
 
 The periodograms of a cell's components are computed in blocks of
 ``PERIODOGRAM_BLOCK`` rows, one batched ``rfft`` and one row-wise argmax
@@ -22,7 +22,6 @@ has the same bits as a component-by-component loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,12 @@ class SsaConfig:
     pad_factor: int = 4  # periodogram zero-padding multiple
 
     def validate_for(self, n_months: int) -> None:
+        """Reject a window too long for ``n_months`` months, or grouping bands that
+        classify no component as seasonal.
+
+        Every entry point runs this before ``embed``: it is the one length
+        check, and n >= 2L makes every trajectory matrix wide (K > L).
+        """
         if self.window < 12:
             raise SsaWindowError(f"window must be >= 12 months, got {self.window}")
         if n_months < 2 * self.window:
@@ -59,15 +64,13 @@ class SsaConfig:
             )
         if self.trend_cutoff < 120:
             raise SsaWindowError("trend_cutoff must be >= 120 months (10 years)")
-
-
-@dataclass(frozen=True)
-class Eigentriple:
-    """Bookkeeping for one eigentriple after grouping."""
-
-    singular_value: float
-    frequency: float | None  # cycles/month; None when the component is zero
-    group: str
+        if self.seasonal_period < 2:
+            raise SsaWindowError(
+                f"seasonal_period must be >= 2 months, got {self.seasonal_period}")
+        if self.max_harmonic < 1:
+            raise SsaWindowError(f"max_harmonic must be >= 1, got {self.max_harmonic}")
+        if not self.freq_tolerance > 0.0:
+            raise SsaWindowError(f"freq_tolerance must be > 0, got {self.freq_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -75,23 +78,20 @@ class SsaDecomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    eigentriples: tuple
+    classes: np.ndarray  # index into GROUPS of each eigentriple, in singular-value order
 
 
 def embed(series: np.ndarray, window: int) -> np.ndarray:
     """Hankel trajectory matrix: column j holds series[j : j+window]."""
-    series = np.asarray(series, dtype=float)
-    n = series.shape[0]
-    if n < 2 * window:
-        raise SsaWindowError(f"series length {n} < 2 * window {window}")
     return np.lib.stride_tricks.sliding_window_view(series, window).T.copy()
 
 
-def decompose(trajectory: np.ndarray):
-    """Thin SVD ``(u, s, vt)`` of an L x K trajectory matrix from its lag covariance.
+def decompose(x: np.ndarray):
+    """Thin SVD ``(u, s, vt)`` of a wide L x K trajectory matrix from its lag covariance.
 
-    ``u`` holds the eigenvectors of the L x L lag covariance ``X @ X.T``
-    (for L > K, of ``X.T @ X`` with the roles swapped). Each singular
+    Only wide matrices (L <= K) are taken; ``validate_for`` admits no
+    other, since n >= 2L gives K = n - L + 1 > L. ``u`` holds the
+    eigenvectors of the L x L lag covariance ``X @ X.T``. Each singular
     value is the norm of the projection ``u[:, c] @ X`` and ``vt[c]`` is
     that projection divided by it, a zero row where the value is 0. The
     norm, not the square root of the eigenvalue, keeps the small values
@@ -100,10 +100,6 @@ def decompose(trajectory: np.ndarray):
     ``np.linalg.svd`` to rounding, not bit for bit: the gate is in
     ``tests/test_ssa_tolerance.py``.
     """
-    x = np.asarray(trajectory, dtype=float)
-    if x.shape[0] > x.shape[1]:
-        v, s, ut = decompose(x.T)
-        return ut.T, s, v.T
     cov = x @ x.T
     if not np.isfinite(cov).all():
         raise NumericalError(f"non-finite values in a {x.shape} trajectory matrix")
@@ -123,30 +119,19 @@ def decompose(trajectory: np.ndarray):
     return u, s, vt
 
 
-def dominant_frequency(components: np.ndarray, pad_factor: int = 4):
-    """Argmax frequency (cycles/month) of the zero-padded periodogram.
+def dominant_frequency(block: np.ndarray, pad_factor: int = 4) -> np.ndarray:
+    """Argmax frequency (cycles/month) of each row's zero-padded periodogram.
 
-    ``components`` is one series, giving a float, or a (k, n) block of
-    series, giving k frequencies from one ``rfft`` along the rows. An
-    all-zero series has no frequency: None for one series, NaN in a
-    block. Grouping sends it to the residual class.
+    ``block`` is a (k, n) array of series; the k frequencies come from one
+    ``rfft`` along the rows. An all-zero row has no frequency and gets
+    NaN, which grouping sends to the residual class.
     """
-    block = np.asarray(components, dtype=float)
-    rows = np.atleast_2d(block)
-    n = rows.shape[1]
+    n = block.shape[1]
     nfft = max(pad_factor * n, n)
-    power = np.abs(np.fft.rfft(rows, nfft, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(block, nfft, axis=1)) ** 2
     freqs = np.argmax(power, axis=1) / nfft
-    freqs[~np.any(rows != 0.0, axis=1)] = np.nan
-    if block.ndim == 1:
-        return None if np.isnan(freqs[0]) else float(freqs[0])
+    freqs[~np.any(block != 0.0, axis=1)] = np.nan
     return freqs
-
-
-def _component_series(u, s, vt):
-    return kernels.rank_one_series(
-        np.ascontiguousarray(u), np.ascontiguousarray(s), np.ascontiguousarray(vt)
-    )
 
 
 def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
@@ -163,7 +148,7 @@ def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
 
 def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
     """Classify every eigentriple and sum the component series per class."""
-    comps = _component_series(u, s, vt)
+    comps = kernels.rank_one_series(u, s, vt)
     k, n = comps.shape
     freqs = np.concatenate([
         dominant_frequency(comps[i:i + PERIODOGRAM_BLOCK], config.pad_factor)
@@ -176,29 +161,20 @@ def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
         for i in np.flatnonzero(classes == c):
             total += comps[i]
         sums.append(total)
-    triples = tuple(
-        Eigentriple(
-            singular_value=sv,
-            frequency=None if math.isnan(freq) else freq,
-            group=GROUPS[c],
-        )
-        for sv, freq, c in zip(s.tolist(), freqs.tolist(), classes.tolist())
-    )
     return SsaDecomposition(
-        trend=sums[0], seasonal=sums[1], residual=sums[2], eigentriples=triples
+        trend=sums[0], seasonal=sums[1], residual=sums[2], classes=classes
     )
 
 
 def decompose_series(series: np.ndarray, config: SsaConfig) -> SsaDecomposition:
     """embed -> eigentriples -> diagonal averaging -> frequency grouping for one cell."""
-    series = np.asarray(series, dtype=float)
     config.validate_for(series.shape[0])
     u, s, vt = decompose(embed(series, config.window))
     return group(u, s, vt, config)
 
 
-def ssa_anomalies(mass: MassSeries, config: SsaConfig | None = None,
-                  jobs: int = 1, keep: dict | None = None) -> MassSeries:
+def ssa_anomalies(mass: MassSeries, config: SsaConfig, jobs: int = 1,
+                  keep: dict | None = None) -> MassSeries:
     """Residual anomalies per cell: original minus trend minus seasonal.
 
     The residual keeps inter-annual (1-10 year) and sub-annual variability,
@@ -207,7 +183,6 @@ def ssa_anomalies(mass: MassSeries, config: SsaConfig | None = None,
     every key that is a cell of ``mass`` gets that cell's decomposition as
     its value; other keys are left as they are.
     """
-    config = config or SsaConfig()
     values = np.asarray(mass.values, dtype=float)
     n_cells, n_months = values.shape
     config.validate_for(n_months)

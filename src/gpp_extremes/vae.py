@@ -27,6 +27,7 @@ copy that buffer directly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,15 +207,23 @@ def denormalize(x, x_min, x_max):
 # ---------------------------------------------------------------------------
 # core operations
 
+def _batch(x, width: int, what: str) -> np.ndarray:
+    """``x`` as a float array; a ShapeError unless it is a 2-D batch ``width`` wide."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"{what} must be a 2-D batch {width} wide, got shape {x.shape}")
+    return x
+
+
 def encode(model: VaeModel, windows):
     """Latent means and log-variances of a 2-D batch of windows (eval mode)."""
-    h = model.encoder.infer(np.asarray(windows, dtype=float))
+    h = model.encoder.infer(_batch(windows, SEQ_LEN, "windows"))
     return dense_forward(model.mu_head, h), dense_forward(model.logvar_head, h)
 
 
 def decode(model: VaeModel, z):
     """Reconstructed windows of a 2-D batch of latent points (eval mode)."""
-    return model.decoder.infer(np.asarray(z, dtype=float))
+    return model.decoder.infer(_batch(z, model.latent_dim, "latent points"))
 
 
 def kl_divergence(mu, logvar):
@@ -282,9 +291,9 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     caller so gradient checks can hold them fixed.
     Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
     aligned to ``model.params``: ``out`` when given (its contents
-    are overwritten), else a new one.
+    are overwritten), else a new one. ``x`` is a 2-D float batch of
+    windows, as ``normalize`` cuts them.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     grads = ParamBuffer.like(model.params) if out is None else out
     pairs = list(zip(grads.arrays[0::2], grads.arrays[1::2]))
@@ -318,7 +327,6 @@ def eval_loss(model: VaeModel, x):
     ``INFER_BLOCK_ROWS`` rows; each row's terms land in one vector per
     term, so the batch means are those of a single pass.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     sq_sum = np.empty(x.shape[0])
     kl = np.empty(x.shape[0])
     for rows in _blocks(x.shape[0], INFER_BLOCK_ROWS):
@@ -508,15 +516,20 @@ _MANIFEST_FIELDS = {
     "hidden_dims": ("a list of integers",
                     lambda v: isinstance(v, list) and all(isinstance(w, int) for w in v)),
     "latent_dim": ("an integer", lambda v: isinstance(v, int)),
-    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var", "x_min", "x_max"),
+    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var"),
                     ("a number", lambda v: isinstance(v, (int, float)))),
+    # NaN, infinities and ints past the float range all fail the bound
+    **dict.fromkeys(("x_min", "x_max"),
+                    ("a finite number", lambda v: isinstance(v, (int, float))
+                     and abs(v) <= sys.float_info.max)),
 }
 
 
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
     """The model and manifest of ``save_checkpoint``; a damaged file is a FormatError.
 
-    A manifest without ``likelihood_var`` gets the default 0.1.
+    A manifest without ``likelihood_var`` gets the default 0.1. The scaling
+    limits must be finite with ``x_max > x_min``, or no anomaly is finite.
     """
     header_path, payload_path = _paths(path, ".f64")
     manifest = _read_json(header_path, "manifest")
@@ -532,6 +545,10 @@ def load_checkpoint(path) -> tuple[VaeModel, dict]:
         if not check(fields[name]):
             raise FormatError(
                 f"{header_path}: manifest field {name!r} must be {kind}, got {fields[name]!r}")
+    if not fields["x_max"] > fields["x_min"]:
+        raise FormatError(
+            f"{header_path}: manifest field 'x_max' ({fields['x_max']!r}) must exceed "
+            f"x_min ({fields['x_min']!r})")
     try:
         config = TrainConfig(
             hidden_dims=tuple(fields["hidden_dims"]),

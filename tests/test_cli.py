@@ -419,6 +419,12 @@ CONFIG_MISTAKES = [
      {"gridsearch": {"hidden_dims": [[]]}}),
     ("extremes", "regions[0].cells[1] repeats cell 0",
      {"regions": [{"name": "quad", "cells": [0, 0, 1]}]}),
+    ("extremes", "regions[0].min_land_frac must be in [0, 1), got -1.0",
+     {"regions": [{"name": "quad", "cells": [0, 1, 2, 3], "min_land_frac": -1.0}]}),
+    ("extremes", "regions[0].min_land_frac must be in [0, 1), got 1.0",
+     {"regions": [{"name": "quad", "cells": [0, 1, 2, 3], "min_land_frac": 1.0}]}),
+    ("extremes", "seasonal_period must be >= 2 months, got 0",
+     {"ssa": {"window": 12, "seasonal_period": 0}}),
 ]
 
 

@@ -137,6 +137,16 @@ def test_decode_zero_weights(rng):
     np.testing.assert_array_equal(vae.decode(model, np.ones(3)[None])[0], np.zeros(12))
 
 
+def test_encode_decode_reject_batches_of_the_wrong_width(rng):
+    model, _ = tiny_model(rng, latent=2)
+    with pytest.raises(ShapeError, match="windows must be a 2-D batch 12 wide"):
+        vae.encode(model, np.zeros((4, 11)))
+    with pytest.raises(ShapeError, match="windows must be a 2-D batch 12 wide"):
+        vae.encode(model, np.zeros(12))
+    with pytest.raises(ShapeError, match="latent points must be a 2-D batch 2 wide"):
+        vae.decode(model, np.zeros((4, 3)))
+
+
 # ---------------------------------------------------------------------------
 # loss terms
 
@@ -530,7 +540,14 @@ def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field
     (lambda text: json.dumps({**json.loads(text), "latent_dim": "5"}),
      "manifest field 'latent_dim' must be an integer"),
     (lambda text: json.dumps({**json.loads(text), "hidden_dims": [0]}), "hidden_dims"),
-], ids=["invalid-json", "json-list", "no-x_min", "latent_dim-string", "zero-width-layer"])
+    (lambda text: json.dumps({**json.loads(text), "x_max": json.loads(text)["x_min"]}),
+     "manifest field 'x_max' .* must exceed x_min"),
+    (lambda text: json.dumps({**json.loads(text), "x_min": float("nan")}),
+     "manifest field 'x_min' must be a finite number, got nan"),
+    (lambda text: json.dumps({**json.loads(text), "x_max": float("inf")}),
+     "manifest field 'x_max' must be a finite number, got inf"),
+], ids=["invalid-json", "json-list", "no-x_min", "latent_dim-string", "zero-width-layer",
+        "x_max-equals-x_min", "x_min-nan", "x_max-infinity"])
 def test_malformed_manifest_is_a_format_error(tmp_path, rng, damage, message):
     model, _ = tiny_model(rng)
     vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=1)
