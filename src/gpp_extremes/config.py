@@ -1,8 +1,9 @@
 """The pipeline config: one JSON file, checked in full into typed objects.
 
 ``PipelineConfig.load`` reads the file and checks every key and value type
-against one schema before any command runs. An unknown key or a wrong type
-is a ConfigError naming its key path (``ssa.windw``, ``regions[0].cells[2]``).
+against one schema before any command runs. An unknown key, a wrong type or
+a number that is not finite is a ConfigError naming its key path
+(``ssa.windw``, ``regions[0].cells[2]``).
 Values pass through as written: an int where a float is expected stays an
 int, and a bool is never a number. The ``train``, ``ssa`` and ``synth``
 schemas come from the fields of TrainConfig, SsaConfig and SynthSpec.
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grid import RegionMask, SynthSpec
+from .grid import RegionMask, SynthSpec, in_float_range
 from .ssa import SsaConfig
 from .vae import TrainConfig
 
@@ -69,7 +70,8 @@ def _check(value, spec, path: str) -> None:
     allowed, a one-item list holding the spec of every item, a dict of key
     specs that admits no other key, or a tuple of two alternatives: the list
     spec for a list value, the other for any other value. An int passes as
-    a float; a bool is neither.
+    a float; a bool is neither. A float must be finite: ``json`` reads NaN
+    and Infinity, which no setting means.
     """
     if isinstance(spec, tuple):
         spec = next(s for s in spec if isinstance(s, list) == isinstance(value, list))
@@ -80,6 +82,8 @@ def _check(value, spec, path: str) -> None:
     kind = spec if isinstance(spec, type) else type(spec)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{path} must be {_NAMES[kind]}, got {value!r}")
+    if kind is float and not in_float_range(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if isinstance(spec, list):
         for i, item in enumerate(value):
             _check(item, spec[0], f"{path}[{i}]")

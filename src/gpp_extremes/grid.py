@@ -12,6 +12,7 @@ calendar throughout.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,6 +168,12 @@ def _read_json(path: Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: {what} must be a JSON object, got {type(raw).__name__}")
     return raw
+
+
+def in_float_range(value) -> bool:
+    """Whether a JSON number is a finite float; NaN, infinities and ints past the
+    float range all fail."""
+    return abs(value) <= sys.float_info.max
 
 
 def _read_header(header_path: Path, expect_layout: str) -> dict:

@@ -10,14 +10,17 @@ A model keeps its parameters in one ``ParamBuffer``: every weight matrix
 and bias vector is a view into a single contiguous float64 array. Backward
 passes can write gradients straight into the views of a second buffer of
 the same layout, and Adam then updates the whole buffer at once instead of
-looping over the arrays. Activation derivatives are taken from the
-activations the forward pass cached, not recomputed from pre-activations.
+looping over the arrays.
 
-``DenseStack.forward`` is the one cached pass for a backward pass, used
-by training and the gradient checks alike. The caller supplies the dropout
-masks, so a check can hold them fixed; without masks there is no dropout.
+A ``DenseStack`` is the VAE's trunk: every layer is dense, then ReLU, then
+inverted dropout. Its ``forward`` is the one cached pass for a backward
+pass, used by training and the gradient checks alike. The caller supplies
+the dropout masks, so a check can hold them fixed; without masks there is
+no dropout. The backward pass takes relu' from the cached activations.
 Inference uses ``DenseStack.infer`` instead: no dropout and no cache, so a
-pass holds one layer's input and output at a time.
+pass holds one layer's input and output at a time. The VAE's linear heads
+and its tanh output layer are single ``DenseLayer`` objects outside any
+stack.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class ParamBuffer:
     """Arrays of the given shapes laid end to end in one float64 buffer.
 
     ``flat`` is the buffer and ``arrays`` are views into it, in order;
-    iterating or indexing the buffer yields the views.
+    iterating the buffer yields the views.
     """
 
     def __init__(self, shapes):
@@ -70,9 +73,6 @@ class ParamBuffer:
 
     def __iter__(self):
         return iter(self.arrays)
-
-    def __getitem__(self, index):
-        return self.arrays[index]
 
     def index_of(self, position: int) -> int:
         """Index of the array that holds element ``position`` of ``flat``."""
@@ -119,37 +119,10 @@ def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True
     return grad_x, grad_w, grad_b
 
 
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    """The activation of ``x``, written over ``x``, which is returned."""
-    if kind == "relu":
-        return np.maximum(x, 0.0, out=x)
-    if kind == "tanh":
-        return np.tanh(x, out=x)
-    if kind == "linear":
-        return x
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def chain_activation(kind: str, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` times the activation's derivative, written through its output ``y``.
-
-    relu' is 1 where y > 0, and tanh' = 1 - y**2 with y = tanh(x).
-    """
-    if kind == "relu":
-        return g * (y > 0)
-    if kind == "tanh":
-        return g * (1.0 - y ** 2)
-    if kind == "linear":
-        return g
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: zeros w.p. ``rate``, survivors scaled 1/(1-rate)."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
     mask = rng.random(shape)
     np.greater_equal(mask, rate, out=mask)  # 1.0 keeps, 0.0 drops
     mask *= 1.0 / (1.0 - rate)
@@ -161,52 +134,45 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class DenseStack:
-    """Dense layers with per-layer activation and optional inverted dropout."""
+    """Dense layers, each followed by ReLU and inverted dropout at ``dropout_rate``."""
 
     layers: list
-    kinds: list  # activation per layer: "relu" | "tanh" | "linear"
-    dropout_layers: list  # bool per layer
     dropout_rate: float = 0.0
 
     @classmethod
-    def init(cls, dims, kinds, dropout_layers, dropout_rate, rng):
+    def init(cls, dims, dropout_rate, rng):
         layers = [
             DenseLayer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
-        return cls(
-            layers=layers,
-            kinds=list(kinds),
-            dropout_layers=list(dropout_layers),
-            dropout_rate=dropout_rate,
-        )
+        return cls(layers=layers, dropout_rate=dropout_rate)
 
     def forward(self, x, masks=None):
         """Run the stack; returns (output, cache) with cache usable by backward.
 
-        ``masks`` holds one inverted-dropout mask, or None, per layer; a
-        mask scales its layer's activations. Without masks there is no
-        dropout.
+        ``masks`` holds one inverted-dropout mask per layer, which scales
+        that layer's activations, or is None for no dropout.
         """
-        masks = masks or [None] * len(self.layers)
         inputs, acts = [], []
         h = x
-        for layer, kind, mask in zip(self.layers, self.kinds, masks):
+        for i, layer in enumerate(self.layers):
             inputs.append(h)
-            h = activation(kind, dense_forward(layer, h))
+            h = dense_forward(layer, h)
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
-            if mask is not None:
-                h = h * mask
+            if masks is not None:
+                h = h * masks[i]
         return h, {"inputs": inputs, "acts": acts, "masks": masks}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Output of a 2-D float batch without dropout and without a cache.
 
-        Each activation is applied in place on its layer's output, so only
-        one layer's input and output are alive at a time.
+        ReLU is applied in place on each layer's output, so only one
+        layer's input and output are alive at a time.
         """
         h = x
-        for layer, kind in zip(self.layers, self.kinds):
-            h = activation(kind, dense_forward(layer, h))
+        for layer in self.layers:
+            h = dense_forward(layer, h)
+            np.maximum(h, 0.0, out=h)
         return h
 
     def backward(self, cache, grad_out, out=None, input_grad=True):
@@ -221,9 +187,9 @@ class DenseStack:
         grads = [None] * len(self.layers)
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
-            if cache["masks"][i] is not None:
+            if cache["masks"] is not None:
                 g = g * cache["masks"][i]
-            g = chain_activation(self.kinds[i], cache["acts"][i], g)
+            g = g * (cache["acts"][i] > 0)  # relu' is 1 where the activation is positive
             gw, gb = out[i] if out is not None else (None, None)
             g, gw, gb = dense_backward(
                 self.layers[i], cache["inputs"][i], g, gw, gb, input_grad=input_grad or i > 0

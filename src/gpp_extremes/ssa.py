@@ -13,11 +13,10 @@ at L=120, K=253. The two agree to rounding, not bit for bit; the
 tolerance gate (singular values, orthonormality, group sums and group
 classes against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
 
-The periodograms of a cell's components are computed in blocks of
-``PERIODOGRAM_BLOCK`` rows, one batched ``rfft`` and one row-wise argmax
-per block, and the frequency bands are applied to all components at once.
-Each class is still summed in component order from zeros, so the result
-has the same bits as a component-by-component loop.
+The periodograms of a cell's components come from one batched ``rfft``
+and one row-wise argmax, and the frequency bands are applied to all
+components at once. Each class is still summed in component order from
+zeros, so the result has the same bits as a component-by-component loop.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ TREND = "trend"
 SEASONAL = "seasonal"
 RESIDUAL = "residual"
 GROUPS = (TREND, SEASONAL, RESIDUAL)  # _classify returns indices into this
-PERIODOGRAM_BLOCK = 30  # components per batched periodogram, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,9 @@ def decompose(x: np.ndarray):
             f"eigendecomposition did not converge on a {x.shape} trajectory matrix"
         ) from exc
     u = eigvecs[:, ::-1].copy()  # eigenvalues descending
-    vt = u.T @ x
+    # (X.T @ u).T has the same bits at any BLAS thread count; u.T @ X does not.
+    # Its C-ordered copy peaks lower in memory than the strided view, at equal speed.
+    vt = np.ascontiguousarray((x.T @ u).T)
     s = np.sqrt(np.einsum("ij,ij->i", vt, vt))
     np.divide(vt, s[:, None], out=vt, where=s[:, None] > 0.0)
     if np.any(s[1:] > s[:-1]):
@@ -149,15 +149,10 @@ def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
 def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
     """Classify every eigentriple and sum the component series per class."""
     comps = kernels.rank_one_series(u, s, vt)
-    k, n = comps.shape
-    freqs = np.concatenate([
-        dominant_frequency(comps[i:i + PERIODOGRAM_BLOCK], config.pad_factor)
-        for i in range(0, k, PERIODOGRAM_BLOCK)
-    ])
-    classes = _classify(freqs, config)
+    classes = _classify(dominant_frequency(comps, config.pad_factor), config)
     sums = []
     for c in range(len(GROUPS)):
-        total = np.zeros(n)
+        total = np.zeros(comps.shape[1])
         for i in np.flatnonzero(classes == c):
             total += comps[i]
         sums.append(total)

@@ -1,11 +1,12 @@
 """Variational autoencoder for 12-month GPP windows.
 
-Encoder trunk 12 -> 128 -> 64 -> 32 (ReLU + dropout after each hidden
-layer), two linear heads for the latent mean and log-variance, decoder
-trunk d -> 32 -> 64 -> 128 with a tanh output layer back to 12. Training
-minimizes a Gaussian window log-likelihood (squared error summed over the
-window, scaled by a fixed decoder variance) plus a beta-weighted
-closed-form KL term against the standard normal prior; see ``objective``.
+Encoder trunk 12 -> 128 -> 64 -> 32 and decoder trunk d -> 32 -> 64 ->
+128 are ``nn.DenseStack`` objects (ReLU + dropout after every layer).
+Three single dense layers sit outside them: the two linear heads for the
+latent mean and log-variance, and the tanh output layer 128 -> 12.
+Training minimizes a Gaussian window log-likelihood (squared error summed
+over the window, scaled by a fixed decoder variance) plus a beta-weighted
+closed-form KL term against the standard normal prior; see ``_batch_loss``.
 
 Training is fully deterministic given the config seed. Inference
 (reconstruction and the validation loss) decodes the posterior mean with
@@ -18,16 +19,15 @@ another BLAS kernel, with other rounding, than one of thousands, and
 blocks of thousands of rows give the same bits as one pass over all rows.
 
 All parameters live in one flat buffer in checkpoint order (encoder,
-mean head, log-variance head, decoder; weights before bias). A training
-step writes its gradients into a second buffer of that layout and Adam
-updates the whole buffer at once; best-epoch snapshots and checkpoints
-copy that buffer directly.
+mean head, log-variance head, decoder trunk, output layer; weights before
+bias). A training step writes its gradients into a second buffer of that
+layout and Adam updates the whole buffer at once; best-epoch snapshots
+and checkpoints copy that buffer directly.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import MassSeries, _paths, _read, _read_json
+from .grid import MassSeries, _paths, _read, _read_json, in_float_range
 from .nn import (
     AdamState,
     DenseLayer,
@@ -116,6 +116,7 @@ class VaeModel:
     mu_head: DenseLayer
     logvar_head: DenseLayer
     decoder: DenseStack
+    output: DenseLayer  # tanh layer from the decoder trunk back to the window
     latent_dim: int
     beta: float
     dropout_rate: float
@@ -125,37 +126,28 @@ class VaeModel:
     params: ParamBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        layers = (
-            self.encoder.layers + [self.mu_head, self.logvar_head] + self.decoder.layers
+        self.params = ParamBuffer.adopt(
+            self.encoder.layers + [self.mu_head, self.logvar_head]
+            + self.decoder.layers + [self.output]
         )
-        self.params = ParamBuffer.adopt(layers)
 
 
 def build_model(config: TrainConfig, x_min: float, x_max: float,
                 rng: np.random.Generator) -> VaeModel:
     hidden = list(config.hidden_dims)
     d = config.latent_dim
-    encoder = DenseStack.init(
-        dims=[SEQ_LEN] + hidden,
-        kinds=["relu"] * len(hidden),
-        dropout_layers=[True] * len(hidden),
-        dropout_rate=config.dropout_rate,
-        rng=rng,
-    )
+    # Glorot draws in checkpoint order, which is the parameter buffer's
+    encoder = DenseStack.init([SEQ_LEN] + hidden, config.dropout_rate, rng)
     mu_head = DenseLayer.init(hidden[-1], d, rng)
     logvar_head = DenseLayer.init(hidden[-1], d, rng)
-    decoder = DenseStack.init(
-        dims=[d] + hidden[::-1] + [SEQ_LEN],
-        kinds=["relu"] * len(hidden) + ["tanh"],
-        dropout_layers=[True] * len(hidden) + [False],
-        dropout_rate=config.dropout_rate,
-        rng=rng,
-    )
+    decoder = DenseStack.init([d] + hidden[::-1], config.dropout_rate, rng)
+    output = DenseLayer.init(hidden[0], SEQ_LEN, rng)
     return VaeModel(
         encoder=encoder,
         mu_head=mu_head,
         logvar_head=logvar_head,
         decoder=decoder,
+        output=output,
         latent_dim=d,
         beta=config.beta,
         dropout_rate=config.dropout_rate,
@@ -223,24 +215,23 @@ def encode(model: VaeModel, windows):
 
 def decode(model: VaeModel, z):
     """Reconstructed windows of a 2-D batch of latent points (eval mode)."""
-    return model.decoder.infer(_batch(z, model.latent_dim, "latent points"))
+    h = model.decoder.infer(_batch(z, model.latent_dim, "latent points"))
+    xhat = dense_forward(model.output, h)
+    return np.tanh(xhat, out=xhat)
 
 
 def kl_divergence(mu, logvar):
-    """Closed-form KL(q || N(0, I)) = -1/2 sum(1 + logvar - mu^2 - sigma^2).
-
-    1-D inputs give a scalar; 2-D batches give one value per row.
-    """
-    mu = np.asarray(mu, dtype=float)
-    logvar = np.asarray(logvar, dtype=float)
-    per = -0.5 * (1.0 + logvar - mu ** 2 - np.exp(logvar))
-    if per.ndim == 1:
-        return float(per.sum())
-    return per.sum(axis=1)
+    """Closed-form KL(q || N(0, I)) = -1/2 sum(1 + logvar - mu^2 - sigma^2) of each row."""
+    return (-0.5 * (1.0 + logvar - mu ** 2 - np.exp(logvar))).sum(axis=1)
 
 
-def objective(x, xhat, mu, logvar, beta, likelihood_var):
-    """Training objective: Gaussian-likelihood reconstruction + beta * KL.
+def _row_losses(err, mu, logvar):
+    """Each row's squared reconstruction error summed over the window, and its KL."""
+    return np.square(err).sum(axis=1), kl_divergence(mu, logvar)
+
+
+def _batch_loss(sq_sum, kl, beta, likelihood_var):
+    """Training objective of a batch from its rows' terms: reconstruction + beta * KL.
 
     The reconstruction term is the negative Gaussian log-likelihood of the
     window under a decoder with fixed variance ``likelihood_var``, i.e.
@@ -251,18 +242,6 @@ def objective(x, xhat, mu, logvar, beta, likelihood_var):
     Returns (total, recon_mse, kl) where recon_mse is the per-component
     mean squared error for reporting.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    return _batch_loss(*_row_losses(xhat - x, mu, logvar), beta, likelihood_var)
-
-
-def _row_losses(err, mu, logvar):
-    """Each row's squared reconstruction error summed over the window, and its KL."""
-    return np.square(err).sum(axis=1), kl_divergence(mu, logvar)
-
-
-def _batch_loss(sq_sum, kl, beta, likelihood_var):
-    """``objective``'s (total, recon_mse, kl) from the per-row terms of a batch."""
     recon_sum = float(np.mean(sq_sum))
     kl = float(np.mean(kl))
     total = recon_sum / (2.0 * likelihood_var) + beta * kl
@@ -272,15 +251,12 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
 # ---------------------------------------------------------------------------
 # training
 
-def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list:
-    """One dropout mask per layer of ``stack`` that drops, None for the others."""
-    masks = []
-    for i, layer in enumerate(stack.layers):
-        if stack.dropout_layers[i] and stack.dropout_rate > 0.0:
-            masks.append(dropout_mask((n_rows, layer.out_dim), stack.dropout_rate, rng))
-        else:
-            masks.append(None)
-    return masks
+def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list | None:
+    """One dropout mask per layer of ``stack``, in layer order; None at rate 0."""
+    if stack.dropout_rate == 0.0:
+        return None
+    return [dropout_mask((n_rows, layer.out_dim), stack.dropout_rate, rng)
+            for layer in stack.layers]
 
 
 def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
@@ -304,14 +280,16 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     logvar = dense_forward(model.logvar_head, h)
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
-    xhat, cache_d = model.decoder.forward(z, dec_masks)
+    h_d, cache_d = model.decoder.forward(z, dec_masks)
+    xhat = np.tanh(dense_forward(model.output, h_d))
 
     err = xhat - x
     total, recon, kl = _batch_loss(*_row_losses(err, mu, logvar), model.beta,
                                    model.likelihood_var)
 
     dxhat = err / (model.likelihood_var * n)
-    dz, _ = model.decoder.backward(cache_d, dxhat, out=pairs[n_enc + 2:])
+    dh_d, _, _ = dense_backward(model.output, h_d, dxhat * (1.0 - xhat ** 2), *pairs[-1])
+    dz, _ = model.decoder.backward(cache_d, dh_d, out=pairs[n_enc + 2:-1])
     dmu = dz + model.beta * mu / n
     dlogvar = dz * (0.5 * sigma * eps) + model.beta * (np.exp(logvar) - 1.0) * 0.5 / n
     dh_mu, _, _ = dense_backward(model.mu_head, h, dmu, *pairs[n_enc])
@@ -518,10 +496,9 @@ _MANIFEST_FIELDS = {
     "latent_dim": ("an integer", lambda v: isinstance(v, int)),
     **dict.fromkeys(("beta", "dropout_rate", "likelihood_var"),
                     ("a number", lambda v: isinstance(v, (int, float)))),
-    # NaN, infinities and ints past the float range all fail the bound
     **dict.fromkeys(("x_min", "x_max"),
-                    ("a finite number", lambda v: isinstance(v, (int, float))
-                     and abs(v) <= sys.float_info.max)),
+                    ("a finite number",
+                     lambda v: isinstance(v, (int, float)) and in_float_range(v))),
 }
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +428,12 @@ CONFIG_MISTAKES = [
      {"regions": [{"name": "quad", "cells": [0, 1, 2, 3], "min_land_frac": 1.0}]}),
     ("extremes", "seasonal_period must be >= 2 months, got 0",
      {"ssa": {"window": 12, "seasonal_period": 0}}),
+    ("train", "train.learning_rate", {"train": {"max_epochs": 2, "learning_rate": float("nan")}}),
+    ("extremes", "ssa.freq_tolerance", {"ssa": {"window": 18, "freq_tolerance": float("inf")}}),
+    ("synth", "synth.base_flux", {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2,
+                                            "n_months": 48, "base_flux": float("nan")}}),
+    ("gridsearch", "gridsearch.learning_rates[0]",
+     {"gridsearch": {"learning_rates": [float("nan")]}}),
 ]
 
 
@@ -586,3 +595,39 @@ def test_both_engines_share_one_valid_span(tmp_path):
         columns[method] = [int(row.split(",")[2]) for row in rows]
     assert columns["vae"] == columns["ssa"]
     assert columns["ssa"] == [0] * 12 + [1] * 24 + [0] * 12
+
+
+def _nproc() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(_nproc() < 2, reason="needs 2 or more CPUs to run BLAS on 2 threads")
+def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
+    # 2x2 cells over 372 months at the default SSA window of 120: a 48-month,
+    # window-18 run is too small for BLAS to split its products across threads
+    src = Path(cli.__file__).resolve().parents[1]
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        cfg = write_config(
+            out, out_dir=str(out / "out"),
+            synth={"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 372,
+                   "noise_std": 4e-7, "cell_variation": 0.2,
+                   "events": [{"cell": 1, "start": 200, "length": 2, "suppression": 0.8}]},
+            grid={"path": str(out / "out" / "toy")},
+            periods=[{"name": "p", "start_year": 1850, "end_year": 1880}],
+            train={"max_epochs": 3, "batch_size": 64},
+            ssa={"window": 120, "dump_cells": [0]},
+        )
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        for command in ("synth", "train", "extremes"):
+            subprocess.run([sys.executable, "-m", "gpp_extremes.cli", command,
+                            "--config", str(cfg)], env=env, check=True,
+                           capture_output=True)
+        root = out / "out"
+        trees.append({p.relative_to(root): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []

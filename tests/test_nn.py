@@ -37,32 +37,11 @@ def test_glorot_bound(rng):
 
 
 # ---------------------------------------------------------------------------
-# activations
+# ReLU
 
 def test_relu_values():
-    np.testing.assert_array_equal(
-        nn.activation("relu", np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-    )
-
-
-def _activation_grad(kind, x):
-    """The derivative at pre-activation ``x``, taken through the activation's output."""
-    return nn.chain_activation(kind, nn.activation(kind, x), np.ones_like(x))
-
-
-def test_tanh_at_zero():
-    assert nn.activation("tanh", np.array([0.0]))[0] == 0.0
-    assert _activation_grad("tanh", np.array([0.0]))[0] == 1.0
-
-
-@pytest.mark.parametrize("kind", ["relu", "tanh"])
-def test_activation_grad_matches_fd(kind, rng):
-    x = rng.normal(size=50)
-    x = x[np.abs(x) > 1e-3]  # keep away from the relu kink
-    h = 1e-6
-    fd = (nn.activation(kind, x + h) - nn.activation(kind, x - h)) / (2 * h)
-    grad = _activation_grad(kind, x)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+    stack = nn.DenseStack(layers=[nn.DenseLayer(weights=np.eye(3), bias=np.zeros(3))])
+    np.testing.assert_array_equal(stack.infer(np.array([[-1.0, 0.0, 2.0]])), [[0.0, 0.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +55,12 @@ def test_dropout_rate_zero_identity(rng):
 def test_dropout_eval_identity(rng):
     stack = nn.DenseStack(
         layers=[nn.DenseLayer(weights=np.eye(100), bias=np.zeros(100))],
-        kinds=["linear"],
-        dropout_layers=[True],
         dropout_rate=0.5,
     )
-    x = rng.normal(size=(1, 100))
+    x = np.abs(rng.normal(size=(1, 100)))  # ReLU passes non-negative input unchanged
     y, cache = stack.forward(x)  # eval mode draws no mask
     np.testing.assert_array_equal(y, x)
-    assert cache["masks"] == [None]
+    assert cache["masks"] is None
 
 
 def test_dropout_zero_fraction(rng):
@@ -137,28 +114,28 @@ def test_adam_first_step_closed_form(rng):
     state = nn.AdamState.for_params(params, lr=0.01)
     nn.adam_step(state, params, _buffer(g))
     expected = -0.01 * g / (np.abs(g) + state.eps)
-    np.testing.assert_allclose(params[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(params.arrays[0], expected, rtol=1e-12)
 
 
 def test_adam_constant_gradient_limit():
     g = np.array([2.0, -0.5])
     params = nn.ParamBuffer([(2,)])
     state = nn.AdamState.for_params(params, lr=0.003)
-    prev = params[0].copy()
+    prev = params.arrays[0].copy()
     for _ in range(500):
-        prev = params[0].copy()
+        prev = params.arrays[0].copy()
         nn.adam_step(state, params, _buffer(g))
-    step = params[0] - prev
+    step = params.arrays[0] - prev
     np.testing.assert_allclose(step, -0.003 * np.sign(g), rtol=1e-6)
 
 
 def test_adam_lr_zero_keeps_params(rng):
     params = _buffer(rng.normal(size=4))
-    before = params[0].copy()
+    before = params.arrays[0].copy()
     state = nn.AdamState.for_params(params, lr=0.0)
     for _ in range(3):
         nn.adam_step(state, params, _buffer(rng.normal(size=4)))
-    np.testing.assert_array_equal(params[0], before)
+    np.testing.assert_array_equal(params.arrays[0], before)
 
 
 def test_adam_rejects_non_finite():
@@ -172,23 +149,27 @@ def test_adam_rejects_non_finite():
 # backprop
 
 def _stack_2_2_2(rng, dropout_rate=0.0):
-    return nn.DenseStack.init(
-        dims=[2, 2, 2],
-        kinds=["tanh", "linear"],
-        dropout_layers=[True, False],
-        dropout_rate=dropout_rate,
-        rng=rng,
-    )
+    stack = nn.DenseStack.init(dims=[2, 2, 2], dropout_rate=dropout_rate, rng=rng)
+    for layer in stack.layers:
+        # a positive bias keeps a row that ReLU or dropout zeroed off the kink
+        layer.bias[...] = rng.uniform(0.2, 0.5, size=layer.out_dim)
+    return stack
 
 
 def _fd_check(stack, x, target, masks, tol=1e-4):
-    """Central finite differences of 0.5*sum((y-t)^2) against backprop."""
+    """Central finite differences of 0.5*sum((y-t)^2) against backprop.
+
+    Every pre-activation must sit well clear of the ReLU kink, where a
+    gate flip within the step makes central differences meaningless.
+    """
 
     def loss():
         y, _ = stack.forward(x, masks)
         return 0.5 * float(((y - target) ** 2).sum())
 
     y, cache = stack.forward(x, masks)
+    for layer, h in zip(stack.layers, cache["inputs"]):
+        assert np.abs(nn.dense_forward(layer, h)).min() > 1e-3
     _, grads = stack.backward(cache, y - target)
 
     h = 1e-5
@@ -213,14 +194,14 @@ def test_backprop_matches_fd_2_2_2(rng):
     stack = _stack_2_2_2(rng)
     x = rng.normal(size=(3, 2))
     target = rng.normal(size=(3, 2))
-    _fd_check(stack, x, target, masks=[None, None])
+    _fd_check(stack, x, target, masks=None)
 
 
 def test_backprop_matches_fd_with_fixed_dropout(rng):
     stack = _stack_2_2_2(rng, dropout_rate=0.4)
     x = rng.normal(size=(4, 2))
     target = rng.normal(size=(4, 2))
-    masks = [nn.dropout_mask((4, 2), 0.4, rng), None]
+    masks = [nn.dropout_mask((4, 2), 0.4, rng) for _ in stack.layers]
     _fd_check(stack, x, target, masks=masks)
 
 
@@ -235,26 +216,18 @@ def test_backprop_zero_upstream_gives_zero_grads(rng):
 
 def test_backprop_linear_net_matches_least_squares(rng):
     # one linear layer with MSE loss: dW = (y - t) x^T summed over batch
-    stack = nn.DenseStack.init(
-        dims=[3, 2], kinds=["linear"], dropout_layers=[False], dropout_rate=0.0, rng=rng
-    )
+    layer = nn.DenseLayer.init(3, 2, rng)
     x = rng.normal(size=(6, 3))
     target = rng.normal(size=(6, 2))
-    y, cache = stack.forward(x)
-    _, grads = stack.backward(cache, y - target)
+    y = nn.dense_forward(layer, x)
+    _, grad_w, grad_b = nn.dense_backward(layer, x, y - target)
     residual = y - target
-    np.testing.assert_allclose(grads[0][0], residual.T @ x, rtol=1e-12)
-    np.testing.assert_allclose(grads[0][1], residual.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(grad_w, residual.T @ x, rtol=1e-12)
+    np.testing.assert_allclose(grad_b, residual.sum(axis=0), rtol=1e-12)
 
 
 def test_infer_matches_cached_eval_forward(rng, monkeypatch):
-    stack = nn.DenseStack.init(
-        dims=[12, 16, 8, 3],
-        kinds=["relu", "tanh", "linear"],
-        dropout_layers=[True, True, False],
-        dropout_rate=0.3,
-        rng=rng,
-    )
+    stack = nn.DenseStack.init(dims=[12, 16, 8, 3], dropout_rate=0.3, rng=rng)
     x = rng.normal(size=(40, 12))
     x_before = x.copy()
     expected, _ = stack.forward(x)
@@ -293,7 +266,7 @@ def test_param_buffer_views_share_one_buffer(rng):
     assert buf.flat.size == 12 + 4 + 0 + 6
     for a in buf:
         assert np.shares_memory(a, buf.flat) or a.size == 0
-    buf[3][1, 2] = 7.0
+    buf.arrays[3][1, 2] = 7.0
     assert buf.flat[-1] == 7.0
     assert [buf.index_of(i) for i in (0, 11, 12, 15, 16, 21)] == [0, 0, 1, 1, 3, 3]
 
@@ -325,7 +298,7 @@ def test_flat_adam_names_the_non_finite_parameter(rng):
     grads = nn.ParamBuffer.like(params)
     state = nn.AdamState.for_params(params, lr=0.01)
     nn.adam_step(state, params, grads)
-    grads[2][1, 1] = np.inf
+    grads.arrays[2][1, 1] = np.inf
     with pytest.raises(NumericalError, match=r"parameter 2 at Adam step 2"):
         nn.adam_step(state, params, grads)
     assert state.step == 1

@@ -151,48 +151,52 @@ def test_encode_decode_reject_batches_of_the_wrong_width(rng):
 # loss terms
 
 def test_kl_prior_is_zero():
-    assert vae.kl_divergence(np.zeros(4), np.zeros(4)) == 0.0
+    assert vae.kl_divergence(np.zeros((1, 4)), np.zeros((1, 4)))[0] == 0.0
 
 
 def test_kl_hand_value():
     # -1/2 (1 + 0 - 1 - 1) = 0.5 for mu=1, logvar=0
-    assert vae.kl_divergence(np.array([1.0]), np.array([0.0])) == pytest.approx(0.5)
+    assert vae.kl_divergence(np.array([[1.0]]), np.array([[0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_kl_non_negative(rng):
     for _ in range(200):
-        mu = rng.uniform(-3, 3, size=5)
-        logvar = rng.uniform(-3, 3, size=5)
-        assert vae.kl_divergence(mu, logvar) >= 0.0
+        mu = rng.uniform(-3, 3, size=(1, 5))
+        logvar = rng.uniform(-3, 3, size=(1, 5))
+        assert vae.kl_divergence(mu, logvar)[0] >= 0.0
 
 
 def test_kl_matches_monte_carlo(rng):
     # KL(q||p) = E_q[log q(z) - log p(z)], estimated from q samples
     for _ in range(3):
-        mu = rng.uniform(-1, 1, size=5)
-        logvar = rng.uniform(-1, 1, size=5)
+        mu = rng.uniform(-1, 1, size=(1, 5))
+        logvar = rng.uniform(-1, 1, size=(1, 5))
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * rng.standard_normal((200_000, 5))
         log_q = -0.5 * (np.log(2 * np.pi) + logvar + (z - mu) ** 2 / sigma ** 2).sum(axis=1)
         log_p = -0.5 * (np.log(2 * np.pi) + z ** 2).sum(axis=1)
         mc = (log_q - log_p).mean()
-        closed = vae.kl_divergence(mu, logvar)
+        closed = vae.kl_divergence(mu, logvar)[0]
         assert abs(closed - mc) / abs(closed) < 0.02
 
 
+def batch_loss(x, xhat, mu, logvar, beta, likelihood_var):
+    """(total, recon_mse, kl) of 2-D batches, from the terms training computes."""
+    return vae._batch_loss(*vae._row_losses(xhat - x, mu, logvar), beta, likelihood_var)
+
 
 def test_vae_loss_zero_case():
-    x = np.linspace(-1, 1, 12)
-    total, recon, kl = vae.objective(x, x, np.zeros(2), np.zeros(2), beta=0.5,
-                                     likelihood_var=0.1)
+    x = np.linspace(-1, 1, 12)[None]
+    total, recon, kl = batch_loss(x, x, np.zeros((1, 2)), np.zeros((1, 2)), beta=0.5,
+                                  likelihood_var=0.1)
     assert total == 0.0 and recon == 0.0 and kl == 0.0
 
 
 def test_vae_loss_beta_zero():
-    x = np.linspace(-1, 1, 12)
+    x = np.linspace(-1, 1, 12)[None]
     xhat = x + 0.1
-    total, recon, kl = vae.objective(x, xhat, np.ones(2), np.zeros(2), beta=0.0,
-                                     likelihood_var=0.1)
+    total, recon, kl = batch_loss(x, xhat, np.ones((1, 2)), np.zeros((1, 2)), beta=0.0,
+                                  likelihood_var=0.1)
     # only the Gaussian term is left: the window's squared error over 2 * 0.1
     assert total == pytest.approx(recon * 12 / 0.2, rel=1e-15)
     assert kl > 0
@@ -203,7 +207,7 @@ def test_vae_loss_matches_recomputation(rng):
     xhat = rng.uniform(-1, 1, (4, 12))
     mu = rng.uniform(-1, 1, (4, 3))
     logvar = rng.uniform(-1, 1, (4, 3))
-    total, recon, kl = vae.objective(x, xhat, mu, logvar, beta=0.7, likelihood_var=0.05)
+    total, recon, kl = batch_loss(x, xhat, mu, logvar, beta=0.7, likelihood_var=0.05)
     sq_ref = np.mean(np.sum((x - xhat) ** 2, axis=1))
     kl_ref = np.mean(-0.5 * np.sum(1 + logvar - mu ** 2 - np.exp(logvar), axis=1))
     assert recon == pytest.approx(sq_ref / 12, rel=1e-14)
@@ -568,7 +572,7 @@ def test_parameters_are_views_of_one_buffer(rng):
     for p in params:
         assert np.shares_memory(p, model.params.flat)
     assert np.shares_memory(model.encoder.layers[0].weights, model.params.flat)
-    assert np.shares_memory(model.decoder.layers[-1].bias, model.params.flat)
+    assert np.shares_memory(model.output.bias, model.params.flat)
 
 
 def test_nan_gradient_names_its_parameter_index(rng):
@@ -580,7 +584,7 @@ def test_nan_gradient_names_its_parameter_index(rng):
     _, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
     opt = nn.AdamState.for_params(model.params, lr=0.01)
     nn.adam_step(opt, model.params, grads)
-    grads[5][0] = np.nan  # the mean head's bias
+    grads.arrays[5][0] = np.nan  # the mean head's bias
     with pytest.raises(NumericalError, match=r"parameter 5 at Adam step 2"):
         nn.adam_step(opt, model.params, grads)
 
