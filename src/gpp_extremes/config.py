@@ -6,7 +6,9 @@ a number that is not finite is a ConfigError naming its key path
 (``ssa.windw``, ``regions[0].cells[2]``).
 Values pass through as written: an int where a float is expected stays an
 int, and a bool is never a number. The ``train``, ``ssa`` and ``synth``
-schemas come from the fields of TrainConfig, SsaConfig and SynthSpec.
+schemas come from the fields of TrainConfig, SsaConfig and SynthSpec. The
+synth section, its required keys included, is checked here alone:
+``SynthSpec.from_dict`` only builds the spec.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _SCHEMA = {
     "seed": int,
     "out_dir": str,
     "method": set(METHODS),
-    "synth": dict,  # checked against _SYNTH_SCHEMA and SynthSpec.from_dict
+    "synth": dict,  # checked against _SYNTH_SCHEMA
     "grid": {"path": str, "format": {"flat-binary", "csv"}},
     "regions": [{"name": str, "cells": [int], "min_land_frac": float}],
     "periods": [{"name": str, "start_year": int, "end_year": int}],
@@ -197,8 +199,10 @@ class PipelineConfig:
         grid = raw.get("grid", {})
         synth = raw.get("synth")
         if synth is not None:
-            # from_dict rejects the keys outside the schema and events missing a key
-            _check({k: v for k, v in synth.items() if k in _SYNTH_SCHEMA}, _SYNTH_SCHEMA, "synth")
+            _check(synth, _SYNTH_SCHEMA, "synth")
+            _require(synth, "synth", "n_lat", "n_lon", "n_months")
+            for i, event in enumerate(synth.get("events", [])):
+                _require(event, f"synth.events[{i}]", *_SYNTH_SCHEMA["events"][0])
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})
         return cls(
             out=Path(out) if out else Path(raw.get("out_dir", "out")),
@@ -247,7 +251,7 @@ def _region(raw: dict, i: int) -> RegionMask:
     for j, cell in enumerate(raw["cells"]):
         if first.setdefault(cell, j) != j:
             raise ConfigError(f"regions[{i}].cells[{j}] repeats cell {cell} (cells[{first[cell]}])")
-    min_land_frac = float(raw.get("min_land_frac", 0.10))
+    min_land_frac = float(raw.get("min_land_frac", RegionMask.min_land_frac))
     if not 0.0 <= min_land_frac < 1.0:
         raise ConfigError(f"regions[{i}].min_land_frac must be in [0, 1), got {min_land_frac}")
     return RegionMask(
@@ -270,11 +274,12 @@ def _period(raw: dict, i: int) -> Period:
 
 
 def _trials(train: TrainConfig, raw: dict) -> tuple:
-    """The gridsearch space: the train section with each (latent, hidden, rate) set."""
+    """The gridsearch space: the train section with each (latent, hidden, rate)
+    set; a list the gridsearch section leaves out holds the train section's value."""
     space = list(itertools.product(
-        raw.get("latent_dims", [5]),
-        raw.get("hidden_dims", [[128, 64, 32]]),
-        raw.get("learning_rates", [0.005]),
+        raw.get("latent_dims", [train.latent_dim]),
+        raw.get("hidden_dims", [train.hidden_dims]),
+        raw.get("learning_rates", [train.learning_rate]),
     ))
     if not 1 <= len(space) <= 20:
         raise ConfigError(f"gridsearch space has {len(space)} trials; it needs 1 to 20")

@@ -2,7 +2,10 @@
 
 Owns the on-disk formats (flat-binary + JSON header; CSV input), the flux to
 per-cell carbon-mass conversion, region masking and the synthetic-data
-generator used for desk-scale validation.
+generator used for desk-scale validation. ``write_flat`` and ``read_flat``
+are the one writer and reader of the flat-binary container, which grids and
+VAE checkpoints share: a payload that is not whole float64 values is a
+FormatError naming the file.
 
 Units: stored grid values are fluxes in gC m^-2 s^-1; derived mass series
 are GgC per month per cell. Month lengths follow a no-leap 365-day
@@ -176,8 +179,30 @@ def in_float_range(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _read_header(header_path: Path, expect_layout: str) -> dict:
-    raw = _read_json(header_path, "header")
+def write_flat(path: str | Path, header: dict, values: np.ndarray) -> None:
+    """Write ``header`` as JSON to `<base>.json` and ``values`` as
+    little-endian float64 to `<base>.f64`."""
+    header_path, payload_path = _paths(path, ".f64")
+    header_path.write_text(json.dumps(header, indent=2) + "\n")
+    payload_path.write_bytes(values.astype("<f8", copy=False).tobytes())
+
+
+def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
+    """The header path, header, payload path and payload of a ``write_flat`` pair.
+
+    A missing file is a DataError; a header that is not a JSON object, or a
+    payload that is not whole float64 values, is a FormatError naming the file.
+    """
+    header_path, payload_path = _paths(path, ".f64")
+    header = _read_json(header_path, what)
+    data = _read(payload_path)
+    if len(data) % 8:
+        raise FormatError(f"{payload_path}: payload of {len(data)} bytes is not whole "
+                          f"float64 values")
+    return header_path, header, payload_path, np.frombuffer(data, dtype="<f8")
+
+
+def _check_header(raw: dict, header_path: Path, expect_layout: str) -> dict:
     for name in _HEADER_FIELDS:
         if name not in raw:
             raise FormatError(f"{header_path}: header missing field {name!r}")
@@ -203,14 +228,10 @@ def save_grid(grid: GridSeries, path: str | Path) -> None:
     land_frac block.
     """
     grid.validate()
-    header_path, payload_path = _paths(path, ".f64")
     header = {name: getattr(grid, name) for name in _HEADER_FIELDS}
     header["layout"] = "cell-major"
-    header_path.write_text(json.dumps(header, indent=2) + "\n")
-    payload = np.concatenate(
-        [grid.values.ravel(), grid.cell_area, grid.land_frac]
-    ).astype("<f8")
-    payload_path.write_bytes(payload.tobytes())
+    write_flat(path, header, np.concatenate([grid.values.ravel(), grid.cell_area,
+                                             grid.land_frac]))
 
 
 def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
@@ -221,11 +242,10 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
     header `<base>.json` of layout "csv" carrying the grid dimensions.
     """
     if format == "flat-binary":
-        header_path, payload_path = _paths(path, ".f64")
-        raw = _read_header(header_path, "cell-major")
+        header_path, raw, payload_path, payload = read_flat(path, "header")
+        _check_header(raw, header_path, "cell-major")
         n_cells = raw["n_lat"] * raw["n_lon"]
         expected = n_cells * raw["n_months"] + 2 * n_cells
-        payload = np.frombuffer(_read(payload_path), dtype="<f8")
         if payload.size != expected:
             raise ShapeError(
                 f"{payload_path}: payload holds {payload.size} values, header "
@@ -236,7 +256,7 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
         land_frac = payload[n_cells * raw["n_months"] + n_cells:]
     elif format == "csv":
         header_path, payload_path = _paths(path, ".csv")
-        raw = _read_header(header_path, "csv")
+        raw = _check_header(_read_json(header_path, "header"), header_path, "csv")
         n_cells = raw["n_lat"] * raw["n_lon"]
         lines = _read(payload_path, Path.read_text).strip().splitlines()
         if len(lines) != n_cells + 1:
@@ -337,29 +357,9 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":
+        """The spec of a synth section that ``config`` has checked, without its name."""
         data = dict(raw)
-        events = []
-        for i, ev in enumerate(data.pop("events", [])):
-            try:
-                events.append(
-                    SynthEvent(
-                        cell=int(ev["cell"]),
-                        start=int(ev["start"]),
-                        length=int(ev["length"]),
-                        suppression=float(ev["suppression"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SynthSpecError(f"events[{i}]: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__ if f != "events"}
-        unknown = set(data) - known
-        if unknown:
-            keys = ", ".join(f"synth.{k}" for k in sorted(unknown))
-            raise SynthSpecError(f"unknown key(s) {keys}")
-        missing = {"n_lat", "n_lon", "n_months"} - set(data)
-        if missing:
-            raise SynthSpecError(f"synth spec missing fields: {sorted(missing)}")
-        return cls(events=tuple(events), **data)
+        return cls(events=tuple(SynthEvent(**ev) for ev in data.pop("events", ())), **data)
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:

@@ -14,9 +14,10 @@ looping over the arrays.
 
 A ``DenseStack`` is the VAE's trunk: every layer is dense, then ReLU, then
 inverted dropout. Its ``forward`` is the one cached pass for a backward
-pass, used by training and the gradient checks alike. The caller supplies
-the dropout masks, so a check can hold them fixed; without masks there is
-no dropout. The backward pass takes relu' from the cached activations.
+pass, used by training and the gradient checks alike. The stack holds no
+dropout rate: the caller supplies the masks, so a check can hold them
+fixed; without masks there is no dropout. The backward pass takes relu'
+from the cached activations.
 Inference uses ``DenseStack.infer`` instead: no dropout and no cache, so a
 pass holds one layer's input and output at a time. The VAE's linear heads
 and its tanh output layer are single ``DenseLayer`` objects outside any
@@ -134,17 +135,13 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class DenseStack:
-    """Dense layers, each followed by ReLU and inverted dropout at ``dropout_rate``."""
+    """Dense layers, each followed by ReLU and the caller's inverted-dropout mask."""
 
     layers: list
-    dropout_rate: float = 0.0
 
     @classmethod
-    def init(cls, dims, dropout_rate, rng):
-        layers = [
-            DenseLayer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
-        ]
-        return cls(layers=layers, dropout_rate=dropout_rate)
+    def init(cls, dims, rng):
+        return cls([DenseLayer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     def forward(self, x, masks=None):
         """Run the stack; returns (output, cache) with cache usable by backward.

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+LINE_WIDTH, LINE_HEIGHT = 720, 360  # line chart size in px
+HEAT_WIDTH = 480  # heat map width budget in px, which sets the cell size
+
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 
 # white -> yellow -> orange -> dark red
@@ -41,9 +44,9 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def line_chart(x, series: dict, title: str = "", xlabel: str = "",
-               ylabel: str = "", width: int = 720, height: int = 360) -> str:
+def line_chart(x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Multi-series line chart; ``series`` maps label -> y array."""
+    width, height = LINE_WIDTH, LINE_HEIGHT
     x = np.asarray(x, dtype=float)
     left, right, top, bottom = 64, 16, 28, 44
     pw = width - left - right
@@ -130,8 +133,7 @@ def _heat_color(frac: float) -> str:
     return "rgb(127,39,4)"
 
 
-def heat_map(values: np.ndarray, title: str = "", width: int = 480,
-             cell_px: int | None = None) -> str:
+def heat_map(values: np.ndarray, title: str = "") -> str:
     """Grid heat map with the color scale normalized to this map's maximum.
 
     NaN cells (outside the region mask) render light gray. Each rendered
@@ -139,8 +141,7 @@ def heat_map(values: np.ndarray, title: str = "", width: int = 480,
     """
     values = np.asarray(values, dtype=float)
     n_lat, n_lon = values.shape
-    if cell_px is None:
-        cell_px = max(6, min(40, (width - 80) // max(n_lon, 1)))
+    cell_px = max(6, min(40, (HEAT_WIDTH - 80) // max(n_lon, 1)))
     legend_h = 40
     w = n_lon * cell_px + 32
     h = n_lat * cell_px + 40 + legend_h

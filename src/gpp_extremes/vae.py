@@ -18,24 +18,25 @@ near-equal lengths: a product of a few hundred rows or fewer can take
 another BLAS kernel, with other rounding, than one of thousands, and
 blocks of thousands of rows give the same bits as one pass over all rows.
 
-All parameters live in one flat buffer in checkpoint order (encoder,
-mean head, log-variance head, decoder trunk, output layer; weights before
-bias). A training step writes its gradients into a second buffer of that
-layout and Adam updates the whole buffer at once; best-epoch snapshots
-and checkpoints copy that buffer directly.
+A model holds the ``TrainConfig`` it was built from, and its latent width,
+loss weights and dropout rate are read from there alone: no layer or stack
+keeps a copy. All parameters live in one flat buffer in checkpoint order
+(encoder, mean head, log-variance head, decoder trunk, output layer;
+weights before bias). A training step writes its gradients into a second
+buffer of that layout and Adam updates the whole buffer at once; best-epoch
+snapshots and checkpoints copy that buffer directly, through the grid
+module's flat-binary container.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import MassSeries, _paths, _read, _read_json, in_float_range
+from .grid import MassSeries, in_float_range, read_flat, write_flat
 from .nn import (
     AdamState,
     DenseLayer,
@@ -117,12 +118,9 @@ class VaeModel:
     logvar_head: DenseLayer
     decoder: DenseStack
     output: DenseLayer  # tanh layer from the decoder trunk back to the window
-    latent_dim: int
-    beta: float
-    dropout_rate: float
+    config: TrainConfig  # the one holder of the model's settings
     x_min: float
     x_max: float
-    likelihood_var: float = 0.1
     params: ParamBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,23 +135,13 @@ def build_model(config: TrainConfig, x_min: float, x_max: float,
     hidden = list(config.hidden_dims)
     d = config.latent_dim
     # Glorot draws in checkpoint order, which is the parameter buffer's
-    encoder = DenseStack.init([SEQ_LEN] + hidden, config.dropout_rate, rng)
-    mu_head = DenseLayer.init(hidden[-1], d, rng)
-    logvar_head = DenseLayer.init(hidden[-1], d, rng)
-    decoder = DenseStack.init([d] + hidden[::-1], config.dropout_rate, rng)
-    output = DenseLayer.init(hidden[0], SEQ_LEN, rng)
     return VaeModel(
-        encoder=encoder,
-        mu_head=mu_head,
-        logvar_head=logvar_head,
-        decoder=decoder,
-        output=output,
-        latent_dim=d,
-        beta=config.beta,
-        dropout_rate=config.dropout_rate,
-        x_min=x_min,
-        x_max=x_max,
-        likelihood_var=config.likelihood_var,
+        DenseStack.init([SEQ_LEN] + hidden, rng),
+        DenseLayer.init(hidden[-1], d, rng),
+        DenseLayer.init(hidden[-1], d, rng),
+        DenseStack.init([d] + hidden[::-1], rng),
+        DenseLayer.init(hidden[0], SEQ_LEN, rng),
+        config, x_min, x_max,
     )
 
 
@@ -215,7 +203,7 @@ def encode(model: VaeModel, windows):
 
 def decode(model: VaeModel, z):
     """Reconstructed windows of a 2-D batch of latent points (eval mode)."""
-    h = model.decoder.infer(_batch(z, model.latent_dim, "latent points"))
+    h = model.decoder.infer(_batch(z, model.config.latent_dim, "latent points"))
     xhat = dense_forward(model.output, h)
     return np.tanh(xhat, out=xhat)
 
@@ -251,12 +239,14 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
 # ---------------------------------------------------------------------------
 # training
 
-def draw_dropout_masks(stack: DenseStack, n_rows: int, rng) -> list | None:
-    """One dropout mask per layer of ``stack``, in layer order; None at rate 0."""
-    if stack.dropout_rate == 0.0:
-        return None
-    return [dropout_mask((n_rows, layer.out_dim), stack.dropout_rate, rng)
-            for layer in stack.layers]
+def draw_dropout_masks(model: VaeModel, n_rows: int, rng) -> tuple:
+    """(encoder masks, decoder masks) at the config's dropout rate, one per
+    layer, drawn encoder first and in layer order; (None, None) at rate 0."""
+    rate = model.config.dropout_rate
+    if rate == 0.0:
+        return None, None
+    return tuple([dropout_mask((n_rows, layer.out_dim), rate, rng) for layer in stack.layers]
+                 for stack in (model.encoder, model.decoder))
 
 
 def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
@@ -274,6 +264,7 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     grads = ParamBuffer.like(model.params) if out is None else out
     pairs = list(zip(grads.arrays[0::2], grads.arrays[1::2]))
     n_enc = len(model.encoder.layers)
+    beta, likelihood_var = model.config.beta, model.config.likelihood_var
 
     h, cache_e = model.encoder.forward(x, enc_masks)
     mu = dense_forward(model.mu_head, h)
@@ -284,14 +275,13 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     xhat = np.tanh(dense_forward(model.output, h_d))
 
     err = xhat - x
-    total, recon, kl = _batch_loss(*_row_losses(err, mu, logvar), model.beta,
-                                   model.likelihood_var)
+    total, recon, kl = _batch_loss(*_row_losses(err, mu, logvar), beta, likelihood_var)
 
-    dxhat = err / (model.likelihood_var * n)
+    dxhat = err / (likelihood_var * n)
     dh_d, _, _ = dense_backward(model.output, h_d, dxhat * (1.0 - xhat ** 2), *pairs[-1])
     dz, _ = model.decoder.backward(cache_d, dh_d, out=pairs[n_enc + 2:-1])
-    dmu = dz + model.beta * mu / n
-    dlogvar = dz * (0.5 * sigma * eps) + model.beta * (np.exp(logvar) - 1.0) * 0.5 / n
+    dmu = dz + beta * mu / n
+    dlogvar = dz * (0.5 * sigma * eps) + beta * (np.exp(logvar) - 1.0) * 0.5 / n
     dh_mu, _, _ = dense_backward(model.mu_head, h, dmu, *pairs[n_enc])
     dh_lv, _, _ = dense_backward(model.logvar_head, h, dlogvar, *pairs[n_enc + 1])
     model.encoder.backward(cache_e, dh_mu + dh_lv, out=pairs[:n_enc], input_grad=False)
@@ -310,7 +300,7 @@ def eval_loss(model: VaeModel, x):
     for rows in _blocks(x.shape[0], INFER_BLOCK_ROWS):
         mu, logvar = encode(model, x[rows])
         sq_sum[rows], kl[rows] = _row_losses(decode(model, mu) - x[rows], mu, logvar)
-    return _batch_loss(sq_sum, kl, model.beta, model.likelihood_var)
+    return _batch_loss(sq_sum, kl, model.config.beta, model.config.likelihood_var)
 
 
 def _blocks(n: int, size: int) -> list:
@@ -365,8 +355,7 @@ def train(windows: WindowSet, config: TrainConfig):
             idx = order[start:start + config.batch_size]
             batch = x_train[idx]
             eps = rng.standard_normal((idx.size, config.latent_dim))
-            enc_masks = draw_dropout_masks(model.encoder, idx.size, rng)
-            dec_masks = draw_dropout_masks(model.decoder, idx.size, rng)
+            enc_masks, dec_masks = draw_dropout_masks(model, idx.size, rng)
             try:
                 (total, _, _), _ = loss_and_grads(model, batch, eps, enc_masks, dec_masks,
                                                   out=grads)
@@ -467,55 +456,58 @@ def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> MassSeries
 # checkpoints
 
 def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
-    """JSON manifest + little-endian float64 parameter payload."""
-    flat = model.params.flat
+    """JSON manifest of the model's config + little-endian float64 parameter payload."""
+    config, flat = model.config, model.params.flat
     manifest = {
         "input_dim": SEQ_LEN,
-        "hidden_dims": [layer.out_dim for layer in model.encoder.layers],
-        "latent_dim": model.latent_dim,
-        "beta": model.beta,
-        "dropout_rate": model.dropout_rate,
+        "hidden_dims": list(config.hidden_dims),
+        "latent_dim": config.latent_dim,
+        "beta": config.beta,
+        "dropout_rate": config.dropout_rate,
         "activation_hidden": "relu",
         "activation_output": "tanh",
-        "likelihood_var": model.likelihood_var,
+        "likelihood_var": config.likelihood_var,
         "x_min": model.x_min,
         "x_max": model.x_max,
         "seed": seed,
         "epoch": epoch,
         "n_params": int(flat.size),
     }
-    header_path, payload_path = _paths(path, ".f64")
-    header_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    payload_path.write_bytes(flat.astype("<f8", copy=False).tobytes())
+    write_flat(path, manifest, flat)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Manifest fields that build the model: what each must hold, and its check.
+# The numbers follow the config's rule: finite, and a bool is not a number.
 _MANIFEST_FIELDS = {
-    "hidden_dims": ("a list of integers",
-                    lambda v: isinstance(v, list) and all(isinstance(w, int) for w in v)),
-    "latent_dim": ("an integer", lambda v: isinstance(v, int)),
-    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var"),
-                    ("a number", lambda v: isinstance(v, (int, float)))),
-    **dict.fromkeys(("x_min", "x_max"),
+    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "latent_dim": ("an integer", _is_int),
+    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var", "x_min", "x_max"),
                     ("a finite number",
-                     lambda v: isinstance(v, (int, float)) and in_float_range(v))),
+                     lambda v: (_is_int(v) or isinstance(v, float)) and in_float_range(v))),
 }
 
 
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
     """The model and manifest of ``save_checkpoint``; a damaged file is a FormatError.
 
-    A manifest without ``likelihood_var`` gets the default 0.1. The scaling
+    The model's config holds the manifest's ``hidden_dims``, ``latent_dim``,
+    ``beta``, ``dropout_rate`` and ``likelihood_var``; a manifest without
+    ``likelihood_var`` gets TrainConfig's default. Every other config field
+    (epochs, patience, learning rate, batch size, validation fraction and
+    seed) is TrainConfig's default, not the training run's. The scaling
     limits must be finite with ``x_max > x_min``, or no anomaly is finite.
     """
-    header_path, payload_path = _paths(path, ".f64")
-    manifest = _read_json(header_path, "manifest")
+    header_path, manifest, payload_path, payload = read_flat(path, "manifest")
     for name, expected in _FIXED_ARCHITECTURE.items():
         if manifest.get(name) != expected:
             raise FormatError(
                 f"{header_path}: {name} is {manifest.get(name)!r}, expected {expected!r}"
             )
-    fields = {"likelihood_var": 0.1, **manifest}
+    fields = {"likelihood_var": TrainConfig.likelihood_var, **manifest}
     for name, (kind, check) in _MANIFEST_FIELDS.items():
         if name not in fields:
             raise FormatError(f"{header_path}: manifest missing field {name!r}")
@@ -538,7 +530,6 @@ def load_checkpoint(path) -> tuple[VaeModel, dict]:
         raise FormatError(f"{header_path}: {exc}") from exc
     model = build_model(config, fields["x_min"], fields["x_max"], np.random.default_rng(0))
     flat = model.params.flat
-    payload = np.frombuffer(_read(payload_path), dtype="<f8")
     if payload.size != flat.size:
         raise ShapeError(
             f"{payload_path}: payload holds {payload.size} parameters, manifest "

@@ -57,8 +57,7 @@ def test_criterion_2_gradients_vs_finite_differences():
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=(1, 12))
         eps = rng.standard_normal((1, 2))
-        enc_masks = vae.draw_dropout_masks(model.encoder, 1, rng)
-        dec_masks = vae.draw_dropout_masks(model.decoder, 1, rng)
+        enc_masks, dec_masks = vae.draw_dropout_masks(model, 1, rng)
 
         def loss():
             (t, _, _), _ = vae.loss_and_grads(

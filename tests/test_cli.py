@@ -207,6 +207,15 @@ def test_gridsearch_rows_and_best_marker(tmp_path):
     assert losses[best_trial] == min(losses)
 
 
+def test_gridsearch_defaults_come_from_the_train_section(tmp_path):
+    cfg = write_config(tmp_path, gridsearch={"learning_rates": [0.005]})
+    run(["synth", "--config", str(cfg)])
+    assert run(["gridsearch", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "tables" / "gridsearch.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("0,2,16x8,0.005,")
+
+
 def test_gridsearch_caps_trials(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -412,6 +421,11 @@ CONFIG_MISTAKES = [
     ("synth", "synth.events[2].cell", _synth_events(_EVENT, _EVENT, dict(_EVENT, cell=True))),
     ("synth", "synth.events[0].suppression", _synth_events(dict(_EVENT, suppression="0.8"))),
     ("synth", "synth.events[0].sup", _synth_events(dict(_EVENT, sup=0.5))),
+    ("synth", "synth.events[0].suppression is required",
+     _synth_events({k: v for k, v in _EVENT.items() if k != "suppression"})),
+    ("synth", "unknown key synth.bogus", {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2,
+                                                     "n_months": 48, "bogus": 1}}),
+    ("synth", "synth.n_months is required", {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2}}),
     ("synth", "seed must be >= 0", {"seed": -1}),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
     ("train", "hidden_dims must be one or more widths >= 1, got []",

@@ -53,10 +53,7 @@ def test_dropout_rate_zero_identity(rng):
 
 
 def test_dropout_eval_identity(rng):
-    stack = nn.DenseStack(
-        layers=[nn.DenseLayer(weights=np.eye(100), bias=np.zeros(100))],
-        dropout_rate=0.5,
-    )
+    stack = nn.DenseStack(layers=[nn.DenseLayer(weights=np.eye(100), bias=np.zeros(100))])
     x = np.abs(rng.normal(size=(1, 100)))  # ReLU passes non-negative input unchanged
     y, cache = stack.forward(x)  # eval mode draws no mask
     np.testing.assert_array_equal(y, x)
@@ -148,8 +145,8 @@ def test_adam_rejects_non_finite():
 # ---------------------------------------------------------------------------
 # backprop
 
-def _stack_2_2_2(rng, dropout_rate=0.0):
-    stack = nn.DenseStack.init(dims=[2, 2, 2], dropout_rate=dropout_rate, rng=rng)
+def _stack_2_2_2(rng):
+    stack = nn.DenseStack.init(dims=[2, 2, 2], rng=rng)
     for layer in stack.layers:
         # a positive bias keeps a row that ReLU or dropout zeroed off the kink
         layer.bias[...] = rng.uniform(0.2, 0.5, size=layer.out_dim)
@@ -198,7 +195,7 @@ def test_backprop_matches_fd_2_2_2(rng):
 
 
 def test_backprop_matches_fd_with_fixed_dropout(rng):
-    stack = _stack_2_2_2(rng, dropout_rate=0.4)
+    stack = _stack_2_2_2(rng)
     x = rng.normal(size=(4, 2))
     target = rng.normal(size=(4, 2))
     masks = [nn.dropout_mask((4, 2), 0.4, rng) for _ in stack.layers]
@@ -227,7 +224,7 @@ def test_backprop_linear_net_matches_least_squares(rng):
 
 
 def test_infer_matches_cached_eval_forward(rng, monkeypatch):
-    stack = nn.DenseStack.init(dims=[12, 16, 8, 3], dropout_rate=0.3, rng=rng)
+    stack = nn.DenseStack.init(dims=[12, 16, 8, 3], rng=rng)
     x = rng.normal(size=(40, 12))
     x_before = x.copy()
     expected, _ = stack.forward(x)

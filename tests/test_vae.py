@@ -223,8 +223,7 @@ def test_objective_gradients_match_fd(rng):
     params = list(model.params)
     x = rng.uniform(-1, 1, size=(3, 12))
     eps = rng.standard_normal((3, 2))
-    enc_masks = vae.draw_dropout_masks(model.encoder, 3, rng)
-    dec_masks = vae.draw_dropout_masks(model.decoder, 3, rng)
+    enc_masks, dec_masks = vae.draw_dropout_masks(model, 3, rng)
 
     def loss():
         (t, _, _), _ = vae.loss_and_grads(
@@ -512,7 +511,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=17)
     loaded, manifest = vae.load_checkpoint(tmp_path / "m")
     assert manifest["epoch"] == 17
-    assert loaded.latent_dim == 3
+    assert loaded.config.latent_dim == 3
     assert (loaded.x_min, loaded.x_max) == (2.5, 9.0)
     for a, b in zip(model.params, loaded.params):
         assert a.tobytes() == b.tobytes()
@@ -550,8 +549,15 @@ def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field
      "manifest field 'x_min' must be a finite number, got nan"),
     (lambda text: json.dumps({**json.loads(text), "x_max": float("inf")}),
      "manifest field 'x_max' must be a finite number, got inf"),
+    (lambda text: json.dumps({**json.loads(text), "beta": float("nan")}),
+     "manifest field 'beta' must be a finite number, got nan"),
+    (lambda text: json.dumps({**json.loads(text), "likelihood_var": float("inf")}),
+     "manifest field 'likelihood_var' must be a finite number, got inf"),
+    (lambda text: json.dumps({**json.loads(text), "beta": True}),
+     "manifest field 'beta' must be a finite number, got True"),
 ], ids=["invalid-json", "json-list", "no-x_min", "latent_dim-string", "zero-width-layer",
-        "x_max-equals-x_min", "x_min-nan", "x_max-infinity"])
+        "x_max-equals-x_min", "x_min-nan", "x_max-infinity", "beta-nan",
+        "likelihood_var-infinity", "beta-true"])
 def test_malformed_manifest_is_a_format_error(tmp_path, rng, damage, message):
     model, _ = tiny_model(rng)
     vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=1)
@@ -560,6 +566,15 @@ def test_malformed_manifest_is_a_format_error(tmp_path, rng, damage, message):
     with pytest.raises(FormatError, match=message) as info:
         vae.load_checkpoint(tmp_path / "m")
     assert str(header) in str(info.value)
+
+
+def test_checkpoint_payload_of_partial_values_is_a_format_error(tmp_path, rng):
+    model, _ = tiny_model(rng)
+    vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=1)
+    payload = (tmp_path / "m.f64").read_bytes()
+    (tmp_path / "m.f64").write_bytes(payload[:-5])
+    with pytest.raises(FormatError, match="m.f64: payload of .* bytes is not whole float64"):
+        vae.load_checkpoint(tmp_path / "m")
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +594,7 @@ def test_nan_gradient_names_its_parameter_index(rng):
     model, cfg = tiny_model(rng)
     x = rng.uniform(-1, 1, size=(4, 12))
     eps = rng.standard_normal((4, cfg.latent_dim))
-    enc_masks = vae.draw_dropout_masks(model.encoder, 4, rng)
-    dec_masks = vae.draw_dropout_masks(model.decoder, 4, rng)
+    enc_masks, dec_masks = vae.draw_dropout_masks(model, 4, rng)
     _, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
     opt = nn.AdamState.for_params(model.params, lr=0.01)
     nn.adam_step(opt, model.params, grads)
