@@ -201,6 +201,9 @@ class PipelineConfig:
         if synth is not None:
             _check(synth, _SYNTH_SCHEMA, "synth")
             _require(synth, "synth", "n_lat", "n_lon", "n_months")
+            for key in ("n_lat", "n_lon", "n_months"):
+                if synth[key] < 1:
+                    raise ConfigError(f"synth.{key} must be >= 1, got {synth[key]}")
             for i, event in enumerate(synth.get("events", [])):
                 _require(event, f"synth.events[{i}]", *_SYNTH_SCHEMA["events"][0])
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})

@@ -173,6 +173,12 @@ def _read_json(path: Path, what: str) -> dict:
     return raw
 
 
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer; ``json`` reads true and false as
+    bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def in_float_range(value) -> bool:
     """Whether a JSON number is a finite float; NaN, infinities and ints past the
     float range all fail."""
@@ -206,8 +212,9 @@ def _check_header(raw: dict, header_path: Path, expect_layout: str) -> dict:
     for name in _HEADER_FIELDS:
         if name not in raw:
             raise FormatError(f"{header_path}: header missing field {name!r}")
-        if not isinstance(raw[name], int):
-            raise FormatError(f"{header_path}: header field {name!r} must be an integer")
+        if not is_int(raw[name]):
+            raise FormatError(
+                f"{header_path}: header field {name!r} must be an integer, got {raw[name]!r}")
     if raw.get("layout") != expect_layout:
         raise FormatError(
             f"{header_path}: header field 'layout' must be {expect_layout!r}, "

@@ -1,16 +1,19 @@
 """Minimal dense-network machinery with exact analytic backpropagation.
 
-Everything is float64 and operates on batches shaped (n, dim). Inputs
+Every function operates on batches shaped (n, dim), and dtype follows
+the buffer: a pass computes in the dtype of the parameters and inputs it
+is given, float32 or float64, and every scalar it mixes in is a Python
+number, which takes the array's dtype under every NumPy version. Inputs
 are used as given, with no coercion or width check: the VAE checks its
 batches once, at its API edge. Training state (parameters, Adam moments)
 is mutated sequentially by one owner; forward passes on frozen parameters
 are pure.
 
 A model keeps its parameters in one ``ParamBuffer``: every weight matrix
-and bias vector is a view into a single contiguous float64 array. Backward
-passes can write gradients straight into the views of a second buffer of
-the same layout, and Adam then updates the whole buffer at once instead of
-looping over the arrays.
+and bias vector is a view into a single contiguous array of one dtype.
+Backward passes can write gradients straight into the views of a second
+buffer of the same layout, and Adam then updates the whole buffer at once
+instead of looping over the arrays.
 
 A ``DenseStack`` is the VAE's trunk: every layer is dense, then ReLU, then
 inverted dropout. Its ``forward`` is the one cached pass for a backward
@@ -40,16 +43,16 @@ def glorot_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.nd
 
 
 class ParamBuffer:
-    """Arrays of the given shapes laid end to end in one float64 buffer.
+    """Arrays of the given shapes laid end to end in one buffer of ``dtype``.
 
     ``flat`` is the buffer and ``arrays`` are views into it, in order;
     iterating the buffer yields the views.
     """
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, dtype=np.float64):
         shapes = [tuple(shape) for shape in shapes]
         self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        self.flat = np.zeros(int(self.offsets[-1]))
+        self.flat = np.zeros(int(self.offsets[-1]), dtype=dtype)
         self.arrays = [
             self.flat[start:stop].reshape(shape)
             for start, stop, shape in zip(self.offsets[:-1], self.offsets[1:], shapes)
@@ -57,13 +60,16 @@ class ParamBuffer:
 
     @classmethod
     def like(cls, arrays) -> "ParamBuffer":
-        """A zeroed buffer with the layout of ``arrays``."""
-        return cls([a.shape for a in arrays])
+        """A zeroed buffer with the layout and dtype of ``arrays``."""
+        arrays = list(arrays)
+        return cls([a.shape for a in arrays], np.result_type(*arrays))
 
     @classmethod
     def adopt(cls, layers) -> "ParamBuffer":
-        """Copy each layer's weights then bias into one buffer and rebind them as views."""
-        buffer = cls([a.shape for layer in layers for a in (layer.weights, layer.bias)])
+        """Copy each layer's weights then bias into one buffer of their dtype and
+        rebind them as views."""
+        arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
+        buffer = cls([a.shape for a in arrays], np.result_type(*arrays))
         views = iter(buffer.arrays)
         for layer in layers:
             for name in ("weights", "bias"):
@@ -120,12 +126,19 @@ def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True
     return grad_x, grad_w, grad_b
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros w.p. ``rate``, survivors scaled 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator,
+                 dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask of ``dtype``: zeros w.p. ``rate``, survivors
+    scaled 1/(1-rate).
+
+    The uniform draw is float64 whatever ``dtype``, so the generator's
+    stream and the kept positions do not depend on it.
+    """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = rng.random(shape)
-    np.greater_equal(mask, rate, out=mask)  # 1.0 keeps, 0.0 drops
+    draw = rng.random(shape)
+    mask = np.empty(draw.shape, dtype)
+    np.greater_equal(draw, rate, out=mask)  # 1.0 keeps, 0.0 drops
     mask *= 1.0 / (1.0 - rate)
     return mask
 
@@ -203,8 +216,10 @@ class AdamState:
     """Adam accumulators of one ``ParamBuffer``; the learning rate is
     mutable so a scheduler can act.
 
-    ``m`` and ``v`` are flat like the buffer, and ``work`` holds two
-    scratch arrays of that size that every step reuses.
+    ``m`` and ``v`` are flat like the buffer, of its dtype, and ``work``
+    holds two scratch arrays of that size and dtype that every step reuses.
+    Every operation of a step writes into these arrays, so a float32
+    buffer is updated in float32.
     """
 
     lr: float
@@ -249,6 +264,12 @@ def adam_step(state: AdamState, params: ParamBuffer, grads: ParamBuffer) -> Para
     m *= b1
     np.multiply(g, 1.0 - b1, out=step)
     m += step
+    # The first moment of a parameter whose gradient stays zero (a dead
+    # ReLU unit) decays into the subnormal range, where x86 arithmetic is
+    # tens of times slower: some 800 steps after its last gradient in
+    # float32. Flush it to zero; the update it would have made is at most
+    # about 1e-29 times the learning rate.
+    m *= np.abs(m) >= np.finfo(m.dtype).tiny
     v *= b2
     np.multiply(g, 1.0 - b2, out=step)
     step *= g

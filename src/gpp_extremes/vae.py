@@ -26,17 +26,27 @@ weights before bias). A training step writes its gradients into a second
 buffer of that layout and Adam updates the whole buffer at once; best-epoch
 snapshots and checkpoints copy that buffer directly, through the grid
 module's flat-binary container.
+
+``train`` runs its step loop and its validation passes in float32: it
+trains a float32 copy of the float64 Glorot initialization on float32
+copies of the windows, with each step's ``eps`` and dropout masks drawn in
+float64 and cast, so the generator's stream does not depend on the
+precision. Batch means accumulate in float64. The model it returns is
+float64, holding exact upcasts of the best epoch's float32 parameters, and
+everything after training (checkpoints, reconstruction, anomalies) is
+float64. A computation takes the dtype of the model's parameters; the
+encode and decode edges cast their batches to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import MassSeries, in_float_range, read_flat, write_flat
+from .grid import MassSeries, in_float_range, is_int, read_flat, write_flat
 from .nn import (
     AdamState,
     DenseLayer,
@@ -53,8 +63,10 @@ SEQ_LEN = 12
 _FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
                        "activation_output": "tanh"}
 # Most rows per eval-mode pass (reconstruct, eval_loss): bounds inference
-# memory at a few MB of activations whatever the region size.
-INFER_BLOCK_ROWS = 4096
+# memory at a few MB of activations whatever the region size: a pass holds
+# two layers' activations at a time, 3 MB of float64 at 2,048 rows through
+# the 128- and 64-wide layers.
+INFER_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,20 @@ class VaeModel:
             + self.decoder.layers + [self.output]
         )
 
+    def astype(self, dtype) -> "VaeModel":
+        """A copy with its parameters cast to ``dtype``, and the same settings."""
+        def cast(layer):
+            return DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
+
+        return replace(
+            self,
+            encoder=DenseStack([cast(layer) for layer in self.encoder.layers]),
+            mu_head=cast(self.mu_head),
+            logvar_head=cast(self.logvar_head),
+            decoder=DenseStack([cast(layer) for layer in self.decoder.layers]),
+            output=cast(self.output),
+        )
+
 
 def build_model(config: TrainConfig, x_min: float, x_max: float,
                 rng: np.random.Generator) -> VaeModel:
@@ -187,9 +213,10 @@ def denormalize(x, x_min, x_max):
 # ---------------------------------------------------------------------------
 # core operations
 
-def _batch(x, width: int, what: str) -> np.ndarray:
-    """``x`` as a float array; a ShapeError unless it is a 2-D batch ``width`` wide."""
-    x = np.asarray(x, dtype=float)
+def _batch(model: VaeModel, x, width: int, what: str) -> np.ndarray:
+    """``x`` as an array of the model's dtype; a ShapeError unless it is a 2-D
+    batch ``width`` wide."""
+    x = np.asarray(x, dtype=model.params.flat.dtype)
     if x.ndim != 2 or x.shape[1] != width:
         raise ShapeError(f"{what} must be a 2-D batch {width} wide, got shape {x.shape}")
     return x
@@ -197,13 +224,13 @@ def _batch(x, width: int, what: str) -> np.ndarray:
 
 def encode(model: VaeModel, windows):
     """Latent means and log-variances of a 2-D batch of windows (eval mode)."""
-    h = model.encoder.infer(_batch(windows, SEQ_LEN, "windows"))
+    h = model.encoder.infer(_batch(model, windows, SEQ_LEN, "windows"))
     return dense_forward(model.mu_head, h), dense_forward(model.logvar_head, h)
 
 
 def decode(model: VaeModel, z):
     """Reconstructed windows of a 2-D batch of latent points (eval mode)."""
-    h = model.decoder.infer(_batch(z, model.config.latent_dim, "latent points"))
+    h = model.decoder.infer(_batch(model, z, model.config.latent_dim, "latent points"))
     xhat = dense_forward(model.output, h)
     return np.tanh(xhat, out=xhat)
 
@@ -228,10 +255,11 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
     the KL term dominate at beta = 0.5 and collapse the posterior before
     the windows are learned.
     Returns (total, recon_mse, kl) where recon_mse is the per-component
-    mean squared error for reporting.
+    mean squared error for reporting. The means accumulate in float64
+    whatever the dtype of the rows' terms.
     """
-    recon_sum = float(np.mean(sq_sum))
-    kl = float(np.mean(kl))
+    recon_sum = float(np.mean(sq_sum, dtype=np.float64))
+    kl = float(np.mean(kl, dtype=np.float64))
     total = recon_sum / (2.0 * likelihood_var) + beta * kl
     return total, recon_sum / SEQ_LEN, kl
 
@@ -241,11 +269,13 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
 
 def draw_dropout_masks(model: VaeModel, n_rows: int, rng) -> tuple:
     """(encoder masks, decoder masks) at the config's dropout rate, one per
-    layer, drawn encoder first and in layer order; (None, None) at rate 0."""
-    rate = model.config.dropout_rate
+    layer, drawn encoder first and in layer order, of the model's dtype;
+    (None, None) at rate 0."""
+    rate, dtype = model.config.dropout_rate, model.params.flat.dtype
     if rate == 0.0:
         return None, None
-    return tuple([dropout_mask((n_rows, layer.out_dim), rate, rng) for layer in stack.layers]
+    return tuple([dropout_mask((n_rows, layer.out_dim), rate, rng, dtype)
+                  for layer in stack.layers]
                  for stack in (model.encoder, model.decoder))
 
 
@@ -258,7 +288,8 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
     aligned to ``model.params``: ``out`` when given (its contents
     are overwritten), else a new one. ``x`` is a 2-D float batch of
-    windows, as ``normalize`` cuts them.
+    windows, as ``normalize`` cuts them; it, ``eps`` and the masks share
+    the dtype of the model's parameters, which the whole step keeps.
     """
     n = x.shape[0]
     grads = ParamBuffer.like(model.params) if out is None else out
@@ -322,8 +353,13 @@ def train(windows: WindowSet, config: TrainConfig):
     ``plateau_patience`` stale epochs) and early stopping
     (``early_stop_patience``). Parameters from the best-validation epoch
     are returned. Bit-reproducible for a fixed seed: one generator draws
-    the split, then per epoch the batch order and per step ``eps``, the
-    encoder's dropout masks and the decoder's, in that order.
+    the initial weights and the split, then per epoch the batch order and
+    per step ``eps``, the encoder's dropout masks and the decoder's, in
+    that order.
+
+    Steps and validation run in float32 on a float32 copy of the model;
+    the draws are float64, cast to float32. The returned model is float64
+    and holds exact upcasts of the best epoch's float32 parameters.
     """
     n = len(windows)
     if n < config.batch_size:
@@ -331,14 +367,15 @@ def train(windows: WindowSet, config: TrainConfig):
 
     rng = np.random.default_rng(config.seed)
     model = build_model(config, windows.x_min, windows.x_max, rng)
-    params = model.params
+    work = model.astype(np.float32)
+    params = work.params
     grads = ParamBuffer.like(params)
 
     perm = rng.permutation(n)
     n_val = int(round(config.validation_fraction * n))
     n_val = min(max(n_val, 1), n - 1)
-    x_val = windows.windows[perm[:n_val]]
-    x_train = windows.windows[perm[n_val:]]
+    shuffled = windows.windows.astype(np.float32)[perm]
+    x_val, x_train = shuffled[:n_val], shuffled[n_val:]
 
     opt = AdamState.for_params(params, config.learning_rate)
     best_val = np.inf
@@ -354,10 +391,10 @@ def train(windows: WindowSet, config: TrainConfig):
         for start in range(0, order.size, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch = x_train[idx]
-            eps = rng.standard_normal((idx.size, config.latent_dim))
-            enc_masks, dec_masks = draw_dropout_masks(model, idx.size, rng)
+            eps = rng.standard_normal((idx.size, config.latent_dim)).astype(np.float32)
+            enc_masks, dec_masks = draw_dropout_masks(work, idx.size, rng)
             try:
-                (total, _, _), _ = loss_and_grads(model, batch, eps, enc_masks, dec_masks,
+                (total, _, _), _ = loss_and_grads(work, batch, eps, enc_masks, dec_masks,
                                                   out=grads)
                 if not np.isfinite(total):
                     raise NumericalError("non-finite loss")
@@ -369,7 +406,7 @@ def train(windows: WindowSet, config: TrainConfig):
                 ) from exc
             loss_sum += total * idx.size
 
-        val_total, val_recon, val_kl = eval_loss(model, x_val)
+        val_total, val_recon, val_kl = eval_loss(work, x_val)
         history.append(
             {
                 "epoch": epoch,
@@ -396,7 +433,7 @@ def train(windows: WindowSet, config: TrainConfig):
             if stale_early >= config.early_stop_patience:
                 break
 
-    params.flat[...] = best_params
+    model.params.flat[...] = best_params
     history_meta = {"best_epoch": best_epoch, "best_val_loss": best_val}
     return model, {"epochs": history, **history_meta}
 
@@ -456,7 +493,8 @@ def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> MassSeries
 # checkpoints
 
 def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
-    """JSON manifest of the model's config + little-endian float64 parameter payload."""
+    """JSON manifest of the model's config + little-endian float64 parameter payload
+    (float32-exact values for a model that ``train`` returned)."""
     config, flat = model.config, model.params.flat
     manifest = {
         "input_dim": SEQ_LEN,
@@ -476,18 +514,14 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
     write_flat(path, manifest, flat)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # Manifest fields that build the model: what each must hold, and its check.
 # The numbers follow the config's rule: finite, and a bool is not a number.
 _MANIFEST_FIELDS = {
-    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "latent_dim": ("an integer", _is_int),
+    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
+    "latent_dim": ("an integer", is_int),
     **dict.fromkeys(("beta", "dropout_rate", "likelihood_var", "x_min", "x_max"),
                     ("a finite number",
-                     lambda v: (_is_int(v) or isinstance(v, float)) and in_float_range(v))),
+                     lambda v: (is_int(v) or isinstance(v, float)) and in_float_range(v))),
 }
 
 

@@ -426,6 +426,12 @@ CONFIG_MISTAKES = [
     ("synth", "unknown key synth.bogus", {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2,
                                                      "n_months": 48, "bogus": 1}}),
     ("synth", "synth.n_months is required", {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2}}),
+    ("synth", "synth.n_lat must be >= 1, got 0",
+     {"synth": {"name": "toy", "n_lat": 0, "n_lon": 2, "n_months": 48}}),
+    ("synth", "synth.n_lon must be >= 1, got -2",
+     {"synth": {"name": "toy", "n_lat": 2, "n_lon": -2, "n_months": 48}}),
+    ("synth", "synth.n_months must be >= 1, got 0",
+     {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 0}}),
     ("synth", "seed must be >= 0", {"seed": -1}),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
     ("train", "hidden_dims must be one or more widths >= 1, got []",

@@ -78,6 +78,17 @@ def test_malformed_header_names_field(tmp_path, rng):
         grid.load_grid(tmp_path / "g")
 
 
+@pytest.mark.parametrize("field", ["n_lat", "n_lon", "n_months", "start_year", "start_month"])
+def test_bool_header_field_is_a_format_error(tmp_path, rng, field):
+    # json reads true as a bool, which Python counts as the int 1
+    grid.save_grid(random_grid(rng), tmp_path / "g")
+    header = json.loads((tmp_path / "g.json").read_text())
+    header[field] = True
+    (tmp_path / "g.json").write_text(json.dumps(header))
+    with pytest.raises(FormatError, match=f"header field '{field}' must be an integer, got True"):
+        grid.load_grid(tmp_path / "g")
+
+
 def test_roundtrip_flat_binary_bit_exact(tmp_path, rng):
     g = random_grid(rng, 3, 4, 36)
     grid.save_grid(g, tmp_path / "g")

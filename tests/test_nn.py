@@ -73,6 +73,16 @@ def test_dropout_preserves_expectation(rng):
     assert abs(dropped.mean() - 3.0) < 0.03  # 1% tolerance
 
 
+def test_float32_dropout_mask_keeps_the_float64_draw():
+    # the same generator calls and kept positions at either dtype
+    rng32, rng64 = np.random.default_rng(7), np.random.default_rng(7)
+    mask32 = nn.dropout_mask((64, 128), 0.3, rng32, np.float32)
+    mask64 = nn.dropout_mask((64, 128), 0.3, rng64)
+    assert mask32.dtype == np.float32 and mask64.dtype == np.float64
+    np.testing.assert_array_equal(mask32, mask64.astype(np.float32))
+    assert rng32.random() == rng64.random()
+
+
 def test_dropout_invalid_rate(rng):
     with pytest.raises(ValueError):
         nn.dropout_mask(3, 1.0, rng)
@@ -133,6 +143,24 @@ def test_adam_lr_zero_keeps_params(rng):
     for _ in range(3):
         nn.adam_step(state, params, _buffer(rng.normal(size=4)))
     np.testing.assert_array_equal(params.arrays[0], before)
+
+
+def test_adam_flushes_a_decayed_first_moment_to_zero():
+    # one gradient, then none: m decays by beta1 a step and would spend about
+    # 150 steps as a float32 subnormal on its way to zero
+    params = nn.ParamBuffer([(3,)], np.float32)
+    grads = nn.ParamBuffer.like(params)
+    state = nn.AdamState.for_params(params, lr=0.01)
+    grads.flat[...] = [1.0, -1.0, 1e-3]
+    nn.adam_step(state, params, grads)
+    grads.flat[...] = 0.0
+    tiny = np.finfo(np.float32).tiny
+    for _ in range(1000):
+        nn.adam_step(state, params, grads)
+        assert not np.any((state.m != 0.0) & (np.abs(state.m) < tiny))
+    assert not state.m.any()
+    assert {a.dtype for a in (params.flat, state.m, state.v, *state.work)} == {
+        np.dtype(np.float32)}
 
 
 def test_adam_rejects_non_finite():

@@ -250,6 +250,89 @@ def test_objective_gradients_match_fd(rng):
     assert worst < 1e-4
 
 
+def test_float32_gradients_match_float64(rng):
+    # The same parameters, batch, eps and masks, all float32-representable,
+    # so only the arithmetic precision differs. float32 rounds at 2**-24;
+    # through the dozen products of a step of the default architecture the
+    # gradients stay within rtol 1e-4, with an absolute floor of 1e-4 of
+    # each array's largest entry for entries that nearly cancel.
+    model, _ = tiny_model(rng, hidden=(128, 64, 32), latent=5, dropout=0.1)
+    f32 = model.astype(np.float32)
+    f64 = f32.astype(np.float64)
+    x = rng.uniform(-1, 1, size=(64, 12)).astype(np.float32)
+    eps = rng.standard_normal((64, 5)).astype(np.float32)
+    enc_masks, dec_masks = vae.draw_dropout_masks(f32, 64, rng)
+
+    def step(model, dtype):
+        def cast(arrays):
+            return [a.astype(dtype) for a in arrays]
+        return vae.loss_and_grads(model, x.astype(dtype), eps.astype(dtype),
+                                  cast(enc_masks), cast(dec_masks))
+
+    terms32, grads32 = step(f32, np.float32)
+    terms64, grads64 = step(f64, np.float64)
+    np.testing.assert_allclose(terms32, terms64, rtol=1e-5)
+    for g32, g64 in zip(grads32, grads64):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4 * np.abs(g64).max())
+
+
+def record_dense_dtypes(monkeypatch):
+    """Dtypes of every array that enters or leaves a dense layer, as it runs."""
+    seen = set()
+
+    def recorded(func):
+        def wrapper(layer, *arrays, **kwargs):
+            out = func(layer, *arrays, **kwargs)
+            results = out if isinstance(out, tuple) else (out,)
+            for a in (layer.weights, layer.bias, *arrays, *results):
+                if isinstance(a, np.ndarray):
+                    seen.add(a.dtype)
+            return out
+        return wrapper
+
+    for module in (nn, vae):
+        for name in ("dense_forward", "dense_backward"):
+            monkeypatch.setattr(module, name, recorded(getattr(nn, name)))
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_training_step_keeps_the_model_dtype(rng, monkeypatch, dtype):
+    # Under NumPy 2 (NEP 50) an np.float64 scalar promotes a float32 array
+    # to float64, where NumPy 1.24 keeps float32; every array a step makes
+    # or touches must hold the model's dtype under both.
+    model, cfg = tiny_model(rng, dropout=0.1)
+    model = model.astype(dtype)
+    x = rng.uniform(-1, 1, size=(4, 12)).astype(dtype)
+    eps = rng.standard_normal((4, cfg.latent_dim)).astype(dtype)
+    seen = record_dense_dtypes(monkeypatch)
+    enc_masks, dec_masks = vae.draw_dropout_masks(model, 4, rng)
+    terms, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
+    opt = nn.AdamState.for_params(model.params, lr=0.01)
+    nn.adam_step(opt, model.params, grads)
+    val_terms = vae.eval_loss(model, x)
+    arrays = [model.params.flat, *model.params, grads.flat, *grads, opt.m, opt.v, *opt.work,
+              *enc_masks, *dec_masks]
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    assert seen == {np.dtype(dtype)}
+    assert all(type(t) is float for t in (*terms, *val_terms))
+
+
+def test_train_returns_float64_upcasts_of_float32_parameters():
+    ws = pure_annual_windows()
+    cfg = vae.TrainConfig(max_epochs=3, seed=4, hidden_dims=(8, 4), latent_dim=2)
+    model, history = vae.train(ws, cfg)
+    p = model.params.flat
+    assert p.dtype == np.float64
+    assert {a.dtype for a in model.params} == {np.dtype(np.float64)}
+    assert np.array_equal(p, p.astype(np.float32))
+    # trained, not the float64 Glorot draws
+    init = vae.build_model(cfg, ws.x_min, ws.x_max, np.random.default_rng(cfg.seed))
+    assert not np.array_equal(p, init.params.flat)
+    assert type(history["best_val_loss"]) is float
+
+
 # ---------------------------------------------------------------------------
 # training protocol
 
@@ -433,7 +516,7 @@ def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
     x_val = windows.windows[rng.permutation(len(windows))[:7220]]
     calls = count_encode_calls(monkeypatch)
     whole = vae.eval_loss(model, x_val)
-    assert calls == [3610, 3610]  # the default block splits 7,220 rows evenly
+    assert calls == [1805] * 4  # the default block splits 7,220 rows evenly
     monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 10 ** 9)
     assert vae.eval_loss(model, x_val) == whole
     monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 1000)
