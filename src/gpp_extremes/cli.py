@@ -84,8 +84,8 @@ def cmd_train(cfg: PipelineConfig) -> int:
     out = cfg.out
     for unit in units:
         config = replace(cfg.train, seed=unit.seed)
-        windows = vae_mod.normalize(_unit_mass(grid, unit))
-        model, history = vae_mod.train(windows, config)
+        # inline, so train can free the float64 windows once it has cast them
+        model, history = vae_mod.train(vae_mod.normalize(_unit_mass(grid, unit)), config)
         region, period = unit.region.name, unit.period.name
         vae_mod.save_checkpoint(
             model,

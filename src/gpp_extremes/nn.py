@@ -19,12 +19,18 @@ A ``DenseStack`` is the VAE's trunk: every layer is dense, then ReLU, then
 inverted dropout. Its ``forward`` is the one cached pass for a backward
 pass, used by training and the gradient checks alike. The stack holds no
 dropout rate: the caller supplies the masks, so a check can hold them
-fixed; without masks there is no dropout. The backward pass takes relu'
-from the cached activations.
+fixed; without masks there is no dropout. ReLU and the mask act in place
+on each layer's output, which the cache keeps once; the backward pass
+masks the gradient in place and takes relu' from the cached post-dropout
+activations, the same bits as masking a copy.
 Inference uses ``DenseStack.infer`` instead: no dropout and no cache, so a
 pass holds one layer's input and output at a time. The VAE's linear heads
 and its tanh output layer are single ``DenseLayer`` objects outside any
 stack.
+
+``dropout_mask`` draws only the dropped positions, as geometric gaps, so
+its cost follows the number of units dropped (1% at the VAE's default
+rate), not the number of units.
 """
 
 from __future__ import annotations
@@ -131,15 +137,33 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
     """Inverted-dropout mask of ``dtype``: zeros w.p. ``rate``, survivors
     scaled 1/(1-rate).
 
-    The uniform draw is float64 whatever ``dtype``, so the generator's
-    stream and the kept positions do not depend on it.
+    The zeros are the successes of a Bernoulli(``rate``) process over the
+    mask's elements in C order, placed by the geometric gaps between them,
+    so the draw costs about ``rate`` times the element count, not one
+    uniform per element. Each element is still zeroed independently with
+    probability ``rate``. Each chunk of gaps covers the expected number of
+    zeros among the elements left plus four standard deviations, so one
+    chunk nearly always reaches the end. Rate 0 draws nothing, and the
+    generator's stream and the zeroed positions do not depend on
+    ``dtype``. The stream follows numpy's ``Generator.geometric``, so it is
+    fixed within one numpy build.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    draw = rng.random(shape)
-    mask = np.empty(draw.shape, dtype)
-    np.greater_equal(draw, rate, out=mask)  # 1.0 keeps, 0.0 drops
-    mask *= 1.0 / (1.0 - rate)
+    mask = np.full(shape, 1.0 / (1.0 - rate), dtype)
+    flat = mask.reshape(-1)
+    size = flat.size
+    last = -1  # position of the last success placed
+    while rate > 0.0 and last < size - 1:
+        expected = (size - 1 - last) * rate
+        gaps = rng.geometric(rate, int(expected + 4.0 * math.sqrt(expected)) + 1)
+        # A tiny rate draws gaps near 2**63, whose sum would wrap; a gap of
+        # size + 1 already reaches past the mask from any position.
+        np.minimum(gaps, size + 1, out=gaps)
+        positions = np.cumsum(gaps)
+        positions += last
+        flat[positions[:np.searchsorted(positions, size)]] = 0.0
+        last = int(positions[-1])
     return mask
 
 
@@ -160,7 +184,9 @@ class DenseStack:
         """Run the stack; returns (output, cache) with cache usable by backward.
 
         ``masks`` holds one inverted-dropout mask per layer, which scales
-        that layer's activations, or is None for no dropout.
+        that layer's activations in place, or is None for no dropout. The
+        cache keeps each layer's post-dropout activation once, as that
+        layer's activation and the next layer's input.
         """
         inputs, acts = [], []
         h = x
@@ -168,9 +194,9 @@ class DenseStack:
             inputs.append(h)
             h = dense_forward(layer, h)
             np.maximum(h, 0.0, out=h)
-            acts.append(h)
             if masks is not None:
-                h = h * masks[i]
+                h *= masks[i]
+            acts.append(h)
         return h, {"inputs": inputs, "acts": acts, "masks": masks}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -192,14 +218,19 @@ class DenseStack:
         (grad_weights, grad_bias) in layer order. ``out``, a list of
         (weights, bias) arrays per layer, receives the gradients in place
         when given. With ``input_grad=False`` the first layer's input
-        gradient is skipped and grad_input is None.
+        gradient is skipped and grad_input is None. ``grad_out`` is
+        overwritten: each layer's mask and relu' scale the gradient in place.
+
+        relu' comes from the post-dropout activation. It is 1 where that is
+        positive, which a positive mask value leaves as it was; where the
+        mask dropped a unit, the gradient is already zero.
         """
         grads = [None] * len(self.layers)
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             if cache["masks"] is not None:
-                g = g * cache["masks"][i]
-            g = g * (cache["acts"][i] > 0)  # relu' is 1 where the activation is positive
+                g *= cache["masks"][i]
+            g *= cache["acts"][i] > 0
             gw, gb = out[i] if out is not None else (None, None)
             g, gw, gb = dense_backward(
                 self.layers[i], cache["inputs"][i], g, gw, gb, input_grad=input_grad or i > 0

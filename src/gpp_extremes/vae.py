@@ -29,9 +29,11 @@ module's flat-binary container.
 
 ``train`` runs its step loop and its validation passes in float32: it
 trains a float32 copy of the float64 Glorot initialization on float32
-copies of the windows, with each step's ``eps`` and dropout masks drawn in
-float64 and cast, so the generator's stream does not depend on the
-precision. Batch means accumulate in float64. The model it returns is
+copies of the windows. Each step draws ``eps`` in float64 and casts it,
+then draws all of its dropout masks at once with ``nn.dropout_mask``,
+which places only the dropped units, so the generator's stream does not
+depend on the precision and the draw's cost follows the units dropped.
+Batch means accumulate in float64. The model it returns is
 float64, holding exact upcasts of the best epoch's float32 parameters, and
 everything after training (checkpoints, reconstruction, anomalies) is
 float64. A computation takes the dtype of the model's parameters; the
@@ -256,10 +258,13 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
     the windows are learned.
     Returns (total, recon_mse, kl) where recon_mse is the per-component
     mean squared error for reporting. The means accumulate in float64
-    whatever the dtype of the rows' terms.
+    whatever the dtype of the rows' terms; a float64 sum over the rows,
+    divided by their count, gives the bits of ``np.mean`` with less
+    overhead.
     """
-    recon_sum = float(np.mean(sq_sum, dtype=np.float64))
-    kl = float(np.mean(kl, dtype=np.float64))
+    n = sq_sum.shape[0]
+    recon_sum = float(np.add.reduce(sq_sum, dtype=np.float64) / n)
+    kl = float(np.add.reduce(kl, dtype=np.float64) / n)
     total = recon_sum / (2.0 * likelihood_var) + beta * kl
     return total, recon_sum / SEQ_LEN, kl
 
@@ -268,15 +273,25 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
 # training
 
 def draw_dropout_masks(model: VaeModel, n_rows: int, rng) -> tuple:
-    """(encoder masks, decoder masks) at the config's dropout rate, one per
-    layer, drawn encoder first and in layer order, of the model's dtype;
-    (None, None) at rate 0."""
+    """(encoder masks, decoder masks) at the config's dropout rate, one
+    (n_rows, width) mask per layer, of the model's dtype; (None, None) at
+    rate 0.
+
+    One ``dropout_mask`` call draws every mask of the step over one flat
+    buffer, which holds the encoder's masks and then the decoder's, each
+    in layer order; each mask is a C-contiguous view of that buffer.
+    """
     rate, dtype = model.config.dropout_rate, model.params.flat.dtype
     if rate == 0.0:
         return None, None
-    return tuple([dropout_mask((n_rows, layer.out_dim), rate, rng, dtype)
-                  for layer in stack.layers]
-                 for stack in (model.encoder, model.decoder))
+    widths = [layer.out_dim for stack in (model.encoder, model.decoder)
+              for layer in stack.layers]
+    flat = dropout_mask(n_rows * sum(widths), rate, rng, dtype)
+    starts = np.cumsum([0] + widths) * n_rows
+    masks = [flat[start:start + n_rows * width].reshape(n_rows, width)
+             for start, width in zip(starts, widths)]
+    n_enc = len(model.encoder.layers)
+    return masks[:n_enc], masks[n_enc:]
 
 
 def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
@@ -354,12 +369,14 @@ def train(windows: WindowSet, config: TrainConfig):
     (``early_stop_patience``). Parameters from the best-validation epoch
     are returned. Bit-reproducible for a fixed seed: one generator draws
     the initial weights and the split, then per epoch the batch order and
-    per step ``eps``, the encoder's dropout masks and the decoder's, in
-    that order.
+    per step ``eps`` and then one ``draw_dropout_masks`` call for all
+    masks, in that order.
 
     Steps and validation run in float32 on a float32 copy of the model;
-    the draws are float64, cast to float32. The returned model is float64
-    and holds exact upcasts of the best epoch's float32 parameters.
+    ``eps`` is drawn in float64 and cast, and the masks are float32 with
+    the positions a float64 draw would have. The float64 windows are
+    released once cast; the returned model is float64 and holds exact
+    upcasts of the best epoch's float32 parameters.
     """
     n = len(windows)
     if n < config.batch_size:
@@ -375,6 +392,7 @@ def train(windows: WindowSet, config: TrainConfig):
     n_val = int(round(config.validation_fraction * n))
     n_val = min(max(n_val, 1), n - 1)
     shuffled = windows.windows.astype(np.float32)[perm]
+    del windows  # a caller that passes normalize(...) inline frees the float64 copy here
     x_val, x_train = shuffled[:n_val], shuffled[n_val:]
 
     opt = AdamState.for_params(params, config.learning_rate)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,9 @@ def test_relu_values():
 
 def test_dropout_rate_zero_identity(rng):
     x = rng.normal(size=100)
+    state = rng.bit_generator.state
     np.testing.assert_array_equal(x * nn.dropout_mask(x.shape, 0.0, rng), x)
+    assert rng.bit_generator.state == state  # rate 0 draws nothing
 
 
 def test_dropout_eval_identity(rng):
@@ -60,8 +64,8 @@ def test_dropout_eval_identity(rng):
     assert cache["masks"] is None
 
 
-def test_dropout_zero_fraction(rng):
-    rate = 0.3
+@pytest.mark.parametrize("rate", [0.01, 0.3, 0.9])
+def test_dropout_zero_fraction(rng, rate):
     mask = nn.dropout_mask(100_000, rate, rng)
     zero_frac = np.mean(mask == 0.0)
     assert abs(zero_frac - rate) < 0.005
@@ -74,13 +78,35 @@ def test_dropout_preserves_expectation(rng):
 
 
 def test_float32_dropout_mask_keeps_the_float64_draw():
-    # the same generator calls and kept positions at either dtype
+    # the same zeroed positions at either dtype, and the generator left in
+    # the same state
     rng32, rng64 = np.random.default_rng(7), np.random.default_rng(7)
     mask32 = nn.dropout_mask((64, 128), 0.3, rng32, np.float32)
     mask64 = nn.dropout_mask((64, 128), 0.3, rng64)
     assert mask32.dtype == np.float32 and mask64.dtype == np.float64
+    np.testing.assert_array_equal(mask32 == 0.0, mask64 == 0.0)
     np.testing.assert_array_equal(mask32, mask64.astype(np.float32))
-    assert rng32.random() == rng64.random()
+    assert rng32.bit_generator.state == rng64.bit_generator.state
+
+
+def test_dropout_tiny_rate_keeps_every_unit(rng):
+    # numpy's geometric gaps saturate at the int64 maximum for a vanishing
+    # rate; a chunk of such gaps must not wrap when summed
+    np.testing.assert_array_equal(nn.dropout_mask((4, 5), 1e-300, rng), np.ones((4, 5)))
+    saturated = SimpleNamespace(geometric=lambda p, size: np.full(size, np.iinfo(np.int64).max))
+    np.testing.assert_array_equal(nn.dropout_mask((4, 5), 0.5, saturated), np.full((4, 5), 2.0))
+
+
+def test_dropout_positions_match_per_unit_draws():
+    # The zeros sit at the running sums of the geometric gaps, less one; one
+    # long draw from the same seed gives the same positions, however the
+    # mask splits its draw into chunks.
+    rate, size = 0.2, 5_000
+    mask = nn.dropout_mask(size, rate, np.random.default_rng(11))
+    gaps = np.random.default_rng(11).geometric(rate, size)
+    expected = np.cumsum(gaps) - 1
+    np.testing.assert_array_equal(np.flatnonzero(mask == 0.0), expected[expected < size])
+    np.testing.assert_array_equal(mask[mask != 0.0], 1.0 / (1.0 - rate))
 
 
 def test_dropout_invalid_rate(rng):

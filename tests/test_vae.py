@@ -334,6 +334,133 @@ def test_train_returns_float64_upcasts_of_float32_parameters():
 
 
 # ---------------------------------------------------------------------------
+# dropout masks and in-place dropout
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_masks_are_views_of_one_draw(rng, dtype):
+    model, _ = tiny_model(rng, hidden=(8, 4, 2), latent=2, dropout=0.3)
+    model = model.astype(dtype)
+    draw_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    enc_masks, dec_masks = vae.draw_dropout_masks(model, 6, draw_rng)
+    flat = nn.dropout_mask(6 * (8 + 4 + 2 + 2 + 4 + 8), 0.3, ref_rng, dtype)
+    masks = enc_masks + dec_masks
+    # encoder then decoder, each in layer order
+    assert [m.shape for m in enc_masks] == [(6, 8), (6, 4), (6, 2)]
+    assert [m.shape for m in dec_masks] == [(6, 2), (6, 4), (6, 8)]
+    np.testing.assert_array_equal(np.concatenate([m.ravel() for m in masks]), flat)
+    for m in masks:
+        assert m.dtype == dtype and m.flags.c_contiguous
+        assert m.base is masks[0].base
+    assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_stack_forward(stack, x, masks):
+    """The out-of-place formulation of a masked ``DenseStack.forward``: each
+    layer's ReLU output is kept, and its masked copy feeds the next layer.
+    Returns (output, inputs, activations)."""
+    inputs, acts = [], []
+    h = x
+    for layer, mask in zip(stack.layers, masks):
+        inputs.append(h)
+        h = np.maximum(nn.dense_forward(layer, h), 0.0)
+        acts.append(h)
+        h = h * mask
+    return h, inputs, acts
+
+
+def reference_stack_backward(stack, inputs, acts, masks, grad_out):
+    """The out-of-place backward pass: mask, then relu' from the pre-dropout
+    activation, each into a new array. Returns (grad_input, [(gw, gb), ...])."""
+    grads = []
+    g = grad_out
+    for i in range(len(stack.layers) - 1, -1, -1):
+        g = g * masks[i]
+        g = g * (acts[i] > 0)
+        g, gw, gb = nn.dense_backward(stack.layers[i], inputs[i], g)
+        grads.insert(0, (gw, gb))
+    return g, grads
+
+
+def reference_loss_and_grads(model, x, eps, enc_masks, dec_masks):
+    """One training step with out-of-place dropout and ``np.mean`` batch
+    means; the gradients are a list in parameter-buffer order."""
+    n = x.shape[0]
+    beta, var = model.config.beta, model.config.likelihood_var
+    h, enc_inputs, enc_acts = reference_stack_forward(model.encoder, x, enc_masks)
+    mu = nn.dense_forward(model.mu_head, h)
+    logvar = nn.dense_forward(model.logvar_head, h)
+    sigma = np.exp(0.5 * logvar)
+    z = mu + sigma * eps
+    h_d, dec_inputs, dec_acts = reference_stack_forward(model.decoder, z, dec_masks)
+    xhat = np.tanh(nn.dense_forward(model.output, h_d))
+    err = xhat - x
+    sq_sum = np.square(err).sum(axis=1)
+    kl_rows = (-0.5 * (1.0 + logvar - mu ** 2 - np.exp(logvar))).sum(axis=1)
+    recon_sum = float(np.mean(sq_sum, dtype=np.float64))
+    kl = float(np.mean(kl_rows, dtype=np.float64))
+    total = recon_sum / (2.0 * var) + beta * kl
+
+    dxhat = err / (var * n)
+    dh_d, gw_out, gb_out = nn.dense_backward(model.output, h_d, dxhat * (1.0 - xhat ** 2))
+    dz, dec_grads = reference_stack_backward(model.decoder, dec_inputs, dec_acts, dec_masks,
+                                             dh_d)
+    dmu = dz + beta * mu / n
+    dlogvar = dz * (0.5 * sigma * eps) + beta * (np.exp(logvar) - 1.0) * 0.5 / n
+    dh_mu, gw_mu, gb_mu = nn.dense_backward(model.mu_head, h, dmu)
+    dh_lv, gw_lv, gb_lv = nn.dense_backward(model.logvar_head, h, dlogvar)
+    _, enc_grads = reference_stack_backward(model.encoder, enc_inputs, enc_acts, enc_masks,
+                                            dh_mu + dh_lv)
+    pairs = enc_grads + [(gw_mu, gb_mu), (gw_lv, gb_lv)] + dec_grads + [(gw_out, gb_out)]
+    return (total, recon_sum / vae.SEQ_LEN, kl), [a for pair in pairs for a in pair]
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_stack_dropout_is_bit_identical(rng, dtype):
+    stack = nn.DenseStack.init([12, 16, 8, 4], rng)
+    stack = nn.DenseStack([nn.DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
+                           for layer in stack.layers])
+    x = rng.uniform(-1, 1, size=(32, 12)).astype(dtype)
+    masks = [nn.dropout_mask((32, layer.out_dim), 0.3, rng, dtype) for layer in stack.layers]
+    grad_out = rng.normal(size=(32, 4)).astype(dtype)
+
+    ref_out, ref_inputs, ref_acts = reference_stack_forward(stack, x, masks)
+    ref_gx, ref_grads = reference_stack_backward(stack, ref_inputs, ref_acts, masks, grad_out)
+    out, cache = stack.forward(x, masks)
+    gx, grads = stack.backward(cache, grad_out.copy())
+
+    assert_same_bits(out, ref_out)
+    assert_same_bits(gx, ref_gx)
+    for (gw, gb), (ref_gw, ref_gb) in zip(grads, ref_grads):
+        assert_same_bits(gw, ref_gw)
+        assert_same_bits(gb, ref_gb)
+    # one array per layer serves as its activation and the next layer's input
+    for act, next_input in zip(cache["acts"], cache["inputs"][1:]):
+        assert act is next_input
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_step_is_bit_identical(rng, dtype):
+    model, cfg = tiny_model(rng, hidden=(16, 8, 4), latent=3, dropout=0.3)
+    model = model.astype(dtype)
+    x = rng.uniform(-1, 1, size=(32, 12)).astype(dtype)
+    eps = rng.standard_normal((32, cfg.latent_dim)).astype(dtype)
+    enc_masks, dec_masks = vae.draw_dropout_masks(model, 32, rng)
+
+    ref_terms, ref_grads = reference_loss_and_grads(model, x, eps, enc_masks, dec_masks)
+    terms, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
+
+    assert terms == ref_terms
+    assert len(grads.arrays) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert_same_bits(g, ref)
+
+
+# ---------------------------------------------------------------------------
 # training protocol
 
 def pure_annual_windows(n_cells=4, n_months=120):
