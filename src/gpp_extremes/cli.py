@@ -33,7 +33,7 @@ OUT_DIRS = ("tables", "figures", "grids", "checkpoints", "reports")
 def _load_input_grid(cfg: PipelineConfig) -> GridSeries:
     if cfg.grid_path is None:
         raise ConfigError("config needs grid.path pointing at an input grid")
-    return load_grid(cfg.grid_path, format=cfg.grid_format)
+    return load_grid(cfg.grid_path)
 
 
 def _unit_mass(grid: GridSeries, unit: Unit) -> MassSeries:
@@ -243,7 +243,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
         mass = _unit_mass(grid, unit)
         for method in cfg.methods:
             anoms = _anomalies(method, mass, unit, cfg)
-            report = extremes_mod.build_report(anoms, region, period, method, cfg.threshold_mode)
+            report = extremes_mod.build_report(anoms, region, period, method)
             _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
             q = report.thresholds
             threshold_rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))

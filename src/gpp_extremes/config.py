@@ -51,12 +51,12 @@ _SCHEMA = {
     "out_dir": str,
     "method": set(METHODS),
     "synth": dict,  # checked against _SYNTH_SCHEMA
-    "grid": {"path": str, "format": {"flat-binary", "csv"}},
+    "grid": {"path": str, "format": {"flat-binary"}},
     "regions": [{"name": str, "cells": [int], "min_land_frac": float}],
     "periods": [{"name": str, "start_year": int, "end_year": int}],
     "train": _fields(TrainConfig, drop=("seed",)),  # unit seeds derive from `seed`
     "ssa": dict(_fields(SsaConfig), dump_cells=[int]),
-    "extremes": {"threshold_mode": {"two-sided", "absolute"}},
+    "extremes": {"threshold_mode": {"two-sided"}},
     "gridsearch": {"latent_dims": [int], "hidden_dims": [[int]], "learning_rates": [float]},
 }
 _SYNTH_SCHEMA = dict(
@@ -154,13 +154,11 @@ class PipelineConfig:
     regions: tuple  # RegionMask per regions[i]
     periods: tuple  # Period per periods[i]
     grid_path: Path | None  # relative to the config file's directory
-    grid_format: str
     synth_name: str
     synth: SynthSpec | None
     train: TrainConfig  # seed 0; each unit trains with its own seed
     ssa: SsaConfig
     dump_cells: tuple
-    threshold_mode: str
     trials: tuple  # TrainConfig per gridsearch trial, seed 0
 
     @classmethod
@@ -215,13 +213,11 @@ class PipelineConfig:
             regions=tuple(_region(entry, i) for i, entry in enumerate(raw.get("regions", []))),
             periods=periods,
             grid_path=p.parent / grid["path"] if "path" in grid else None,
-            grid_format=grid.get("format", "flat-binary"),
             synth_name=raw.get("synth", {}).get("name", "grid"),
             synth=synth,
             train=train,
             ssa=ssa_config,
             dump_cells=dump_cells,
-            threshold_mode=raw.get("extremes", {}).get("threshold_mode", "two-sided"),
             trials=_trials(train, raw.get("gridsearch", {})),
         )
 

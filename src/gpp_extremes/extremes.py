@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyRegionError, ShapeError
+from .errors import EmptyRegionError, ShapeError
 from .grid import GGC_PER_TGC, MassSeries
 
 NEG = -1
@@ -31,8 +31,7 @@ class ThresholdSet:
 
     ``q_neg`` is the magnitude of the 5th-percentile anomaly (the headline
     threshold); negative extremes are anomalies < -q_neg. ``q_pos`` is the
-    95th percentile; positive extremes are anomalies > +q_pos. With
-    ``mode="absolute"`` both equal the 95th percentile of |anomaly|.
+    95th percentile; positive extremes are anomalies > +q_pos.
     """
 
     q_neg: float
@@ -82,17 +81,11 @@ def pooled_sample(anoms: MassSeries, valid: np.ndarray) -> np.ndarray:
     return pool
 
 
-def compute_thresholds(anoms: MassSeries, valid: np.ndarray,
-                       mode: str = "two-sided") -> ThresholdSet:
+def compute_thresholds(anoms: MassSeries, valid: np.ndarray) -> ThresholdSet:
     """Percentile thresholds over the pooled regional anomaly sample."""
     pool = pooled_sample(anoms, valid)
-    if mode == "two-sided":
-        return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0))),
-                            q_pos=float(np.percentile(pool, 95.0)))
-    if mode == "absolute":
-        q = float(np.percentile(np.abs(pool), 95.0))
-        return ThresholdSet(q_neg=q, q_pos=q)
-    raise DataError(f"unknown threshold mode {mode!r}")
+    return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0))),
+                        q_pos=float(np.percentile(pool, 95.0)))
 
 
 def classify(anoms: MassSeries, valid: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
@@ -129,11 +122,10 @@ def cumulative_totals(report: "ExtremesReport") -> dict:
     }
 
 
-def build_report(anoms: MassSeries, region: str, period: str, method: str,
-                 mode: str = "two-sided") -> ExtremesReport:
+def build_report(anoms: MassSeries, region: str, period: str, method: str) -> ExtremesReport:
     """Threshold, classify and aggregate one engine's anomalies over the valid months."""
     valid = valid_months(anoms.n_months)
-    thresholds = compute_thresholds(anoms, valid, mode)
+    thresholds = compute_thresholds(anoms, valid)
     flags = classify(anoms, valid, thresholds)
     count_neg, mag_neg = regional_series(anoms, flags, NEG)
     count_pos, mag_pos = regional_series(anoms, flags, POS)

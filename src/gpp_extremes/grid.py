@@ -1,6 +1,6 @@
 """Gridded monthly GPP data model.
 
-Owns the on-disk formats (flat-binary + JSON header; CSV input), the flux to
+Owns the on-disk format (flat-binary + JSON header), the flux to
 per-cell carbon-mass conversion, region masking and the synthetic-data
 generator used for desk-scale validation. ``write_flat`` and ``read_flat``
 are the one writer and reader of the flat-binary container, which grids and
@@ -147,11 +147,11 @@ class MassSeries:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _paths(path: str | Path, payload_suffix: str) -> tuple[Path, Path]:
+def _paths(path: str | Path) -> tuple[Path, Path]:
     base = Path(path)
     if base.suffix == ".json":
         base = base.with_suffix("")
-    return base.with_suffix(".json"), base.with_suffix(payload_suffix)
+    return base.with_suffix(".json"), base.with_suffix(".f64")
 
 
 def _read(path: Path, read=Path.read_bytes):
@@ -188,7 +188,7 @@ def in_float_range(value) -> bool:
 def write_flat(path: str | Path, header: dict, values: np.ndarray) -> None:
     """Write ``header`` as JSON to `<base>.json` and ``values`` as
     little-endian float64 to `<base>.f64`."""
-    header_path, payload_path = _paths(path, ".f64")
+    header_path, payload_path = _paths(path)
     header_path.write_text(json.dumps(header, indent=2) + "\n")
     payload_path.write_bytes(values.astype("<f8", copy=False).tobytes())
 
@@ -199,7 +199,7 @@ def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray
     A missing file is a DataError; a header that is not a JSON object, or a
     payload that is not whole float64 values, is a FormatError naming the file.
     """
-    header_path, payload_path = _paths(path, ".f64")
+    header_path, payload_path = _paths(path)
     header = _read_json(header_path, what)
     data = _read(payload_path)
     if len(data) % 8:
@@ -208,23 +208,22 @@ def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray
     return header_path, header, payload_path, np.frombuffer(data, dtype="<f8")
 
 
-def _check_header(raw: dict, header_path: Path, expect_layout: str) -> dict:
+def _check_header(raw: dict, header_path: Path) -> None:
     for name in _HEADER_FIELDS:
         if name not in raw:
             raise FormatError(f"{header_path}: header missing field {name!r}")
         if not is_int(raw[name]):
             raise FormatError(
                 f"{header_path}: header field {name!r} must be an integer, got {raw[name]!r}")
-    if raw.get("layout") != expect_layout:
+    if raw.get("layout") != "cell-major":
         raise FormatError(
-            f"{header_path}: header field 'layout' must be {expect_layout!r}, "
+            f"{header_path}: header field 'layout' must be 'cell-major', "
             f"got {raw.get('layout')!r}"
         )
     if raw["n_lat"] < 1 or raw["n_lon"] < 1 or raw["n_months"] < 1:
         raise FormatError(f"{header_path}: grid dimensions must be positive")
     if not (1 <= raw["start_month"] <= 12):
         raise FormatError(f"{header_path}: header field 'start_month' outside 1..12")
-    return raw
 
 
 def save_grid(grid: GridSeries, path: str | Path) -> None:
@@ -241,52 +240,20 @@ def save_grid(grid: GridSeries, path: str | Path) -> None:
                                              grid.land_frac]))
 
 
-def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
-    """Read a grid: flat-binary as :func:`save_grid` writes it, or CSV.
-
-    A CSV payload (`<base>.csv`) holds one row per cell, columns
-    cell,area_m2,land_frac followed by one column per month, with a JSON
-    header `<base>.json` of layout "csv" carrying the grid dimensions.
-    """
-    if format == "flat-binary":
-        header_path, raw, payload_path, payload = read_flat(path, "header")
-        _check_header(raw, header_path, "cell-major")
-        n_cells = raw["n_lat"] * raw["n_lon"]
-        expected = n_cells * raw["n_months"] + 2 * n_cells
-        if payload.size != expected:
-            raise ShapeError(
-                f"{payload_path}: payload holds {payload.size} values, header "
-                f"implies {expected}"
-            )
-        values = payload[: n_cells * raw["n_months"]].reshape(n_cells, raw["n_months"])
-        cell_area = payload[n_cells * raw["n_months"]: n_cells * raw["n_months"] + n_cells]
-        land_frac = payload[n_cells * raw["n_months"] + n_cells:]
-    elif format == "csv":
-        header_path, payload_path = _paths(path, ".csv")
-        raw = _check_header(_read_json(header_path, "header"), header_path, "csv")
-        n_cells = raw["n_lat"] * raw["n_lon"]
-        lines = _read(payload_path, Path.read_text).strip().splitlines()
-        if len(lines) != n_cells + 1:
-            raise ShapeError(
-                f"{payload_path}: {len(lines) - 1} data rows, header implies {n_cells}"
-            )
-        table = np.empty((n_cells, 3 + raw["n_months"]))  # column 0, the cell, is not read
-        for i, line in enumerate(lines[1:]):
-            parts = line.split(",")
-            if len(parts) != table.shape[1]:
-                raise ShapeError(
-                    f"{payload_path}: row {i} has {len(parts)} columns, expected "
-                    f"{table.shape[1]}"
-                )
-            for j in range(1, len(parts)):
-                try:
-                    table[i, j] = float(parts[j])
-                except ValueError:
-                    raise FormatError(f"{payload_path}: row {i} column {j}: "
-                                      f"{parts[j]!r} is not a number") from None
-        cell_area, land_frac, values = table[:, 1], table[:, 2], table[:, 3:]
-    else:
-        raise FormatError(f"unknown grid format {format!r}")
+def load_grid(path: str | Path) -> GridSeries:
+    """Read a grid as :func:`save_grid` writes it."""
+    header_path, raw, payload_path, payload = read_flat(path, "header")
+    _check_header(raw, header_path)
+    n_cells = raw["n_lat"] * raw["n_lon"]
+    expected = n_cells * raw["n_months"] + 2 * n_cells
+    if payload.size != expected:
+        raise ShapeError(
+            f"{payload_path}: payload holds {payload.size} values, header "
+            f"implies {expected}"
+        )
+    values = payload[: n_cells * raw["n_months"]].reshape(n_cells, raw["n_months"])
+    cell_area = payload[n_cells * raw["n_months"]: n_cells * raw["n_months"] + n_cells]
+    land_frac = payload[n_cells * raw["n_months"] + n_cells:]
 
     grid = GridSeries(
         n_lat=raw["n_lat"],
@@ -294,9 +261,9 @@ def load_grid(path: str | Path, format: str = "flat-binary") -> GridSeries:
         n_months=raw["n_months"],
         start_year=raw["start_year"],
         start_month=raw["start_month"],
-        values=np.ascontiguousarray(values),
-        cell_area=np.ascontiguousarray(cell_area),
-        land_frac=np.ascontiguousarray(land_frac),
+        values=values,
+        cell_area=cell_area,
+        land_frac=land_frac,
     )
     return grid.validate()
 

@@ -2,7 +2,8 @@
 
 Rendering is plain string assembly with fixed-precision coordinates, so a
 given input always produces identical bytes; output files diff cleanly in
-tests.
+tests. Titles and labels are XML-escaped, so any region or period name
+gives a well-formed file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ HEAT_STOPS = [
 ]
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data, as ``html.escape(text, quote=False)``
+    gives it; importing ``html`` would load its entity table, about 0.45 MB."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -46,6 +53,7 @@ def _tick_label(v: float) -> str:
 
 def line_chart(x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Multi-series line chart; ``series`` maps label -> y array."""
+    title, xlabel, ylabel = (_escape(t) for t in (title, xlabel, ylabel))
     width, height = LINE_WIDTH, LINE_HEIGHT
     x = np.asarray(x, dtype=float)
     left, right, top, bottom = 64, 16, 28, 44
@@ -117,7 +125,7 @@ def line_chart(x, series: dict, title: str = "", xlabel: str = "", ylabel: str =
         lx = left + pw - 120
         ly = top + 14 + 14 * idx
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}"/>')
-        out.append(f'<text x="{lx + 24}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{lx + 24}" y="{ly}">{_escape(label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -139,6 +147,7 @@ def heat_map(values: np.ndarray, title: str = "") -> str:
     NaN cells (outside the region mask) render light gray. Each rendered
     map therefore carries its own scale, one per region.
     """
+    title = _escape(title)
     values = np.asarray(values, dtype=float)
     n_lat, n_lon = values.shape
     cell_px = max(6, min(40, (HEAT_WIDTH - 80) // max(n_lon, 1)))

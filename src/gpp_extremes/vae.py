@@ -374,8 +374,9 @@ def train(windows: WindowSet, config: TrainConfig):
 
     Steps and validation run in float32 on a float32 copy of the model;
     ``eps`` is drawn in float64 and cast, and the masks are float32 with
-    the positions a float64 draw would have. The float64 windows are
-    released once cast; the returned model is float64 and holds exact
+    the positions a float64 draw would have. The shuffled windows are
+    gathered into float32 in row blocks, and the float64 windows are
+    released once gathered. The returned model is float64 and holds exact
     upcasts of the best epoch's float32 parameters.
     """
     n = len(windows)
@@ -391,7 +392,9 @@ def train(windows: WindowSet, config: TrainConfig):
     perm = rng.permutation(n)
     n_val = int(round(config.validation_fraction * n))
     n_val = min(max(n_val, 1), n - 1)
-    shuffled = windows.windows.astype(np.float32)[perm]
+    shuffled = np.empty(windows.windows.shape, dtype=np.float32)
+    for rows in _blocks(n, INFER_BLOCK_ROWS):
+        shuffled[rows] = windows.windows[perm[rows]]
     del windows  # a caller that passes normalize(...) inline frees the float64 copy here
     x_val, x_train = shuffled[:n_val], shuffled[n_val:]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gpp_extremes import cli, grid, ssa
+from gpp_extremes.config import PipelineConfig
 from gpp_extremes.grid import load_grid
 
 
@@ -434,6 +435,10 @@ CONFIG_MISTAKES = [
      {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 0}}),
     ("synth", "seed must be >= 0", {"seed": -1}),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
+    ("extremes", "grid.format must be one of ['flat-binary'], got 'csv'",
+     {"grid": {"path": "out/toy", "format": "csv"}}),
+    ("extremes", "extremes.threshold_mode must be one of ['two-sided'], got 'absolute'",
+     {"extremes": {"threshold_mode": "absolute"}}),
     ("train", "hidden_dims must be one or more widths >= 1, got []",
      {"train": {"max_epochs": 2, "hidden_dims": []}}),
     ("train", "hidden_dims must be one or more widths >= 1, got [0]",
@@ -473,6 +478,16 @@ def test_config_mistakes_exit_1_naming_the_key(tmp_path, capsys, command, key, o
     assert key in err
     assert "Traceback" not in err
     assert not any((tmp_path / "out" / "tables").iterdir())
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1, "the README should hold one example config"
+    path = tmp_path / "config.json"
+    path.write_text(blocks[0].split("```")[0])
+    units = PipelineConfig.load(path).units()
+    assert [u.tag for u in units] == ["WNA_1850-80"]
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])

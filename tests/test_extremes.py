@@ -64,14 +64,6 @@ def test_thresholds_100_sample_boundary(rng):
     assert int((vals > ts.q_pos).sum()) == 5
 
 
-def test_thresholds_absolute_mode(rng):
-    anoms = field(rng.normal(size=(5, 200)))
-    ts = extremes.compute_thresholds(anoms, every_month(anoms), mode="absolute")
-    assert ts.q_neg == ts.q_pos
-    pool = anoms.values.ravel()
-    assert ts.q_neg == pytest.approx(np.percentile(np.abs(pool), 95.0))
-
-
 def test_thresholds_empty_pool():
     anoms = field(np.zeros((2, 40)))
     with pytest.raises(EmptyRegionError):

@@ -99,51 +99,6 @@ def test_roundtrip_flat_binary_bit_exact(tmp_path, rng):
     assert (loaded.start_year, loaded.start_month) == (1901, 3)
 
 
-def write_csv_grid(g, base):
-    """A CSV grid as load_grid reads it: JSON header plus one row per cell."""
-    header = {"n_lat": g.n_lat, "n_lon": g.n_lon, "n_months": g.n_months,
-              "start_year": g.start_year, "start_month": g.start_month, "layout": "csv"}
-    base.with_suffix(".json").write_text(json.dumps(header))
-    lines = ["cell,area_m2,land_frac," + ",".join(f"m{t:03d}" for t in range(g.n_months))]
-    for c in range(g.n_cells):
-        row = [c, g.cell_area[c], g.land_frac[c], *g.values[c]]
-        lines.append(",".join(repr(float(v)) if i else str(v) for i, v in enumerate(row)))
-    base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
-
-
-def test_roundtrip_csv(tmp_path, rng):
-    g = random_grid(rng)
-    write_csv_grid(g, tmp_path / "g")
-    loaded = grid.load_grid(tmp_path / "g", format="csv")
-    np.testing.assert_array_equal(loaded.values, g.values)
-    np.testing.assert_array_equal(loaded.land_frac, g.land_frac)
-
-
-def test_csv_row_count_mismatch(tmp_path, rng):
-    write_csv_grid(random_grid(rng), tmp_path / "g")
-    lines = (tmp_path / "g.csv").read_text().splitlines()
-    (tmp_path / "g.csv").write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ShapeError):
-        grid.load_grid(tmp_path / "g", format="csv")
-
-
-def test_csv_non_numeric_value_names_row_and_column(tmp_path, rng):
-    write_csv_grid(random_grid(rng), tmp_path / "g")
-    lines = (tmp_path / "g.csv").read_text().splitlines()
-    parts = lines[2].split(",")
-    parts[5] = "n/a"
-    lines[2] = ",".join(parts)
-    (tmp_path / "g.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=r"g\.csv: row 1 column 5: 'n/a' is not a number"):
-        grid.load_grid(tmp_path / "g", format="csv")
-
-
-def test_unknown_format_rejected(tmp_path, rng):
-    grid.save_grid(random_grid(rng), tmp_path / "g")
-    with pytest.raises(FormatError):
-        grid.load_grid(tmp_path / "g", format="netcdf")
-
-
 # ---------------------------------------------------------------------------
 # flux -> mass
 

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 
 from gpp_extremes import svg
@@ -48,3 +50,15 @@ def test_heat_map_per_map_scale():
 def test_heat_map_constant_zero():
     out = svg.heat_map(np.zeros((2, 2)))
     assert out.startswith("<svg")
+
+
+def test_names_with_markup_characters_give_well_formed_svg():
+    # region and period names reach titles and legends verbatim
+    x = np.arange(4)
+    line = svg.line_chart(x, {"W&NA <1>": x * 1.0}, title="VAE loss, W&NA 1850-80",
+                          xlabel="a<b", ylabel="c>d")
+    texts = [t.text for t in ET.fromstring(line).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"VAE loss, W&NA 1850-80", "W&NA <1>", "a<b", "c>d"} <= set(texts)
+    heat = svg.heat_map(np.ones((2, 2)), title="Negative extremes, <C> & D")
+    root = ET.fromstring(heat)
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "Negative extremes, <C> & D"
