@@ -36,7 +36,7 @@ def _load_input_grid(cfg: PipelineConfig) -> GridSeries:
     return load_grid(cfg.grid_path)
 
 
-def _unit_mass(grid: GridSeries, unit: Unit) -> MassSeries:
+def _unit_mass(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> MassSeries:
     """Per-cell mass of the unit's region over its period, which must lie in the grid."""
     period = unit.period
     offset = (period.start_year - grid.start_year) * 12 + (1 - grid.start_month)
@@ -45,7 +45,8 @@ def _unit_mass(grid: GridSeries, unit: Unit) -> MassSeries:
             f"period {period.name} ({period.start_year}-{period.end_year}) "
             f"outside the grid's span"
         )
-    return flux_to_mass(grid.slice_months(offset, period.months), unit.region)
+    return flux_to_mass(grid.slice_months(offset, period.months), unit.region,
+                        source=f"grid {cfg.grid_path}")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -79,52 +80,66 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
+    """Train one VAE per unit. A region's periods of equal length have equal
+    window counts and train in lockstep (``vae.train_lockstep``); outputs
+    are written region by region, in config order."""
     units = cfg.units()
     grid = _load_input_grid(cfg)
-    out = cfg.out
-    for unit in units:
-        config = replace(cfg.train, seed=unit.seed)
-        # inline, so train can free the float64 windows once it has cast them
-        model, history = vae_mod.train(vae_mod.normalize(_unit_mass(grid, unit)), config)
-        region, period = unit.region.name, unit.period.name
-        vae_mod.save_checkpoint(
-            model,
-            out / "checkpoints" / f"vae_{unit.tag}",
-            seed=unit.seed,
-            epoch=history["best_epoch"],
-        )
-        report = {
-            "region": region,
-            "period": period,
-            "seed": unit.seed,
-            "config": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in vars(config).items()
-            },
-            "best_epoch": history["best_epoch"],
-            "best_val_loss": history["best_val_loss"],
-            "epochs": history["epochs"],
-        }
-        (out / "reports" / f"train_{unit.tag}.json").write_text(
-            json.dumps(report, indent=2) + "\n"
-        )
-        epochs = [h["epoch"] for h in history["epochs"]]
-        chart = svg.line_chart(
-            epochs,
-            {
-                "train": [h["train_loss"] for h in history["epochs"]],
-                "validation": [h["val_loss"] for h in history["epochs"]],
-            },
-            title=f"VAE loss, {region} {period}",
-            xlabel="epoch",
-            ylabel="loss",
-        )
-        (out / "figures" / f"loss_{unit.tag}.svg").write_text(chart)
-        print(
-            f"train: {region} {period} best epoch "
-            f"{history['best_epoch']} val loss {history['best_val_loss']:.6g}"
-        )
+    for region in cfg.regions:
+        region_units = [u for u in units if u.region is region]
+        trained = {}
+        for months in dict.fromkeys(u.period.months for u in region_units):
+            group = [u for u in region_units if u.period.months == months]
+            # normalized inline, so each run frees its float64 windows once made
+            runs = [vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, u)),
+                                     replace(cfg.train, seed=u.seed),
+                                     name=f"{u.region.name} {u.period.name}") for u in group]
+            trained.update(zip((u.tag for u in group), vae_mod.train_lockstep(runs)))
+        for unit in region_units:
+            _write_training(cfg.out, unit, *trained.pop(unit.tag))
     return 0
+
+
+def _write_training(out: Path, unit: Unit, model, history) -> None:
+    """A unit's checkpoint, training report and loss chart."""
+    region, period = unit.region.name, unit.period.name
+    vae_mod.save_checkpoint(
+        model,
+        out / "checkpoints" / f"vae_{unit.tag}",
+        seed=unit.seed,
+        epoch=history["best_epoch"],
+    )
+    report = {
+        "region": region,
+        "period": period,
+        "seed": unit.seed,
+        "config": {
+            k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in vars(model.config).items()
+        },
+        "best_epoch": history["best_epoch"],
+        "best_val_loss": history["best_val_loss"],
+        "epochs": history["epochs"],
+    }
+    (out / "reports" / f"train_{unit.tag}.json").write_text(
+        json.dumps(report, indent=2) + "\n"
+    )
+    epochs = [h["epoch"] for h in history["epochs"]]
+    chart = svg.line_chart(
+        epochs,
+        {
+            "train": [h["train_loss"] for h in history["epochs"]],
+            "validation": [h["val_loss"] for h in history["epochs"]],
+        },
+        title=f"VAE loss, {region} {period}",
+        xlabel="epoch",
+        ylabel="loss",
+    )
+    (out / "figures" / f"loss_{unit.tag}.svg").write_text(chart)
+    print(
+        f"train: {region} {period} best epoch "
+        f"{history['best_epoch']} val loss {history['best_val_loss']:.6g}"
+    )
 
 
 def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
@@ -240,7 +255,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     totals = []
     for unit in units:
         region, period = unit.region.name, unit.period.name
-        mass = _unit_mass(grid, unit)
+        mass = _unit_mass(cfg, grid, unit)
         for method in cfg.methods:
             anoms = _anomalies(method, mass, unit, cfg)
             report = extremes_mod.build_report(anoms, region, period, method)
@@ -266,7 +281,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
     """Train every trial of the gridsearch space on the first unit."""
     unit = cfg.units()[0]
-    windows = vae_mod.normalize(_unit_mass(_load_input_grid(cfg), unit))
+    windows = vae_mod.normalize(_unit_mass(cfg, _load_input_grid(cfg), unit))
     rows = []
     best_idx = 0
     best_loss = np.inf

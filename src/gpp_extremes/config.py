@@ -27,6 +27,8 @@ from .ssa import SsaConfig
 from .vae import TrainConfig
 
 SCHEMA_VERSION = 1
+# Most values a synth grid may hold, n_lat * n_lon * n_months: 16 GiB of float64
+SYNTH_MAX_VALUES = 2 ** 31
 METHODS = {"vae": ("vae",), "ssa": ("ssa",), "both": ("vae", "ssa")}
 
 # Schema for each annotation of a config dataclass field; a tuple field
@@ -202,6 +204,11 @@ class PipelineConfig:
             for key in ("n_lat", "n_lon", "n_months"):
                 if synth[key] < 1:
                     raise ConfigError(f"synth.{key} must be >= 1, got {synth[key]}")
+            size = synth["n_lat"] * synth["n_lon"] * synth["n_months"]
+            if size > SYNTH_MAX_VALUES:
+                raise ConfigError(
+                    f"synth.n_lat * synth.n_lon * synth.n_months is {size}, above the "
+                    f"limit of {SYNTH_MAX_VALUES} values")
             for i, event in enumerate(synth.get("events", [])):
                 _require(event, f"synth.events[{i}]", *_SYNTH_SCHEMA["events"][0])
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})

@@ -271,11 +271,14 @@ def load_grid(path: str | Path) -> GridSeries:
 # ---------------------------------------------------------------------------
 # unit conversion and aggregation
 
-def flux_to_mass(grid: GridSeries, mask: RegionMask) -> MassSeries:
+def flux_to_mass(grid: GridSeries, mask: RegionMask, source="grid") -> MassSeries:
     """Convert flux to per-cell monthly carbon mass over a region.
 
     mass[GgC/month] = flux[gC m^-2 s^-1] * area[m^2] * land_frac
                       * seconds_in_month / 1e9
+
+    Finite flux can still overflow float64 here: a non-finite mass is a
+    DataError naming ``source`` (the grid) and the region.
     """
     cells = mask.effective_cells(grid)
     if cells.size == 0:
@@ -284,7 +287,14 @@ def flux_to_mass(grid: GridSeries, mask: RegionMask) -> MassSeries:
         )
     seconds = grid.month_seconds()
     scale = grid.cell_area[cells] * grid.land_frac[cells] / GRAMS_PER_GIGAGRAM
-    values = grid.values[cells] * scale[:, None] * seconds[None, :]
+    with np.errstate(over="ignore"):
+        values = grid.values[cells] * scale[:, None] * seconds[None, :]
+    if not np.isfinite(values).all():
+        cell = cells[np.nonzero(~np.isfinite(values))[0][0]]
+        raise DataError(
+            f"{source}: the mass of region {mask.name!r} is not finite (flux x cell area "
+            f"x month length overflows float64, first in cell {cell})"
+        )
     return MassSeries(
         values=values,
         cells=cells,

@@ -1,19 +1,24 @@
 """Minimal dense-network machinery with exact analytic backpropagation.
 
-Every function operates on batches shaped (n, dim), and dtype follows
-the buffer: a pass computes in the dtype of the parameters and inputs it
-is given, float32 or float64, and every scalar it mixes in is a Python
-number, which takes the array's dtype under every NumPy version. Inputs
-are used as given, with no coercion or width check: the VAE checks its
-batches once, at its API edge. Training state (parameters, Adam moments)
-is mutated sequentially by one owner; forward passes on frozen parameters
-are pure.
+Every function operates on batches shaped (n, dim), or on a stack of M
+models' batches shaped (M, n, dim) with layers stacked the same way, and
+dtype follows the buffer: a pass computes in the dtype of the parameters
+and inputs it is given, float32 or float64, and every scalar it mixes in
+is a Python number, which takes the array's dtype under every NumPy
+version. Inputs are used as given, with no coercion or width check: the
+VAE checks its batches once, at its API edge. Training state (parameters,
+Adam moments) is mutated sequentially by one owner; forward passes on
+frozen parameters are pure.
 
 A model keeps its parameters in one ``ParamBuffer``: every weight matrix
 and bias vector is a view into a single contiguous array of one dtype.
 Backward passes can write gradients straight into the views of a second
 buffer of the same layout, and Adam then updates the whole buffer at once
-instead of looping over the arrays.
+instead of looping over the arrays. A stacked buffer holds one model per
+row, and its views take each array across the rows, so one pass steps
+every model of the stack. A stacked matmul, reduction or elementwise op
+gives each model the bits of a separate call on its own slice, so a model
+trains to the same parameters in a stack as alone.
 
 A ``DenseStack`` is the VAE's trunk: every layer is dense, then ReLU, then
 inverted dropout. Its ``forward`` is the one cached pass for a backward
@@ -36,7 +41,7 @@ rate), not the number of units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,52 +57,70 @@ class ParamBuffer:
     """Arrays of the given shapes laid end to end in one buffer of ``dtype``.
 
     ``flat`` is the buffer and ``arrays`` are views into it, in order;
-    iterating the buffer yields the views.
+    iterating the buffer yields the views. ``flat`` adopts an existing
+    buffer of the layout instead of a zeroed one; an (M, size) buffer is a
+    stack of M models, one model's buffer per row, whose arrays are viewed
+    across the rows as (M, *shape), a vector as (M, 1, n) so that it
+    broadcasts over a batch's rows.
     """
 
-    def __init__(self, shapes, dtype=np.float64):
-        shapes = [tuple(shape) for shape in shapes]
-        self.offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        self.flat = np.zeros(int(self.offsets[-1]), dtype=dtype)
-        self.arrays = [
-            self.flat[start:stop].reshape(shape)
-            for start, stop, shape in zip(self.offsets[:-1], self.offsets[1:], shapes)
-        ]
+    def __init__(self, shapes, dtype=np.float64, flat=None):
+        self.shapes = [tuple(shape) for shape in shapes]
+        self.offsets = np.cumsum([0] + [math.prod(shape) for shape in self.shapes])
+        self.flat = np.zeros(int(self.offsets[-1]), dtype=dtype) if flat is None else flat
+        lead = self.flat.shape[:-1]  # (M,) for a stack
+        self.arrays = []
+        for start, stop, shape in zip(self.offsets[:-1], self.offsets[1:], self.shapes):
+            if lead and len(shape) == 1:
+                shape = (1,) + shape
+            self.arrays.append(self.flat[..., start:stop].reshape(lead + shape))
 
     @classmethod
     def like(cls, arrays) -> "ParamBuffer":
-        """A zeroed buffer with the layout and dtype of ``arrays``."""
+        """A zeroed buffer with the layout and dtype of ``arrays``: a
+        ``ParamBuffer``, stacked or not, or a list of arrays."""
+        if isinstance(arrays, ParamBuffer):
+            return cls(arrays.shapes, flat=np.zeros_like(arrays.flat))
         arrays = list(arrays)
         return cls([a.shape for a in arrays], np.result_type(*arrays))
 
     @classmethod
-    def adopt(cls, layers) -> "ParamBuffer":
-        """Copy each layer's weights then bias into one buffer of their dtype and
-        rebind them as views."""
-        arrays = [a for layer in layers for a in (layer.weights, layer.bias)]
-        buffer = cls([a.shape for a in arrays], np.result_type(*arrays))
-        views = iter(buffer.arrays)
-        for layer in layers:
-            for name in ("weights", "bias"):
-                view = next(views)
-                view[...] = getattr(layer, name)
-                setattr(layer, name, view)
-        return buffer
+    def stack(cls, buffers) -> "ParamBuffer":
+        """A stack of copies of one-model ``buffers`` of one layout and dtype."""
+        return cls(buffers[0].shapes, flat=np.array([b.flat for b in buffers]))
+
+    def model(self, i: int) -> "ParamBuffer":
+        """Model ``i`` of a stack, as a one-model buffer of views into its row."""
+        return ParamBuffer(self.shapes, flat=self.flat[i])
+
+    def take(self, rows) -> "ParamBuffer":
+        """A stack of copies of the models ``rows``, in that order."""
+        return ParamBuffer(self.shapes, flat=self.flat[rows])
 
     def __iter__(self):
         return iter(self.arrays)
 
     def index_of(self, position: int) -> int:
-        """Index of the array that holds element ``position`` of ``flat``."""
+        """Index of the array that holds element ``position`` of a model's buffer."""
         return int(np.searchsorted(self.offsets, position, side="right")) - 1
 
 
 @dataclass
 class DenseLayer:
-    """Affine map y = W x + b with W shaped (out_dim, in_dim)."""
+    """Affine map y = W x + b with W shaped (out_dim, in_dim); a stack of M
+    layers holds W as (M, out_dim, in_dim) and b as (M, 1, out_dim).
+
+    ``weights_t`` is the transposed view that every forward pass multiplies
+    by, made once with the layer. It follows the weights' values, so it
+    stays right while they change in place.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
+    weights_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weights_t = np.swapaxes(self.weights, -1, -2)
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "DenseLayer":
@@ -105,15 +128,15 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    y = x @ layer.weights.T
+    y = x @ layer.weights_t
     y += layer.bias
     return y
 
@@ -122,20 +145,23 @@ def dense_backward(layer, x, grad_out, grad_w=None, grad_b=None, input_grad=True
     """Gradients of a dense layer given upstream grad at its output.
 
     Returns (grad_x, grad_weights, grad_bias); ``x`` and ``grad_out``
-    must be 2-D batches. The weight and bias gradients are written into
-    ``grad_w`` and ``grad_b`` when given. With ``input_grad=False`` the
-    input gradient is not computed and ``grad_x`` is None.
+    are 2-D batches, or (M, n, dim) stacks for a stacked layer, whose bias
+    gradient keeps the row axis as the stacked bias does. The weight and
+    bias gradients are written into ``grad_w`` and ``grad_b`` when given.
+    With ``input_grad=False`` the input gradient is not computed and
+    ``grad_x`` is None.
     """
     grad_x = grad_out @ layer.weights if input_grad else None
-    grad_w = np.matmul(grad_out.T, x, out=grad_w)
-    grad_b = np.add.reduce(grad_out, axis=0, out=grad_b)
+    grad_w = np.matmul(grad_out.swapaxes(-1, -2), x, out=grad_w)
+    grad_b = np.add.reduce(grad_out, axis=-2, out=grad_b, keepdims=grad_out.ndim > 2)
     return grad_x, grad_w, grad_b
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator,
-                 dtype=np.float64) -> np.ndarray:
+                 dtype=np.float64, out=None) -> np.ndarray:
     """Inverted-dropout mask of ``dtype``: zeros w.p. ``rate``, survivors
-    scaled 1/(1-rate).
+    scaled 1/(1-rate). ``out``, a C-contiguous array of ``shape`` and
+    ``dtype``, receives the mask when given.
 
     The zeros are the successes of a Bernoulli(``rate``) process over the
     mask's elements in C order, placed by the geometric gaps between them,
@@ -150,7 +176,11 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = np.full(shape, 1.0 / (1.0 - rate), dtype)
+    if out is None:
+        mask = np.full(shape, 1.0 / (1.0 - rate), dtype)
+    else:
+        mask = out
+        mask.fill(1.0 / (1.0 - rate))
     flat = mask.reshape(-1)
     size = flat.size
     last = -1  # position of the last success placed
@@ -200,7 +230,7 @@ class DenseStack:
         return h, {"inputs": inputs, "acts": acts, "masks": masks}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Output of a 2-D float batch without dropout and without a cache.
+        """Output of a float batch without dropout and without a cache.
 
         ReLU is applied in place on each layer's output, so only one
         layer's input and output are alive at a time.
@@ -250,7 +280,9 @@ class AdamState:
     ``m`` and ``v`` are flat like the buffer, of its dtype, and ``work``
     holds two scratch arrays of that size and dtype that every step reuses.
     Every operation of a step writes into these arrays, so a float32
-    buffer is updated in float32.
+    buffer is updated in float32. For a stack of M models ``lr`` may be an
+    (M, 1) column of the buffer's dtype, one rate per model; the models of
+    a stack share the step count.
     """
 
     lr: float
@@ -263,7 +295,7 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamBuffer, lr: float) -> "AdamState":
+    def for_params(cls, params: ParamBuffer, lr) -> "AdamState":
         flat = params.flat
         return cls(
             lr=lr,
@@ -272,19 +304,28 @@ class AdamState:
             work=(np.empty_like(flat), np.empty_like(flat)),
         )
 
+    def take(self, rows) -> "AdamState":
+        """The state of a stack's models ``rows``, in that order, as ``ParamBuffer.take``."""
+        m = self.m[rows]
+        return replace(self, lr=self.lr[rows], m=m, v=self.v[rows],
+                       work=(np.empty_like(m), np.empty_like(m)))
+
 
 def adam_step(state: AdamState, params: ParamBuffer, grads: ParamBuffer) -> ParamBuffer:
     """One in-place Adam update with bias correction; returns ``params``.
 
     ``params`` and ``grads`` share one layout and are updated as flat
     arrays, each element as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-    and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps).
+    and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps). A non-finite gradient is a
+    NumericalError naming its parameter array, and its model in a stack.
     """
     p, g = params.flat, grads.flat
     if not np.isfinite(g).all():
-        i = grads.index_of(int(np.flatnonzero(~np.isfinite(g))[0]))
+        where = np.argwhere(~np.isfinite(g))[0]  # (model, position) in a stack
+        model = f" of model {where[0]}" if g.ndim > 1 else ""
         raise NumericalError(
-            f"non-finite gradient in parameter {i} at Adam step {state.step + 1}"
+            f"non-finite gradient in parameter {grads.index_of(int(where[-1]))}{model} "
+            f"at Adam step {state.step + 1}"
         )
     state.step += 1
     b1, b2 = state.beta1, state.beta2

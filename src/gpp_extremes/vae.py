@@ -22,10 +22,20 @@ A model holds the ``TrainConfig`` it was built from, and its latent width,
 loss weights and dropout rate are read from there alone: no layer or stack
 keeps a copy. All parameters live in one flat buffer in checkpoint order
 (encoder, mean head, log-variance head, decoder trunk, output layer;
-weights before bias). A training step writes its gradients into a second
-buffer of that layout and Adam updates the whole buffer at once; best-epoch
-snapshots and checkpoints copy that buffer directly, through the grid
-module's flat-binary container.
+weights before bias), and the layers are views into it, so a checkpoint
+loads into a zeroed layout without drawing weights. A training step writes
+its gradients into a second buffer of that layout and Adam updates the
+whole buffer at once; best-epoch snapshots and checkpoints copy that
+buffer directly, through the grid module's flat-binary container.
+
+``train_lockstep`` trains several ``TrainRun`` objects of one config and
+equal window counts (a region's periods of equal length) as one stack of
+models: one (M, n_params) buffer, one forward pass, one backward pass and
+one Adam update per step for all of them. Each run keeps its own
+generator, data, learning rate, early stop and history, and a stacked
+step gives each model the bits of a step alone, so every run ends as it
+would have alone. ``train`` is a stack of one, which steps without the
+stack axis.
 
 ``train`` runs its step loop and its validation passes in float32: it
 trains a float32 copy of the float64 Glorot initialization on float32
@@ -42,6 +52,7 @@ encode and decode edges cast their batches to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,6 +69,7 @@ from .nn import (
     dense_backward,
     dense_forward,
     dropout_mask,
+    glorot_uniform,
 )
 
 SEQ_LEN = 12
@@ -127,50 +139,55 @@ class WindowSet:
 
 @dataclass
 class VaeModel:
-    encoder: DenseStack
-    mu_head: DenseLayer
-    logvar_head: DenseLayer
-    decoder: DenseStack
-    output: DenseLayer  # tanh layer from the decoder trunk back to the window
+    """A VAE whose layers are views into one ``ParamBuffer``, in checkpoint order.
+
+    ``params`` may be a stack of models that train in lockstep; such a
+    stack shares its config's settings, and has no scaling limits.
+    """
+
+    params: ParamBuffer
     config: TrainConfig  # the one holder of the model's settings
-    x_min: float
-    x_max: float
-    params: ParamBuffer = field(init=False, repr=False, compare=False)
+    x_min: float | None = None
+    x_max: float | None = None
+    encoder: DenseStack = field(init=False, repr=False, compare=False)
+    mu_head: DenseLayer = field(init=False, repr=False, compare=False)
+    logvar_head: DenseLayer = field(init=False, repr=False, compare=False)
+    decoder: DenseStack = field(init=False, repr=False, compare=False)
+    # tanh layer from the decoder trunk back to the window
+    output: DenseLayer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.params = ParamBuffer.adopt(
-            self.encoder.layers + [self.mu_head, self.logvar_head]
-            + self.decoder.layers + [self.output]
-        )
+        arrays = self.params.arrays
+        layers = [DenseLayer(w, b) for w, b in zip(arrays[0::2], arrays[1::2])]
+        n_enc = len(self.config.hidden_dims)
+        self.encoder = DenseStack(layers[:n_enc])
+        self.mu_head, self.logvar_head = layers[n_enc:n_enc + 2]
+        self.decoder = DenseStack(layers[n_enc + 2:-1])
+        self.output = layers[-1]
+
+    @classmethod
+    def zeros(cls, config: TrainConfig, x_min: float, x_max: float) -> "VaeModel":
+        """A float64 model of the config's layout with every parameter zero."""
+        hidden, d = list(config.hidden_dims), config.latent_dim
+        enc, dec = [SEQ_LEN] + hidden, [d] + hidden[::-1]
+        dims = [*zip(enc, enc[1:]), (hidden[-1], d), (hidden[-1], d), *zip(dec, dec[1:]),
+                (hidden[0], SEQ_LEN)]
+        return cls(ParamBuffer([s for i, o in dims for s in ((o, i), (o,))]), config,
+                   x_min, x_max)
 
     def astype(self, dtype) -> "VaeModel":
         """A copy with its parameters cast to ``dtype``, and the same settings."""
-        def cast(layer):
-            return DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
-
-        return replace(
-            self,
-            encoder=DenseStack([cast(layer) for layer in self.encoder.layers]),
-            mu_head=cast(self.mu_head),
-            logvar_head=cast(self.logvar_head),
-            decoder=DenseStack([cast(layer) for layer in self.decoder.layers]),
-            output=cast(self.output),
-        )
+        params = ParamBuffer(self.params.shapes, flat=self.params.flat.astype(dtype))
+        return replace(self, params=params)
 
 
 def build_model(config: TrainConfig, x_min: float, x_max: float,
                 rng: np.random.Generator) -> VaeModel:
-    hidden = list(config.hidden_dims)
-    d = config.latent_dim
-    # Glorot draws in checkpoint order, which is the parameter buffer's
-    return VaeModel(
-        DenseStack.init([SEQ_LEN] + hidden, rng),
-        DenseLayer.init(hidden[-1], d, rng),
-        DenseLayer.init(hidden[-1], d, rng),
-        DenseStack.init([d] + hidden[::-1], rng),
-        DenseLayer.init(hidden[0], SEQ_LEN, rng),
-        config, x_min, x_max,
-    )
+    model = VaeModel.zeros(config, x_min, x_max)
+    # Glorot draws in checkpoint order, which is the parameter buffer's; biases stay zero
+    for weights in model.params.arrays[0::2]:
+        weights[...] = glorot_uniform(weights.shape[1], weights.shape[0], rng)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +256,12 @@ def decode(model: VaeModel, z):
 
 def kl_divergence(mu, logvar):
     """Closed-form KL(q || N(0, I)) = -1/2 sum(1 + logvar - mu^2 - sigma^2) of each row."""
-    return (-0.5 * (1.0 + logvar - mu ** 2 - np.exp(logvar))).sum(axis=1)
+    return (-0.5 * (1.0 + logvar - mu ** 2 - np.exp(logvar))).sum(axis=-1)
 
 
 def _row_losses(err, mu, logvar):
     """Each row's squared reconstruction error summed over the window, and its KL."""
-    return np.square(err).sum(axis=1), kl_divergence(mu, logvar)
+    return np.square(err).sum(axis=-1), kl_divergence(mu, logvar)
 
 
 def _batch_loss(sq_sum, kl, beta, likelihood_var):
@@ -257,14 +274,17 @@ def _batch_loss(sq_sum, kl, beta, likelihood_var):
     the KL term dominate at beta = 0.5 and collapse the posterior before
     the windows are learned.
     Returns (total, recon_mse, kl) where recon_mse is the per-component
-    mean squared error for reporting. The means accumulate in float64
-    whatever the dtype of the rows' terms; a float64 sum over the rows,
-    divided by their count, gives the bits of ``np.mean`` with less
-    overhead.
+    mean squared error for reporting: Python floats for one model's rows,
+    (M,) float64 arrays for the (M, n) rows of a stack. The means
+    accumulate in float64 whatever the dtype of the rows' terms; a float64
+    sum over the rows, divided by their count, gives the bits of
+    ``np.mean`` with less overhead.
     """
-    n = sq_sum.shape[0]
-    recon_sum = float(np.add.reduce(sq_sum, dtype=np.float64) / n)
-    kl = float(np.add.reduce(kl, dtype=np.float64) / n)
+    n = sq_sum.shape[-1]
+    recon_sum = np.add.reduce(sq_sum, axis=-1, dtype=np.float64) / n
+    kl = np.add.reduce(kl, axis=-1, dtype=np.float64) / n
+    if sq_sum.ndim == 1:
+        recon_sum, kl = float(recon_sum), float(kl)
     total = recon_sum / (2.0 * likelihood_var) + beta * kl
     return total, recon_sum / SEQ_LEN, kl
 
@@ -279,16 +299,25 @@ def draw_dropout_masks(model: VaeModel, n_rows: int, rng) -> tuple:
 
     One ``dropout_mask`` call draws every mask of the step over one flat
     buffer, which holds the encoder's masks and then the decoder's, each
-    in layer order; each mask is a C-contiguous view of that buffer.
+    in layer order; each mask is a C-contiguous view of that buffer. For a
+    stack of M models ``rng`` holds one generator per model: model i's
+    call draws from ``rng[i]`` into row i of an (M, size) buffer, and each
+    mask is an (M, n_rows, width) view across the rows.
     """
     rate, dtype = model.config.dropout_rate, model.params.flat.dtype
     if rate == 0.0:
         return None, None
     widths = [layer.out_dim for stack in (model.encoder, model.decoder)
               for layer in stack.layers]
-    flat = dropout_mask(n_rows * sum(widths), rate, rng, dtype)
+    size = n_rows * sum(widths)
+    if model.params.flat.ndim == 1:
+        flat = dropout_mask(size, rate, rng, dtype)
+    else:
+        flat = np.empty((len(rng), size), dtype)
+        for row, gen in zip(flat, rng):
+            dropout_mask(size, rate, gen, dtype, out=row)
     starts = np.cumsum([0] + widths) * n_rows
-    masks = [flat[start:start + n_rows * width].reshape(n_rows, width)
+    masks = [flat[..., start:start + n_rows * width].reshape(flat.shape[:-1] + (n_rows, width))
              for start, width in zip(starts, widths)]
     n_enc = len(model.encoder.layers)
     return masks[:n_enc], masks[n_enc:]
@@ -304,9 +333,11 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     aligned to ``model.params``: ``out`` when given (its contents
     are overwritten), else a new one. ``x`` is a 2-D float batch of
     windows, as ``normalize`` cuts them; it, ``eps`` and the masks share
-    the dtype of the model's parameters, which the whole step keeps.
+    the dtype of the model's parameters, which the whole step keeps. A
+    stack of M models takes (M, n, width) stacks of them, one batch per
+    model, and its loss terms are (M,) arrays (see ``_batch_loss``).
     """
-    n = x.shape[0]
+    n = x.shape[-2]
     grads = ParamBuffer.like(model.params) if out is None else out
     pairs = list(zip(grads.arrays[0::2], grads.arrays[1::2]))
     n_enc = len(model.encoder.layers)
@@ -360,6 +391,142 @@ def _blocks(n: int, size: int) -> list:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+class TrainRun:
+    """One model's own part of training: its generator, data, learning-rate
+    schedule, early stop, best snapshot and history.
+
+    Making a run draws the initial weights and the train/validation split
+    from the run's generator and gathers the shuffled windows into float32
+    in row blocks; the float64 windows are not kept, so a caller that passes
+    ``normalize(...)`` inline frees them once the run is made. ``name``
+    names the run in a training error.
+    """
+
+    def __init__(self, windows: WindowSet, config: TrainConfig, name: str = ""):
+        n = len(windows)
+        if n < config.batch_size:
+            raise ConfigError(f"{n} windows < batch size {config.batch_size}")
+        self.config, self.name = config, name
+        self.rng = np.random.default_rng(config.seed)
+        # a float32 copy of the float64 Glorot draws trains; the best epoch's
+        # float32 parameters become a float64 model when the run finishes
+        self.model = build_model(config, windows.x_min, windows.x_max, self.rng).astype(
+            np.float32)
+        perm = self.rng.permutation(n)
+        n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
+        shuffled = np.empty(windows.windows.shape, dtype=np.float32)
+        for rows in _blocks(n, INFER_BLOCK_ROWS):
+            shuffled[rows] = windows.windows[perm[rows]]
+        self.x_val, self.x_train = shuffled[:n_val], shuffled[n_val:]
+        self.lr = config.learning_rate
+        self.best_val, self.best_epoch = np.inf, 0
+        self.best_params = self.model.params.flat.copy()
+        self.stale_early = self.stale_plateau = 0
+        self.history = []
+
+    def end_epoch(self, epoch: int, train_loss: float, val: tuple, params: np.ndarray) -> bool:
+        """Record an epoch, snapshot ``params`` on a new best validation loss
+        and apply the plateau cut; whether the run stops early."""
+        val_total, val_recon, val_kl = val
+        self.history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_total,
+                             "val_recon": val_recon, "val_kl": val_kl, "lr": self.lr})
+        if val_total < self.best_val:
+            self.best_val, self.best_epoch = val_total, epoch
+            self.best_params = params.copy()
+            self.stale_early = self.stale_plateau = 0
+            return False
+        self.stale_early += 1
+        self.stale_plateau += 1
+        if self.stale_plateau >= self.config.plateau_patience:
+            self.lr *= self.config.plateau_factor
+            self.stale_plateau = 0
+        return self.stale_early >= self.config.early_stop_patience
+
+    def finish(self) -> tuple:
+        """(float64 model of the best epoch, history); the run's windows are released."""
+        self.x_train = self.x_val = None
+        self.model.params.flat[...] = self.best_params
+        return self.model.astype(np.float64), {"epochs": self.history, "best_epoch": self.best_epoch,
+                            "best_val_loss": self.best_val}
+
+
+def train_lockstep(runs: list) -> list:
+    """Train runs of one config (apart from the seed) and of equal window
+    counts in lockstep; returns (model, history) per run, in order.
+
+    Each step runs one forward pass, one backward pass and one Adam update
+    over the stack of the active runs' float32 parameters. Each run draws
+    its batch order, ``eps`` and masks from its own generator in the order
+    that ``train`` documents, validates its own model and keeps its own
+    learning rate, so it ends with the parameters and history it would
+    have had alone. A run that stops early leaves the stack, which is
+    rebuilt without it. A non-finite loss or gradient is a NumericalError
+    naming the run, the epoch and the batch.
+    """
+    config = runs[0].config
+    n_train, n_val = runs[0].x_train.shape[0], runs[0].x_val.shape[0]
+    for run in runs:
+        if (replace(run.config, seed=config.seed) != config
+                or (run.x_train.shape[0], run.x_val.shape[0]) != (n_train, n_val)):
+            raise ValueError("lockstep runs need one config apart from the seed and "
+                             "equal window counts")
+    active = list(runs)
+    params = ParamBuffer.stack([run.model.params for run in runs])
+    opt = AdamState.for_params(params, np.array([[run.lr] for run in runs], np.float32))
+    net = None
+    for epoch in range(1, config.max_epochs + 1):
+        if net is None:
+            models = [VaeModel(params.model(i), config) for i in range(len(active))]
+            grads = ParamBuffer.like(params)
+            # a stack of one steps without the stack axis, as a model alone
+            one = len(active) == 1
+            net, net_grads, rngs = ((models[0], grads.model(0), active[0].rng) if one else
+                                    (VaeModel(params, config), grads, [r.rng for r in active]))
+        orders = [run.rng.permutation(n_train) for run in active]
+        loss_sum = 0.0  # a float for a model alone, an (M,) array for a stack
+        for batch, start in enumerate(range(0, n_train, config.batch_size)):
+            size = min(config.batch_size, n_train - start)
+            x = np.empty((len(active), size, SEQ_LEN), np.float32)
+            eps = np.empty((len(active), size, config.latent_dim), np.float32)
+            for i, (run, order) in enumerate(zip(active, orders)):
+                np.take(run.x_train, order[start:start + size], axis=0, out=x[i])
+                eps[i] = run.rng.standard_normal((size, config.latent_dim))
+            if one:
+                x, eps = x[0], eps[0]
+            enc_masks, dec_masks = draw_dropout_masks(net, size, rngs)
+            (total, _, _), _ = loss_and_grads(net, x, eps, enc_masks, dec_masks, out=net_grads)
+            try:
+                if not (math.isfinite(total) if one else np.isfinite(total).all()):
+                    raise NumericalError("non-finite loss")
+                adam_step(opt, params, grads)
+            except NumericalError as exc:
+                bad = ~np.isfinite(total)
+                if not bad.any():
+                    bad = ~np.isfinite(grads.flat).all(axis=-1)
+                name = active[int(bad.argmax())].name
+                raise NumericalError(
+                    f"training {name + ' ' if name else ''}aborted at epoch {epoch}, "
+                    f"batch {batch}: {exc}"
+                ) from exc
+            loss_sum = loss_sum + total * size
+
+        train_loss = np.reshape(loss_sum, -1) / n_train
+        stops = [run.end_epoch(epoch, float(train_loss[i]), eval_loss(models[i], run.x_val),
+                               params.flat[i])
+                 for i, run in enumerate(active)]
+        opt.lr[:, 0] = [run.lr for run in active]
+        if any(stops):
+            keep = [i for i, stop in enumerate(stops) if not stop]
+            for run, stop in zip(active, stops):
+                if stop:
+                    run.x_train = run.x_val = None  # free its windows now
+            active = [active[i] for i in keep]
+            if not active:
+                break
+            params, opt, net = params.take(keep), opt.take(keep), None
+    return [run.finish() for run in runs]
+
+
 def train(windows: WindowSet, config: TrainConfig):
     """Train on pooled windows; returns (best model, per-epoch history).
 
@@ -377,86 +544,12 @@ def train(windows: WindowSet, config: TrainConfig):
     the positions a float64 draw would have. The shuffled windows are
     gathered into float32 in row blocks, and the float64 windows are
     released once gathered. The returned model is float64 and holds exact
-    upcasts of the best epoch's float32 parameters.
+    upcasts of the best epoch's float32 parameters. This is a
+    ``TrainRun`` trained by ``train_lockstep`` as a stack of one.
     """
-    n = len(windows)
-    if n < config.batch_size:
-        raise ConfigError(f"{n} windows < batch size {config.batch_size}")
-
-    rng = np.random.default_rng(config.seed)
-    model = build_model(config, windows.x_min, windows.x_max, rng)
-    work = model.astype(np.float32)
-    params = work.params
-    grads = ParamBuffer.like(params)
-
-    perm = rng.permutation(n)
-    n_val = int(round(config.validation_fraction * n))
-    n_val = min(max(n_val, 1), n - 1)
-    shuffled = np.empty(windows.windows.shape, dtype=np.float32)
-    for rows in _blocks(n, INFER_BLOCK_ROWS):
-        shuffled[rows] = windows.windows[perm[rows]]
+    run = TrainRun(windows, config)
     del windows  # a caller that passes normalize(...) inline frees the float64 copy here
-    x_val, x_train = shuffled[:n_val], shuffled[n_val:]
-
-    opt = AdamState.for_params(params, config.learning_rate)
-    best_val = np.inf
-    best_params = params.flat.copy()
-    best_epoch = 0
-    stale_early = 0
-    stale_plateau = 0
-    history = []
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(x_train.shape[0])
-        loss_sum = 0.0
-        for start in range(0, order.size, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = x_train[idx]
-            eps = rng.standard_normal((idx.size, config.latent_dim)).astype(np.float32)
-            enc_masks, dec_masks = draw_dropout_masks(work, idx.size, rng)
-            try:
-                (total, _, _), _ = loss_and_grads(work, batch, eps, enc_masks, dec_masks,
-                                                  out=grads)
-                if not np.isfinite(total):
-                    raise NumericalError("non-finite loss")
-                adam_step(opt, params, grads)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"training aborted at epoch {epoch}, "
-                    f"batch {start // config.batch_size}: {exc}"
-                ) from exc
-            loss_sum += total * idx.size
-
-        val_total, val_recon, val_kl = eval_loss(work, x_val)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": loss_sum / order.size,
-                "val_loss": val_total,
-                "val_recon": val_recon,
-                "val_kl": val_kl,
-                "lr": opt.lr,
-            }
-        )
-
-        if val_total < best_val:
-            best_val = val_total
-            best_epoch = epoch
-            best_params = params.flat.copy()
-            stale_early = 0
-            stale_plateau = 0
-        else:
-            stale_early += 1
-            stale_plateau += 1
-            if stale_plateau >= config.plateau_patience:
-                opt.lr *= config.plateau_factor
-                stale_plateau = 0
-            if stale_early >= config.early_stop_patience:
-                break
-
-    model.params.flat[...] = best_params
-    history_meta = {"best_epoch": best_epoch, "best_val_loss": best_val}
-    return model, {"epochs": history, **history_meta}
+    return train_lockstep([run])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +676,7 @@ def load_checkpoint(path) -> tuple[VaeModel, dict]:
         )
     except ConfigError as exc:
         raise FormatError(f"{header_path}: {exc}") from exc
-    model = build_model(config, fields["x_min"], fields["x_max"], np.random.default_rng(0))
+    model = VaeModel.zeros(config, fields["x_min"], fields["x_max"])
     flat = model.params.flat
     if payload.size != flat.size:
         raise ShapeError(

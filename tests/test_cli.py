@@ -433,6 +433,11 @@ CONFIG_MISTAKES = [
      {"synth": {"name": "toy", "n_lat": 2, "n_lon": -2, "n_months": 48}}),
     ("synth", "synth.n_months must be >= 1, got 0",
      {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 0}}),
+    ("synth", f"synth.n_lat * synth.n_lon * synth.n_months is {10 ** 30 * 2 * 48}",
+     {"synth": {"name": "toy", "n_lat": 10 ** 30, "n_lon": 2, "n_months": 48}}),
+    ("synth", "synth.n_lat * synth.n_lon * synth.n_months is 4000000000000, above the limit "
+              "of 2147483648 values",
+     {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 10 ** 12}}),
     ("synth", "seed must be >= 0", {"seed": -1}),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
     ("extremes", "grid.format must be one of ['flat-binary'], got 'csv'",
@@ -666,3 +671,85 @@ def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
                       for p in sorted(root.rglob("*")) if p.is_file()})
     assert trees[0].keys() == trees[1].keys()
     assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+def test_synth_size_limit_is_the_one_the_readme_states():
+    from gpp_extremes import config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert config.SYNTH_MAX_VALUES == 2 ** 31
+    assert "2**31 (2,147,483,648) values" in readme
+
+
+@pytest.mark.parametrize("command", ["train", "extremes"])
+def test_mass_that_overflows_float64_is_a_data_error_naming_grid_and_region(
+        tmp_path, capsys, command):
+    # finite flux passes the grid checks, but flux x cell area x month
+    # length overflows float64
+    cfg = write_config(tmp_path, method="ssa")
+    raw = json.loads(cfg.read_text())
+    raw["synth"]["cell_variation"] = 1e308
+    cfg.write_text(json.dumps(raw))
+    assert run(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid {tmp_path / 'out' / 'toy'}: the mass of region 'quad' is not finite" in err
+    assert not any((tmp_path / "out" / "checkpoints").iterdir())
+    assert not any((tmp_path / "out" / "tables").iterdir())
+
+
+def two_period_config(tmp_path, **train):
+    """The toy config over 96 months with two four-year periods, which train
+    as one lockstep group."""
+    cfg = write_config(tmp_path, method="vae")
+    raw = json.loads(cfg.read_text())
+    raw["synth"]["n_months"] = 96
+    raw["periods"] = [{"name": "y1850-53", "start_year": 1850, "end_year": 1853},
+                      {"name": "y1854-57", "start_year": 1854, "end_year": 1857}]
+    raw["train"].update(train)
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_training_error_names_the_group_member(tmp_path, capsys, monkeypatch):
+    from gpp_extremes import vae
+
+    cfg = two_period_config(tmp_path)
+    assert run(["synth", "--config", str(cfg)]) == 0
+    normalize, made = vae.normalize, []
+
+    def second_holds_nan(mass):
+        windows = normalize(mass)
+        made.append(windows)
+        if len(made) == 2:
+            windows.windows[:, 5] = np.nan
+        return windows
+
+    monkeypatch.setattr(vae, "normalize", second_holds_nan)
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "training quad y1854-57 aborted at epoch 1, batch 0: non-finite loss" in err
+    assert "Traceback" not in err
+    assert len(made) == 2
+
+
+def test_a_group_member_trains_to_the_checkpoint_of_a_run_alone(tmp_path):
+    # the first period alone and with a second period of equal length, in
+    # lockstep, on the same grid: the same unit seed, so the same model
+    two = two_period_config(tmp_path)
+    assert run(["synth", "--config", str(two)]) == 0
+    assert run(["train", "--config", str(two)]) == 0
+    raw = json.loads(two.read_text())
+    raw["periods"] = raw["periods"][:1]
+    raw["out_dir"] = str(tmp_path / "one")
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(raw))
+    assert run(["train", "--config", str(one)]) == 0
+    for suffix in (".f64", ".json"):
+        name = f"checkpoints/vae_quad_y1850-53{suffix}"
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    name = "reports/train_quad_y1850-53.json"
+    assert (tmp_path / "out" / name).read_text() == (tmp_path / "one" / name).read_text()
+    assert (tmp_path / "out" / "checkpoints" / "vae_quad_y1854-57.f64").exists()

@@ -353,3 +353,82 @@ def test_flat_adam_names_the_non_finite_parameter(rng):
     with pytest.raises(NumericalError, match=r"parameter 2 at Adam step 2"):
         nn.adam_step(state, params, grads)
     assert state.step == 1
+
+
+# ---------------------------------------------------------------------------
+# stacks of models
+
+def test_stacked_buffer_views_each_array_across_its_rows(rng):
+    shapes = [(3, 4), (3,), (2, 3), (2,)]
+    stack = nn.ParamBuffer.stack([nn.ParamBuffer(shapes, np.float32)] * 5)
+    assert stack.flat.shape == (5, 12 + 3 + 6 + 2) and stack.flat.dtype == np.float32
+    assert [a.shape for a in stack] == [(5, 3, 4), (5, 1, 3), (5, 2, 3), (5, 1, 2)]
+    stack.flat[...] = rng.normal(size=stack.flat.shape)
+    one = stack.model(3)
+    assert [a.shape for a in one] == shapes
+    for a, b in zip(one, stack):
+        assert np.shares_memory(a, stack.flat)
+        assert np.array_equal(a, b[3].reshape(a.shape))
+    kept = stack.take([4, 1])
+    assert np.array_equal(kept.flat, stack.flat[[4, 1]]) and not np.shares_memory(kept.flat,
+                                                                                 stack.flat)
+    assert nn.ParamBuffer.like(stack).flat.shape == stack.flat.shape
+
+
+def test_stacked_dense_passes_give_each_model_its_own_bits(rng):
+    dims = [12, 16, 8]
+    models = [nn.DenseStack.init(dims, rng) for _ in range(3)]
+    shapes = [s for layer in models[0].layers for s in (layer.weights.shape, layer.bias.shape)]
+    singles = [nn.ParamBuffer(shapes, np.float32) for _ in models]
+    for buf, model in zip(singles, models):
+        buf.flat[...] = np.concatenate([a.ravel() for layer in model.layers
+                                        for a in (layer.weights, layer.bias)])
+    stack = nn.ParamBuffer.stack(singles)
+
+    def layers(buf):
+        return nn.DenseStack([nn.DenseLayer(w, b) for w, b in zip(buf.arrays[0::2],
+                                                                   buf.arrays[1::2])])
+
+    x = rng.uniform(-1, 1, size=(3, 40, 12)).astype(np.float32)
+    masks = [nn.dropout_mask((3, 40, d), 0.2, rng, np.float32) for d in dims[1:]]
+    grad_out = rng.normal(size=(3, 40, 8)).astype(np.float32)
+    out, cache = layers(stack).forward(x, masks)
+    grads = nn.ParamBuffer.like(stack)
+    gx, _ = layers(stack).backward(cache, grad_out.copy(),
+                                   out=list(zip(grads.arrays[0::2], grads.arrays[1::2])))
+    for i, buf in enumerate(singles):
+        out_i, cache_i = layers(buf).forward(x[i], [m[i] for m in masks])
+        g = nn.ParamBuffer.like(buf)
+        gx_i, _ = layers(buf).backward(cache_i, grad_out[i].copy(),
+                                       out=list(zip(g.arrays[0::2], g.arrays[1::2])))
+        assert out_i.tobytes() == out[i].tobytes()
+        assert gx_i.tobytes() == gx[i].tobytes()
+        assert g.flat.tobytes() == grads.flat[i].tobytes()
+
+
+def test_stacked_adam_steps_each_model_with_its_own_rate(rng):
+    shapes = [(4, 3), (4,)]
+    singles = [nn.ParamBuffer(shapes, np.float32) for _ in range(3)]
+    for buf in singles:
+        buf.flat[...] = rng.normal(size=buf.flat.size)
+    stack = nn.ParamBuffer.stack(singles)
+    rates = [0.01, 0.005, 0.0025]
+    state = nn.AdamState.for_params(stack, np.array([[r] for r in rates], np.float32))
+    states = [nn.AdamState.for_params(buf, r) for buf, r in zip(singles, rates)]
+    for _ in range(3):
+        grads = nn.ParamBuffer.like(stack)
+        grads.flat[...] = rng.normal(size=grads.flat.shape)
+        nn.adam_step(state, stack, grads)
+        for i, (buf, st) in enumerate(zip(singles, states)):
+            g = nn.ParamBuffer.like(buf)
+            g.flat[...] = grads.flat[i]
+            nn.adam_step(st, buf, g)
+    for i, (buf, st) in enumerate(zip(singles, states)):
+        assert buf.flat.tobytes() == stack.flat[i].tobytes()
+        assert st.m.tobytes() == state.m[i].tobytes() and st.v.tobytes() == state.v[i].tobytes()
+    kept = state.take([2, 0])
+    assert kept.step == 3 and kept.lr.ravel().tolist() == [np.float32(0.0025), np.float32(0.01)]
+    assert np.array_equal(kept.m, state.m[[2, 0]])
+    grads.arrays[1][2, 0, 3] = np.nan
+    with pytest.raises(NumericalError, match=r"parameter 1 of model 2 at Adam step 4"):
+        nn.adam_step(state, stack, grads)

@@ -839,3 +839,97 @@ def test_checkpoint_save_load_save_bytes_identical(tmp_path, rng):
     assert first == (tmp_path / "b.f64").read_bytes()
     assert first == model.params.flat.astype("<f8").tobytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_load_checkpoint_draws_no_weights(tmp_path, rng, monkeypatch):
+    model, _ = tiny_model(rng, hidden=(16, 8), latent=3)
+    vae.save_checkpoint(model, tmp_path / "m", seed=4, epoch=2)
+
+    def no_draw(*args):
+        raise AssertionError("load_checkpoint drew Glorot weights")
+
+    for module in (nn, vae):
+        monkeypatch.setattr(module, "glorot_uniform", no_draw)
+    loaded, _ = vae.load_checkpoint(tmp_path / "m")
+    vae.save_checkpoint(loaded, tmp_path / "again", seed=4, epoch=2)
+    assert (tmp_path / "again.f64").read_bytes() == (tmp_path / "m.f64").read_bytes()
+    assert (tmp_path / "again.json").read_text() == (tmp_path / "m.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# lockstep training
+
+def unit_windows(n_units, n_cells=9, n_months=120):
+    """Windows of ``n_units`` units of one shape, each from its own grid."""
+    return [vae.normalize(annual_mass(n_cells, n_months, seed=seed, noise=0.05))
+            for seed in range(1, n_units + 1)]
+
+
+def train_both_ways(windows, configs, tmp_path):
+    """Checkpoint bytes and histories of each unit trained alone and in one
+    lockstep group."""
+    alone = [vae.train(ws, cfg) for ws, cfg in zip(windows, configs)]
+    runs = [vae.TrainRun(ws, cfg, name=f"unit {i}") for i, (ws, cfg)
+            in enumerate(zip(windows, configs))]
+    together = vae.train_lockstep(runs)
+    out = []
+    for way, results in (("alone", alone), ("lockstep", together)):
+        for i, (model, history) in enumerate(results):
+            path = tmp_path / f"{way}{i}"
+            vae.save_checkpoint(model, path, seed=configs[i].seed, epoch=history["best_epoch"])
+            out.append((way, (path.with_suffix(".f64").read_bytes(),
+                              path.with_suffix(".json").read_text()), history))
+    return out[:len(configs)], out[len(configs):]
+
+
+def test_three_equal_units_in_lockstep_match_three_runs_alone(tmp_path):
+    windows = unit_windows(3)
+    configs = [vae.TrainConfig(max_epochs=4, batch_size=48, seed=seed, likelihood_var=0.05)
+               for seed in (7, 8, 9)]
+    alone, together = train_both_ways(windows, configs, tmp_path)
+    for (_, ckpt_a, hist_a), (_, ckpt_b, hist_b) in zip(alone, together):
+        assert ckpt_a == ckpt_b
+        assert hist_a == hist_b
+        assert hist_a["best_epoch"] == hist_b["best_epoch"]
+    # three different models, not one model three times
+    assert len({ckpt for _, ckpt, _ in alone}) == 3
+
+
+def test_lockstep_runs_that_stop_and_cut_rates_at_different_epochs_match_runs_alone(tmp_path):
+    # a small patience makes each run cut its rate and stop at epochs of
+    # its own, so the stack loses members at different epochs
+    windows = unit_windows(4)
+    configs = [vae.TrainConfig(max_epochs=40, batch_size=40, seed=seed, learning_rate=0.03,
+                               plateau_patience=1, early_stop_patience=3,
+                               hidden_dims=(16, 8), latent_dim=2, dropout_rate=0.05)
+               for seed in (21, 22, 23, 24)]
+    alone, together = train_both_ways(windows, configs, tmp_path)
+    for (_, ckpt_a, hist_a), (_, ckpt_b, hist_b) in zip(alone, together):
+        assert ckpt_a == ckpt_b
+        assert [e["lr"] for e in hist_a["epochs"]] == [e["lr"] for e in hist_b["epochs"]]
+        assert hist_a == hist_b
+    lengths = [len(h["epochs"]) for _, _, h in alone]
+    first_cuts = [next(e["epoch"] for e in h["epochs"] if e["lr"] < 0.03) for _, _, h in alone]
+    assert len(set(lengths)) > 1 and max(lengths) < 40
+    assert len(set(first_cuts)) > 1
+
+
+def test_lockstep_needs_one_config_and_equal_window_counts():
+    windows = unit_windows(2)
+    cfg = vae.TrainConfig(max_epochs=1, batch_size=32)
+    with pytest.raises(ValueError, match="one config apart from the seed"):
+        vae.train_lockstep([vae.TrainRun(windows[0], cfg),
+                            vae.TrainRun(windows[1], vae.TrainConfig(max_epochs=2, batch_size=32))])
+    short = vae.normalize(annual_mass(9, 100, seed=3, noise=0.05))
+    with pytest.raises(ValueError, match="equal window counts"):
+        vae.train_lockstep([vae.TrainRun(windows[0], cfg), vae.TrainRun(short, cfg)])
+
+
+def test_lockstep_error_names_the_run_with_the_non_finite_loss():
+    windows = unit_windows(3)
+    windows[1].windows[:, 4] = np.nan
+    cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
+    runs = [vae.TrainRun(ws, cfg, name=name) for ws, name in zip(windows, "abc")]
+    with pytest.raises(NumericalError,
+                       match=r"^training b aborted at epoch 1, batch 0: non-finite loss$"):
+        vae.train_lockstep(runs)
