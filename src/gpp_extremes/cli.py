@@ -81,23 +81,34 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     """Train one VAE per unit. A region's periods of equal length have equal
-    window counts and train in lockstep (``vae.train_lockstep``); outputs
-    are written region by region, in config order."""
+    window counts and train in lockstep (``vae.train_lockstep``), in config
+    order, in groups whose float32 windows together fit in
+    ``vae.LOCKSTEP_MAX_BYTES`` (a unit larger than that trains alone);
+    outputs are written region by region, in config order."""
     units = cfg.units()
     grid = _load_input_grid(cfg)
     for region in cfg.regions:
         region_units = [u for u in units if u.region is region]
         trained = {}
         for months in dict.fromkeys(u.period.months for u in region_units):
-            group = [u for u in region_units if u.period.months == months]
-            # normalized inline, so each run frees its float64 windows once made
-            runs = [vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, u)),
-                                     replace(cfg.train, seed=u.seed),
-                                     name=f"{u.region.name} {u.period.name}") for u in group]
-            trained.update(zip((u.tag for u in group), vae_mod.train_lockstep(runs)))
+            todo = [u for u in region_units if u.period.months == months]
+            while todo:
+                # equal lengths give equal window counts, so the first run sizes the group
+                runs = [_train_run(cfg, grid, todo[0])]
+                size = max(1, vae_mod.LOCKSTEP_MAX_BYTES // runs[0].nbytes)
+                runs += [_train_run(cfg, grid, u) for u in todo[1:size]]
+                trained.update(zip((u.tag for u in todo), vae_mod.train_lockstep(runs)))
+                todo = todo[size:]
         for unit in region_units:
             _write_training(cfg.out, unit, *trained.pop(unit.tag))
     return 0
+
+
+def _train_run(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> vae_mod.TrainRun:
+    # normalized inline, so the run frees its float64 windows once made
+    return vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, unit)),
+                            replace(cfg.train, seed=unit.seed),
+                            name=f"{unit.region.name} {unit.period.name}")
 
 
 def _write_training(out: Path, unit: Unit, model, history) -> None:

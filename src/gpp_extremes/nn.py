@@ -122,10 +122,6 @@ class DenseLayer:
     def __post_init__(self):
         self.weights_t = np.swapaxes(self.weights, -1, -2)
 
-    @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "DenseLayer":
-        return cls(weights=glorot_uniform(in_dim, out_dim, rng), bias=np.zeros(out_dim))
-
     @property
     def in_dim(self) -> int:
         return self.weights.shape[-1]
@@ -205,10 +201,6 @@ class DenseStack:
     """Dense layers, each followed by ReLU and the caller's inverted-dropout mask."""
 
     layers: list
-
-    @classmethod
-    def init(cls, dims, rng):
-        return cls([DenseLayer.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     def forward(self, x, masks=None):
         """Run the stack; returns (output, cache) with cache usable by backward.
@@ -317,15 +309,14 @@ def adam_step(state: AdamState, params: ParamBuffer, grads: ParamBuffer) -> Para
     ``params`` and ``grads`` share one layout and are updated as flat
     arrays, each element as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
     and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps). A non-finite gradient is a
-    NumericalError naming its parameter array, and its model in a stack.
+    NumericalError naming its parameter array.
     """
     p, g = params.flat, grads.flat
     if not np.isfinite(g).all():
-        where = np.argwhere(~np.isfinite(g))[0]  # (model, position) in a stack
-        model = f" of model {where[0]}" if g.ndim > 1 else ""
+        # the position within its model's row, for a stack
+        i = grads.index_of(int(np.flatnonzero(~np.isfinite(g))[0]) % g.shape[-1])
         raise NumericalError(
-            f"non-finite gradient in parameter {grads.index_of(int(where[-1]))}{model} "
-            f"at Adam step {state.step + 1}"
+            f"non-finite gradient in parameter {i} at Adam step {state.step + 1}"
         )
     state.step += 1
     b1, b2 = state.beta1, state.beta2

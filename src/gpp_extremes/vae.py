@@ -34,8 +34,10 @@ models: one (M, n_params) buffer, one forward pass, one backward pass and
 one Adam update per step for all of them. Each run keeps its own
 generator, data, learning rate, early stop and history, and a stacked
 step gives each model the bits of a step alone, so every run ends as it
-would have alone. ``train`` is a stack of one, which steps without the
-stack axis.
+would have alone. ``train`` is a stack of one. ``cli.cmd_train`` forms
+groups that hold at most ``LOCKSTEP_MAX_BYTES`` of float32 windows, so
+lockstep adds a bounded amount to the training peak over training the
+runs one at a time.
 
 ``train`` runs its step loop and its validation passes in float32: it
 trains a float32 copy of the float64 Glorot initialization on float32
@@ -52,7 +54,6 @@ encode and decode edges cast their batches to it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +82,12 @@ _FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
 # two layers' activations at a time, 3 MB of float64 at 2,048 rows through
 # the 128- and 64-wide layers.
 INFER_BLOCK_ROWS = 2048
+# Most bytes of float32 windows (``TrainRun.nbytes``) that the runs of one
+# lockstep group hold together; ``cli.cmd_train`` splits a region's periods
+# by it. Runs trained one at a time hold one run's windows, and a group
+# holds all of its runs' windows while it trains, so lockstep adds at most
+# this much, less one run's, to the training peak.
+LOCKSTEP_MAX_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -310,12 +317,9 @@ def draw_dropout_masks(model: VaeModel, n_rows: int, rng) -> tuple:
     widths = [layer.out_dim for stack in (model.encoder, model.decoder)
               for layer in stack.layers]
     size = n_rows * sum(widths)
-    if model.params.flat.ndim == 1:
-        flat = dropout_mask(size, rate, rng, dtype)
-    else:
-        flat = np.empty((len(rng), size), dtype)
-        for row, gen in zip(flat, rng):
-            dropout_mask(size, rate, gen, dtype, out=row)
+    flat = np.empty(model.params.flat.shape[:-1] + (size,), dtype)
+    for row, gen in zip(flat.reshape(-1, size), rng if flat.ndim > 1 else [rng]):
+        dropout_mask(size, rate, gen, dtype, out=row)
     starts = np.cumsum([0] + widths) * n_rows
     masks = [flat[..., start:start + n_rows * width].reshape(flat.shape[:-1] + (n_rows, width))
              for start, width in zip(starts, widths)]
@@ -399,7 +403,8 @@ class TrainRun:
     from the run's generator and gathers the shuffled windows into float32
     in row blocks; the float64 windows are not kept, so a caller that passes
     ``normalize(...)`` inline frees them once the run is made. ``name``
-    names the run in a training error.
+    names the run in a training error, and ``nbytes`` is the size of its
+    float32 windows.
     """
 
     def __init__(self, windows: WindowSet, config: TrainConfig, name: str = ""):
@@ -418,6 +423,7 @@ class TrainRun:
         for rows in _blocks(n, INFER_BLOCK_ROWS):
             shuffled[rows] = windows.windows[perm[rows]]
         self.x_val, self.x_train = shuffled[:n_val], shuffled[n_val:]
+        self.nbytes = shuffled.nbytes
         self.lr = config.learning_rate
         self.best_val, self.best_epoch = np.inf, 0
         self.best_params = self.model.params.flat.copy()
@@ -476,14 +482,11 @@ def train_lockstep(runs: list) -> list:
     net = None
     for epoch in range(1, config.max_epochs + 1):
         if net is None:
+            net, grads = VaeModel(params, config), ParamBuffer.like(params)
             models = [VaeModel(params.model(i), config) for i in range(len(active))]
-            grads = ParamBuffer.like(params)
-            # a stack of one steps without the stack axis, as a model alone
-            one = len(active) == 1
-            net, net_grads, rngs = ((models[0], grads.model(0), active[0].rng) if one else
-                                    (VaeModel(params, config), grads, [r.rng for r in active]))
+            rngs = [run.rng for run in active]
         orders = [run.rng.permutation(n_train) for run in active]
-        loss_sum = 0.0  # a float for a model alone, an (M,) array for a stack
+        loss_sum = 0.0
         for batch, start in enumerate(range(0, n_train, config.batch_size)):
             size = min(config.batch_size, n_train - start)
             x = np.empty((len(active), size, SEQ_LEN), np.float32)
@@ -491,12 +494,10 @@ def train_lockstep(runs: list) -> list:
             for i, (run, order) in enumerate(zip(active, orders)):
                 np.take(run.x_train, order[start:start + size], axis=0, out=x[i])
                 eps[i] = run.rng.standard_normal((size, config.latent_dim))
-            if one:
-                x, eps = x[0], eps[0]
             enc_masks, dec_masks = draw_dropout_masks(net, size, rngs)
-            (total, _, _), _ = loss_and_grads(net, x, eps, enc_masks, dec_masks, out=net_grads)
+            (total, _, _), _ = loss_and_grads(net, x, eps, enc_masks, dec_masks, out=grads)
             try:
-                if not (math.isfinite(total) if one else np.isfinite(total).all()):
+                if not np.isfinite(total).all():
                     raise NumericalError("non-finite loss")
                 adam_step(opt, params, grads)
             except NumericalError as exc:
@@ -510,7 +511,7 @@ def train_lockstep(runs: list) -> list:
                 ) from exc
             loss_sum = loss_sum + total * size
 
-        train_loss = np.reshape(loss_sum, -1) / n_train
+        train_loss = loss_sum / n_train
         stops = [run.end_epoch(epoch, float(train_loss[i]), eval_loss(models[i], run.x_val),
                                params.flat[i])
                  for i, run in enumerate(active)]

@@ -681,6 +681,14 @@ def test_synth_size_limit_is_the_one_the_readme_states():
     assert "2**31 (2,147,483,648) values" in readme
 
 
+def test_lockstep_byte_bound_is_the_one_the_readme_states():
+    from gpp_extremes import vae
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert vae.LOCKSTEP_MAX_BYTES == 4 * 2 ** 20
+    assert "`vae.LOCKSTEP_MAX_BYTES`\n  (4 MiB)" in readme
+
+
 @pytest.mark.parametrize("command", ["train", "extremes"])
 def test_mass_that_overflows_float64_is_a_data_error_naming_grid_and_region(
         tmp_path, capsys, command):
@@ -733,6 +741,39 @@ def test_training_error_names_the_group_member(tmp_path, capsys, monkeypatch):
     assert "training quad y1854-57 aborted at epoch 1, batch 0: non-finite loss" in err
     assert "Traceback" not in err
     assert len(made) == 2
+
+
+def test_lockstep_groups_hold_at_most_the_byte_bound(tmp_path, monkeypatch):
+    from gpp_extremes import vae
+
+    cfg = two_period_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["synth"]["n_months"] = 144
+    raw["periods"].append({"name": "y1858-61", "start_year": 1858, "end_year": 1861})
+    cfg.write_text(json.dumps(raw))
+    assert run(["synth", "--config", str(cfg)]) == 0
+    train_lockstep, groups = vae.train_lockstep, []
+
+    def recorded(runs):
+        groups.append([r.nbytes for r in runs])
+        return train_lockstep(runs)
+
+    def checkpoints(out):
+        return {p.name: p.read_bytes() for p in (out / "checkpoints").iterdir()}
+
+    monkeypatch.setattr(vae, "train_lockstep", recorded)
+    assert run(["train", "--config", str(cfg)]) == 0
+    one = groups[0][0]
+    assert groups == [[one] * 3]
+    expected = checkpoints(tmp_path / "out")
+    assert len(expected) == 6
+    for bound, sizes in ((2 * one + 1, [2, 1]), (one - 1, [1, 1, 1])):
+        groups.clear()
+        monkeypatch.setattr(vae, "LOCKSTEP_MAX_BYTES", bound)
+        out = tmp_path / f"out{bound}"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [len(g) for g in groups] == sizes
+        assert checkpoints(out) == expected
 
 
 def test_a_group_member_trains_to_the_checkpoint_of_a_run_alone(tmp_path):

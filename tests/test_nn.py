@@ -7,6 +7,14 @@ from gpp_extremes import nn
 from gpp_extremes.errors import NumericalError
 
 
+def glorot_layer(in_dim, out_dim, rng):
+    return nn.DenseLayer(nn.glorot_uniform(in_dim, out_dim, rng), np.zeros(out_dim))
+
+
+def glorot_stack(dims, rng):
+    return nn.DenseStack([glorot_layer(i, o, rng) for i, o in zip(dims, dims[1:])])
+
+
 # ---------------------------------------------------------------------------
 # dense layer
 
@@ -21,7 +29,7 @@ def test_dense_hand_case():
 
 
 def test_dense_matches_triple_loop(rng):
-    layer = nn.DenseLayer.init(7, 5, rng)
+    layer = glorot_layer(7, 5, rng)
     x = rng.normal(size=7)
     y = nn.dense_forward(layer, x)
     for i in range(5):
@@ -32,7 +40,7 @@ def test_dense_matches_triple_loop(rng):
 
 
 def test_glorot_bound(rng):
-    layer = nn.DenseLayer.init(30, 20, rng)
+    layer = glorot_layer(30, 20, rng)
     limit = np.sqrt(6.0 / 50)
     assert np.all(np.abs(layer.weights) <= limit)
     assert np.all(layer.bias == 0)
@@ -200,7 +208,7 @@ def test_adam_rejects_non_finite():
 # backprop
 
 def _stack_2_2_2(rng):
-    stack = nn.DenseStack.init(dims=[2, 2, 2], rng=rng)
+    stack = glorot_stack([2, 2, 2], rng)
     for layer in stack.layers:
         # a positive bias keeps a row that ReLU or dropout zeroed off the kink
         layer.bias[...] = rng.uniform(0.2, 0.5, size=layer.out_dim)
@@ -267,7 +275,7 @@ def test_backprop_zero_upstream_gives_zero_grads(rng):
 
 def test_backprop_linear_net_matches_least_squares(rng):
     # one linear layer with MSE loss: dW = (y - t) x^T summed over batch
-    layer = nn.DenseLayer.init(3, 2, rng)
+    layer = glorot_layer(3, 2, rng)
     x = rng.normal(size=(6, 3))
     target = rng.normal(size=(6, 2))
     y = nn.dense_forward(layer, x)
@@ -278,7 +286,7 @@ def test_backprop_linear_net_matches_least_squares(rng):
 
 
 def test_infer_matches_cached_eval_forward(rng, monkeypatch):
-    stack = nn.DenseStack.init(dims=[12, 16, 8, 3], rng=rng)
+    stack = glorot_stack([12, 16, 8, 3], rng)
     x = rng.normal(size=(40, 12))
     x_before = x.copy()
     expected, _ = stack.forward(x)
@@ -377,7 +385,7 @@ def test_stacked_buffer_views_each_array_across_its_rows(rng):
 
 def test_stacked_dense_passes_give_each_model_its_own_bits(rng):
     dims = [12, 16, 8]
-    models = [nn.DenseStack.init(dims, rng) for _ in range(3)]
+    models = [glorot_stack(dims, rng) for _ in range(3)]
     shapes = [s for layer in models[0].layers for s in (layer.weights.shape, layer.bias.shape)]
     singles = [nn.ParamBuffer(shapes, np.float32) for _ in models]
     for buf, model in zip(singles, models):
@@ -430,5 +438,5 @@ def test_stacked_adam_steps_each_model_with_its_own_rate(rng):
     assert kept.step == 3 and kept.lr.ravel().tolist() == [np.float32(0.0025), np.float32(0.01)]
     assert np.array_equal(kept.m, state.m[[2, 0]])
     grads.arrays[1][2, 0, 3] = np.nan
-    with pytest.raises(NumericalError, match=r"parameter 1 of model 2 at Adam step 4"):
+    with pytest.raises(NumericalError, match=r"parameter 1 at Adam step 4"):
         nn.adam_step(state, stack, grads)

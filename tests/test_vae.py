@@ -421,7 +421,8 @@ def assert_same_bits(actual, expected):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_stack_dropout_is_bit_identical(rng, dtype):
-    stack = nn.DenseStack.init([12, 16, 8, 4], rng)
+    stack = nn.DenseStack([nn.DenseLayer(nn.glorot_uniform(i, o, rng), np.zeros(o))
+                           for i, o in ((12, 16), (16, 8), (8, 4))])
     stack = nn.DenseStack([nn.DenseLayer(layer.weights.astype(dtype), layer.bias.astype(dtype))
                            for layer in stack.layers])
     x = rng.uniform(-1, 1, size=(32, 12)).astype(dtype)
