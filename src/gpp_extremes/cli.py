@@ -4,28 +4,53 @@ One JSON config drives every subcommand. It is checked in full before any
 command runs (see config.py), and all randomness flows from its single
 seed, so two runs with the same config produce byte-identical outputs.
 Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numerical failure.
+3 numerical failure, 4 a worker process died.
+
+``train`` and ``extremes`` run their units in up to ``--jobs`` forked
+worker processes, each on one BLAS thread, and print and merge the
+results in config order, so outputs do not depend on ``--jobs``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
+import os
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
+# numpy's BLAS reads its thread count once, when numpy loads. Units run side
+# by side in worker processes, and BLAS threads of their own would compete
+# with the other workers for the same cores, so pin BLAS before numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-from . import compare as compare_mod
-from . import extremes as extremes_mod
-from . import ssa as ssa_mod
-from . import svg
-from . import vae as vae_mod
-from .config import PipelineConfig, Unit
-from .errors import ConfigError, DataError, PipelineError
-from .grid import GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate
+
+def _pin_blas() -> bool:
+    """Set each of ``BLAS_THREAD_VARS`` to 1 unless it is set; whether they
+    all said 1 when numpy loaded, which is now if numpy has not loaded yet."""
+    numpy_loaded = "numpy" in sys.modules
+    said_one = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    return said_one if numpy_loaded else all(os.environ[var] == "1" for var in BLAS_THREAD_VARS)
+
+
+BLAS_PINNED = _pin_blas()  # worker processes run only then
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import json  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import compare as compare_mod  # noqa: E402
+from . import extremes as extremes_mod  # noqa: E402
+from . import ssa as ssa_mod  # noqa: E402
+from . import svg  # noqa: E402
+from . import vae as vae_mod  # noqa: E402
+from .config import PipelineConfig, Unit  # noqa: E402
+from .errors import ConfigError, DataError, PipelineError, WorkerError  # noqa: E402
+from .grid import (  # noqa: E402
+    GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
 
 OUT_DIRS = ("tables", "figures", "grids", "checkpoints", "reports")
 
@@ -62,6 +87,80 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# units in worker processes
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` tasks at ``--jobs jobs``: at most
+    ``jobs``, one per task and one per available CPU."""
+    return max(1, min(jobs, tasks, available_cpus()))
+
+
+_worker_state = None  # (work, cfg, grid, tasks) in a pool worker, set by _init_worker
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _run_task(index: int):
+    work, cfg, grid, tasks = _worker_state
+    return work(cfg, grid, tasks[index])
+
+
+def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -> None:
+    """``take(work(cfg, grid, task))`` for every task, in task order.
+
+    With more than one worker (``worker_count`` of ``cfg.jobs``, by default
+    the available CPUs) and BLAS pinned to one thread when numpy loaded,
+    the tasks run in a pool of forked processes. A worker inherits
+    ``cfg``, ``grid`` and the tasks from this process and receives only a
+    task's index; ``work`` writes the task's own files and returns what
+    ``take`` needs, which comes back pickled. ``take`` runs here, in task
+    order, so printed lines and merged tables do not depend on the worker
+    count. An error raised in a task is raised here when its turn comes;
+    tasks after it may have written their files by then. Every worker has
+    exited when this returns or raises.
+    """
+    workers = worker_count(cfg.jobs or available_cpus(), len(tasks))
+    if workers > 1 and not BLAS_PINNED:
+        if cfg.jobs is not None:
+            print(f"note: --jobs {cfg.jobs} runs the units in this process: numpy loaded "
+                  f"before {', '.join(BLAS_THREAD_VARS)} were all set to 1", file=sys.stderr)
+        workers = 1
+    if workers == 1:
+        for task in tasks:
+            take(work(cfg, grid, task))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(work, cfg, grid, tasks))
+    try:
+        for future in [pool.submit(_run_task, i) for i in range(len(tasks))]:
+            take(future.result())
+    except BrokenProcessPool as exc:
+        raise WorkerError("a worker process ended without returning its result (killed, "
+                          "or out of memory?); rerun with --jobs 1") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _print_lines(lines: list) -> None:
+    for line in lines:
+        print(line)
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -80,28 +179,32 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    """Train one VAE per unit. A region's periods of equal length have equal
-    window counts and train in lockstep (``vae.train_lockstep``), in config
-    order, in groups whose float32 windows together fit in
-    ``vae.LOCKSTEP_MAX_BYTES`` (a unit larger than that trains alone);
-    outputs are written region by region, in config order."""
+    """Train one VAE per unit, one task per region (see ``_run_units``)."""
     units = cfg.units()
-    grid = _load_input_grid(cfg)
-    for region in cfg.regions:
-        region_units = [u for u in units if u.region is region]
-        trained = {}
-        for months in dict.fromkeys(u.period.months for u in region_units):
-            todo = [u for u in region_units if u.period.months == months]
-            while todo:
-                # equal lengths give equal window counts, so the first run sizes the group
-                runs = [_train_run(cfg, grid, todo[0])]
-                size = max(1, vae_mod.LOCKSTEP_MAX_BYTES // runs[0].nbytes)
-                runs += [_train_run(cfg, grid, u) for u in todo[1:size]]
-                trained.update(zip((u.tag for u in todo), vae_mod.train_lockstep(runs)))
-                todo = todo[size:]
-        for unit in region_units:
-            _write_training(cfg.out, unit, *trained.pop(unit.tag))
+    tasks = [[u for u in units if u.region is region] for region in cfg.regions]
+    _run_units(cfg, _load_input_grid(cfg), _train_region, tasks, _print_lines)
     return 0
+
+
+def _train_region(cfg: PipelineConfig, grid: GridSeries, region_units: list) -> list:
+    """Train a region's units and write their outputs, in config order; their stdout lines.
+
+    Periods of equal length have equal window counts and train in lockstep
+    (``vae.train_lockstep``), in config order, in groups whose float32
+    windows together fit in ``vae.LOCKSTEP_MAX_BYTES`` (a unit larger than
+    that trains alone).
+    """
+    trained = {}
+    for months in dict.fromkeys(u.period.months for u in region_units):
+        todo = [u for u in region_units if u.period.months == months]
+        while todo:
+            # equal lengths give equal window counts, so the first run sizes the group
+            runs = [_train_run(cfg, grid, todo[0])]
+            size = max(1, vae_mod.LOCKSTEP_MAX_BYTES // runs[0].nbytes)
+            runs += [_train_run(cfg, grid, u) for u in todo[1:size]]
+            trained.update(zip((u.tag for u in todo), vae_mod.train_lockstep(runs)))
+            todo = todo[size:]
+    return [_write_training(cfg.out, unit, *trained.pop(unit.tag)) for unit in region_units]
 
 
 def _train_run(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> vae_mod.TrainRun:
@@ -111,8 +214,8 @@ def _train_run(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> vae_mod.Tra
                             name=f"{unit.region.name} {unit.period.name}")
 
 
-def _write_training(out: Path, unit: Unit, model, history) -> None:
-    """A unit's checkpoint, training report and loss chart."""
+def _write_training(out: Path, unit: Unit, model, history) -> str:
+    """A unit's checkpoint, training report and loss chart; its stdout line."""
     region, period = unit.region.name, unit.period.name
     vae_mod.save_checkpoint(
         model,
@@ -147,10 +250,8 @@ def _write_training(out: Path, unit: Unit, model, history) -> None:
         ylabel="loss",
     )
     (out / "figures" / f"loss_{unit.tag}.svg").write_text(chart)
-    print(
-        f"train: {region} {period} best epoch "
-        f"{history['best_epoch']} val loss {history['best_val_loss']:.6g}"
-    )
+    return (f"train: {region} {period} best epoch "
+            f"{history['best_epoch']} val loss {history['best_val_loss']:.6g}")
 
 
 def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
@@ -165,7 +266,7 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
         recon = vae_mod.reconstruct(model, mass)
         return vae_mod.vae_anomalies(mass, recon)
     kept = dict.fromkeys(cfg.dump_cells)
-    anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, jobs=cfg.jobs, keep=kept)
+    anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, keep=kept)
     for cell, dec in kept.items():
         if dec is not None:
             _write_ssa_decomposition(cfg.out, unit.tag, cell, mass, dec)
@@ -260,25 +361,19 @@ def _write_report_outputs(report, tag, grid, out):
 
 
 def cmd_extremes(cfg: PipelineConfig) -> int:
+    """Detect each unit's extremes, one task per unit (see ``_run_units``),
+    then write the tables that span every unit."""
     units = cfg.units()
-    grid = _load_input_grid(cfg)
     threshold_rows = []
     totals = []
-    for unit in units:
-        region, period = unit.region.name, unit.period.name
-        mass = _unit_mass(cfg, grid, unit)
-        for method in cfg.methods:
-            anoms = _anomalies(method, mass, unit, cfg)
-            report = extremes_mod.build_report(anoms, region, period, method)
-            _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
-            q = report.thresholds
-            threshold_rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))
-            totals.append(extremes_mod.cumulative_totals(report))
-            print(
-                f"extremes: {method} {region} {period} q_neg={q.q_neg:.6g} GgC "
-                f"({int((report.flags == extremes_mod.NEG).sum())} negative flags)"
-            )
 
+    def take(result):
+        rows, unit_totals, lines = result
+        threshold_rows.extend(rows)
+        totals.extend(unit_totals)
+        _print_lines(lines)
+
+    _run_units(cfg, _load_input_grid(cfg), _unit_extremes, units, take)
     out = cfg.out
     _write_csv(
         out / "tables" / "thresholds.csv",
@@ -287,6 +382,26 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     )
     (out / "tables" / "cumulative_totals.json").write_text(json.dumps(totals, indent=2) + "\n")
     return 0
+
+
+def _unit_extremes(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> tuple:
+    """Every method's extremes of one unit, with its per-unit outputs written;
+    (threshold rows, cumulative totals, stdout lines), one entry per method."""
+    region, period = unit.region.name, unit.period.name
+    mass = _unit_mass(cfg, grid, unit)
+    rows, totals, lines = [], [], []
+    for method in cfg.methods:
+        anoms = _anomalies(method, mass, unit, cfg)
+        report = extremes_mod.build_report(anoms, region, period, method)
+        _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
+        q = report.thresholds
+        rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))
+        totals.append(extremes_mod.cumulative_totals(report))
+        lines.append(
+            f"extremes: {method} {region} {period} q_neg={q.q_neg:.6g} GgC "
+            f"({int((report.flags == extremes_mod.NEG).sum())} negative flags)"
+        )
+    return rows, totals, lines
 
 
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
@@ -436,7 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="pipeline config (JSON)")
     common.add_argument("--out", default=None, help="output directory (overrides config)")
     common.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for per-cell SSA")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the units of train and extremes "
+                             "(default: the CPUs available)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text in (

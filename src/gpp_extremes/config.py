@@ -151,7 +151,7 @@ class PipelineConfig:
 
     out: Path
     seed: int
-    jobs: int
+    jobs: int | None  # worker processes for train and extremes; None: the CPUs available
     methods: tuple
     regions: tuple  # RegionMask per regions[i]
     periods: tuple  # Period per periods[i]
@@ -164,9 +164,9 @@ class PipelineConfig:
     trials: tuple  # TrainConfig per gridsearch trial, seed 0
 
     @classmethod
-    def load(cls, path, out=None, seed=None, jobs=1) -> "PipelineConfig":
+    def load(cls, path, out=None, seed=None, jobs=None) -> "PipelineConfig":
         """Read and check the config at ``path``; ``out`` and ``seed`` override it."""
-        if jobs < 1:
+        if jobs is not None and jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         p = Path(path)
         if not p.exists():

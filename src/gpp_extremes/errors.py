@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto exit codes: config/usage errors exit 1, data
-errors exit 2, numerical failures exit 3.
+errors exit 2, numerical failures exit 3, a worker process that died exits 4.
 """
 
 
@@ -25,6 +25,12 @@ class NumericalError(PipelineError):
     """A computation diverged or produced non-finite values."""
 
     exit_code = 3
+
+
+class WorkerError(PipelineError):
+    """A worker process ended without returning its unit's result."""
+
+    exit_code = 4
 
 
 class FormatError(DataError):

@@ -17,6 +17,10 @@ The periodograms of a cell's components come from one batched ``rfft``
 and one row-wise argmax, and the frequency bands are applied to all
 components at once. Each class is still summed in component order from
 zeros, so the result has the same bits as a component-by-component loop.
+
+Cells are decomposed one after another in the calling process. Parallel
+work is the CLI's: ``--jobs`` runs (region, period) units in worker
+processes, each with BLAS on one thread (see ``cli._run_units``).
 """
 
 from __future__ import annotations
@@ -168,37 +172,25 @@ def decompose_series(series: np.ndarray, config: SsaConfig) -> SsaDecomposition:
     return group(u, s, vt, config)
 
 
-def ssa_anomalies(mass: MassSeries, config: SsaConfig, jobs: int = 1,
+def ssa_anomalies(mass: MassSeries, config: SsaConfig,
                   keep: dict | None = None) -> MassSeries:
     """Residual anomalies per cell: original minus trend minus seasonal.
 
     The residual keeps inter-annual (1-10 year) and sub-annual variability,
-    which is where extreme departures live. Cells are independent, so
-    ``jobs`` > 1 decomposes them in a thread pool. When ``keep`` is a dict,
-    every key that is a cell of ``mass`` gets that cell's decomposition as
-    its value; other keys are left as they are.
+    which is where extreme departures live. Cells are decomposed one after
+    another, in this process (see the module docstring). When ``keep`` is
+    a dict, every key that is a cell of ``mass`` gets that cell's
+    decomposition as its value; other keys are left as they are.
     """
     values = np.asarray(mass.values, dtype=float)
-    n_cells, n_months = values.shape
-    config.validate_for(n_months)
+    config.validate_for(values.shape[1])
 
     anoms = np.empty_like(values)
-    cells = np.asarray(mass.cells).tolist()
-
-    def run(c):
+    for c, cell in enumerate(np.asarray(mass.cells).tolist()):
         dec = decompose_series(values[c], config)
         anoms[c] = dec.residual
-        if keep is not None and cells[c] in keep:
-            keep[cells[c]] = dec
-
-    if jobs > 1 and n_cells > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, range(n_cells)))
-    else:
-        for c in range(n_cells):
-            run(c)
+        if keep is not None and cell in keep:
+            keep[cell] = dec
 
     return MassSeries(
         values=anoms,

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpp_extremes import cli, grid, ssa
+from gpp_extremes import cli, errors, grid, ssa
 from gpp_extremes.config import PipelineConfig
 from gpp_extremes.grid import load_grid
 
@@ -258,6 +259,191 @@ def test_extremes_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tables" / "thresholds.csv").exists()
     assert not any((tmp_path / "out" / "checkpoints").iterdir())
+
+
+# --jobs: (region, period) units in worker processes. Subprocess runs of
+# `python -m gpp_extremes.cli` pin BLAS before numpy loads, so the pool runs
+# there; in this process numpy loaded first, so units run in-process.
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def two_region_config(tmp_path):
+    """2 regions x 2 periods, both methods: 2 train tasks, 4 extremes tasks."""
+    return write_config(
+        tmp_path,
+        synth={"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 96,
+               "noise_std": 4e-7, "cell_variation": 0.2,
+               "events": [{"cell": 1, "start": 20, "length": 2, "suppression": 0.8},
+                          {"cell": 2, "start": 70, "length": 1, "suppression": 0.9}]},
+        regions=[{"name": "west", "cells": [0, 2]}, {"name": "east", "cells": [1, 3]}],
+        periods=[{"name": "p", "start_year": 1850, "end_year": 1853},
+                 {"name": "q", "start_year": 1854, "end_year": 1857}],
+        train={"max_epochs": 2, "batch_size": 32, "hidden_dims": [16, 8], "latent_dim": 2},
+    )
+
+
+def cli_run(*args):
+    """One CLI command in a fresh interpreter, BLAS unset so the CLI pins it."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "gpp_extremes.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def python_run(code):
+    """A driver script in a fresh interpreter with BLAS pinned."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **{var: "1" for var in cli.BLAS_THREAD_VARS})
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def pool_runs(tmp_path_factory):
+    """train, extremes and compare of the 2-region config at --jobs 1, 2, 3
+    and the default: (config, {jobs: (out dir, stdout)})."""
+    tmp = tmp_path_factory.mktemp("pool")
+    cfg = two_region_config(tmp)
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    runs = {}
+    for jobs in ("1", "2", "3", None):
+        out = tmp / f"jobs{jobs}"
+        stdout = []
+        for command in ("train", "extremes", "compare"):
+            args = [command, "--config", str(cfg), "--out", str(out)]
+            done = cli_run(*args, *(["--jobs", jobs] if jobs else []))
+            assert (done.returncode, done.stderr) == (0, ""), done.stderr
+            stdout.append(done.stdout)
+        runs[jobs] = (out, stdout)
+    return cfg, runs
+
+
+def test_outputs_and_stdout_identical_at_any_jobs(pool_runs):
+    _, runs = pool_runs
+    out, stdout = runs["1"]
+    reference = tree(out)
+    assert len(reference) > 50
+    assert [len(s.splitlines()) for s in stdout] == [4, 8, 4]
+    for jobs in ("2", "3", None):
+        assert runs[jobs][1] == stdout, jobs
+        other = tree(runs[jobs][0])
+        assert other.keys() == reference.keys()
+        assert [name for name in reference if reference[name] != other[name]] == [], jobs
+
+
+def test_missing_checkpoint_in_a_worker_is_the_same_data_error(pool_runs, tmp_path):
+    cfg, runs = pool_runs
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        shutil.copytree(runs["1"][0], out)
+        # the second region's first unit, third of four extremes tasks
+        (out / "checkpoints" / "vae_east_p.json").unlink()
+        done = cli_run("extremes", "--config", str(cfg), "--out", str(out), "--jobs", jobs)
+        results.append((done.returncode, done.stdout, done.stderr))
+    assert results[0] == results[1]
+    code, stdout, stderr = results[0]
+    assert code == 2
+    assert stderr.splitlines() == ["error: no checkpoint for east p; run "
+                                   "`gpp-extremes train --config ...` first"]
+    assert len(stdout.splitlines()) == 4  # the first region's units, both methods
+
+
+needs_two_cpus = pytest.mark.skipif(cli.available_cpus() < 2,
+                                    reason="a pool needs 2 or more CPUs")
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_ends_the_command_with_exit_4(tmp_path):
+    cfg = two_region_config(tmp_path)
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    done = python_run(f"""
+import os, sys
+from gpp_extremes import cli
+
+def dies(cfg, grid, unit):
+    os._exit(9)
+
+cli._unit_extremes = dies
+sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]))
+""")
+    assert done.returncode == errors.WorkerError.exit_code == 4
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: a worker process ended without returning its result")
+    assert "Traceback" not in done.stderr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "4 a worker process died" in readme
+
+
+@needs_two_cpus
+def test_no_worker_outlives_the_command(tmp_path):
+    cfg = two_region_config(tmp_path)
+    done = python_run(f"""
+import multiprocessing, sys
+from gpp_extremes import cli
+
+assert cli.BLAS_PINNED
+assert cli.main(["synth", "--config", {str(cfg)!r}]) == 0
+assert "concurrent.futures.process" not in sys.modules
+assert cli.main(["train", "--config", {str(cfg)!r}, "--jobs", "2"]) == 0
+assert "concurrent.futures.process" in sys.modules, "the pool did not run"
+assert multiprocessing.active_children() == []
+print("ok")
+""")
+    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["ok"]), done.stderr
+
+
+def test_one_job_or_one_task_imports_no_pool(tmp_path):
+    cfg = write_config(tmp_path, method="ssa")
+    (tmp_path / "two").mkdir()
+    pool_cfg = two_region_config(tmp_path / "two")
+    done = python_run(f"""
+import sys
+from gpp_extremes import cli
+
+for cfg in ({str(cfg)!r}, {str(pool_cfg)!r}):
+    assert cli.main(["synth", "--config", cfg]) == 0
+assert cli.main(["extremes", "--config", {str(cfg)!r}]) == 0
+assert cli.main(["train", "--config", {str(pool_cfg)!r}, "--jobs", "1"]) == 0
+assert "multiprocessing" not in sys.modules
+print("ok")
+""")
+    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["ok"]), done.stderr
+
+
+@pytest.mark.parametrize("tasks", [1, 2, 12])
+def test_worker_count_is_bounded_by_tasks_and_cpus(tasks):
+    for jobs in (1_000_000, 2, 1):
+        workers = cli.worker_count(jobs, tasks)
+        assert 1 <= workers <= min(jobs, tasks, cli.available_cpus())
+    assert cli.worker_count(1_000_000, tasks) == min(tasks, cli.available_cpus())
+
+
+@needs_two_cpus
+def test_jobs_runs_in_process_when_numpy_loaded_before_the_blas_pin(
+        tmp_path, capsys, monkeypatch):
+    assert not cli.BLAS_PINNED  # conftest imports numpy first, with BLAS unset
+    cfg = two_region_config(tmp_path)
+    run(["synth", "--config", str(cfg)])
+    pids = []
+    real = cli._train_region
+
+    def record(cfg, grid, units):
+        pids.append(os.getpid())
+        return real(cfg, grid, units)
+
+    monkeypatch.setattr(cli, "_train_region", record)
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg), "--jobs", "2"]) == 0
+    assert pids == [os.getpid()] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("note: --jobs 2 runs the units in this process")
+    assert run(["extremes", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_override_changes_synth(tmp_path):

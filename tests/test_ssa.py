@@ -280,14 +280,6 @@ def test_ssa_anomalies_series_too_short():
         ssa.ssa_anomalies(mass, ssa.SsaConfig(window=120))
 
 
-def test_ssa_anomalies_threaded_matches_serial():
-    mass = noise_free_mass(n_cells=4, n_months=240)
-    cfg = ssa.SsaConfig()
-    serial = ssa.ssa_anomalies(mass, cfg, jobs=1)
-    threaded = ssa.ssa_anomalies(mass, cfg, jobs=3)
-    np.testing.assert_array_equal(serial.values, threaded.values)
-
-
 def test_ssa_config_validation():
     with pytest.raises(SsaWindowError):
         ssa.SsaConfig(trend_cutoff=60).validate_for(372)
