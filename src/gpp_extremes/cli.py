@@ -189,29 +189,19 @@ def cmd_train(cfg: PipelineConfig) -> int:
 def _train_region(cfg: PipelineConfig, grid: GridSeries, region_units: list) -> list:
     """Train a region's units and write their outputs, in config order; their stdout lines.
 
-    Periods of equal length have equal window counts and train in lockstep
-    (``vae.train_lockstep``), in config order, in groups whose float32
-    windows together fit in ``vae.LOCKSTEP_MAX_BYTES`` (a unit larger than
-    that trains alone).
+    Periods of equal length have equal window counts, and each length's
+    periods train as one lockstep group (``vae.train_lockstep``), in
+    config order.
     """
     trained = {}
     for months in dict.fromkeys(u.period.months for u in region_units):
-        todo = [u for u in region_units if u.period.months == months]
-        while todo:
-            # equal lengths give equal window counts, so the first run sizes the group
-            runs = [_train_run(cfg, grid, todo[0])]
-            size = max(1, vae_mod.LOCKSTEP_MAX_BYTES // runs[0].nbytes)
-            runs += [_train_run(cfg, grid, u) for u in todo[1:size]]
-            trained.update(zip((u.tag for u in todo), vae_mod.train_lockstep(runs)))
-            todo = todo[size:]
+        group = [u for u in region_units if u.period.months == months]
+        # normalized inline, so each run frees its float64 series once made
+        runs = [vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, u)),
+                                 replace(cfg.train, seed=u.seed),
+                                 name=f"{u.region.name} {u.period.name}") for u in group]
+        trained.update(zip((u.tag for u in group), vae_mod.train_lockstep(runs)))
     return [_write_training(cfg.out, unit, *trained.pop(unit.tag)) for unit in region_units]
-
-
-def _train_run(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> vae_mod.TrainRun:
-    # normalized inline, so the run frees its float64 windows once made
-    return vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, unit)),
-                            replace(cfg.train, seed=unit.seed),
-                            name=f"{unit.region.name} {unit.period.name}")
 
 
 def _write_training(out: Path, unit: Unit, model, history) -> str:
@@ -452,7 +442,7 @@ def _read_totals(path: Path) -> dict:
     """((negative, positive) TgC, cells) per (region, period, method) of cumulative_totals.json."""
     try:
         entries = json.loads(_artifact(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise DataError(f"{path}: expected a list of entries")
@@ -575,8 +565,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = PipelineConfig.load(args.config, out=args.out, seed=args.seed, jobs=args.jobs)
-        for sub in OUT_DIRS:
-            (cfg.out / sub).mkdir(parents=True, exist_ok=True)
+        try:
+            for sub in OUT_DIRS:
+                (cfg.out / sub).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {cfg.out} ({exc})") from exc
         return args.func(cfg)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

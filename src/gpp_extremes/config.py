@@ -175,6 +175,8 @@ class PipelineConfig:
             raw = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{p}: cannot read the config ({exc})") from exc
         _check(raw, dict, str(p))
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(

@@ -166,7 +166,7 @@ def _read_json(path: Path, what: str) -> dict:
     """The JSON object in ``path``; anything else is a FormatError naming the file."""
     try:
         raw = json.loads(_read(path, Path.read_text))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {what} is not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: {what} must be a JSON object, got {type(raw).__name__}")

@@ -76,13 +76,9 @@ class ParamBuffer:
             self.arrays.append(self.flat[..., start:stop].reshape(lead + shape))
 
     @classmethod
-    def like(cls, arrays) -> "ParamBuffer":
-        """A zeroed buffer with the layout and dtype of ``arrays``: a
-        ``ParamBuffer``, stacked or not, or a list of arrays."""
-        if isinstance(arrays, ParamBuffer):
-            return cls(arrays.shapes, flat=np.zeros_like(arrays.flat))
-        arrays = list(arrays)
-        return cls([a.shape for a in arrays], np.result_type(*arrays))
+    def like(cls, buffer: "ParamBuffer") -> "ParamBuffer":
+        """A zeroed buffer with the layout and dtype of ``buffer``, stacked or not."""
+        return cls(buffer.shapes, flat=np.zeros_like(buffer.flat))
 
     @classmethod
     def stack(cls, buffers) -> "ParamBuffer":

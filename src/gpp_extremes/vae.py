@@ -34,14 +34,16 @@ models: one (M, n_params) buffer, one forward pass, one backward pass and
 one Adam update per step for all of them. Each run keeps its own
 generator, data, learning rate, early stop and history, and a stacked
 step gives each model the bits of a step alone, so every run ends as it
-would have alone. ``train`` is a stack of one. ``cli.cmd_train`` forms
-groups that hold at most ``LOCKSTEP_MAX_BYTES`` of float32 windows, so
-lockstep adds a bounded amount to the training peak over training the
-runs one at a time.
+would have alone. ``train`` is a stack of one. A run holds its unit's
+scaled float32 series and its windows' start offsets, not its windows: a
+window is 12 consecutive months of one cell's row, so each batch gathers
+its windows from a strided view of the series. That is 12 bytes a window
+where float32 windows take 48, so ``cli.cmd_train`` trains all of a
+region's periods of equal length as one group, whatever the region size.
 
 ``train`` runs its step loop and its validation passes in float32: it
-trains a float32 copy of the float64 Glorot initialization on float32
-copies of the windows. Each step draws ``eps`` in float64 and casts it,
+trains a float32 copy of the float64 Glorot initialization on a float32
+copy of the scaled series. Each step draws ``eps`` in float64 and casts it,
 then draws all of its dropout masks at once with ``nn.dropout_mask``,
 which places only the dropped units, so the generator's stream does not
 depend on the precision and the draw's cost follows the units dropped.
@@ -82,12 +84,6 @@ _FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
 # two layers' activations at a time, 3 MB of float64 at 2,048 rows through
 # the 128- and 64-wide layers.
 INFER_BLOCK_ROWS = 2048
-# Most bytes of float32 windows (``TrainRun.nbytes``) that the runs of one
-# lockstep group hold together; ``cli.cmd_train`` splits a region's periods
-# by it. Runs trained one at a time hold one run's windows, and a group
-# holds all of its runs' windows while it trains, so lockstep adds at most
-# this much, less one run's, to the training peak.
-LOCKSTEP_MAX_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -134,14 +130,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Stride-1 normalized 12-month windows pooled over a region's cells."""
+    """A region's normalized series, whose stride-1 12-month windows, cell
+    after cell, are the training data."""
 
-    windows: np.ndarray  # (n_windows, SEQ_LEN), cell after cell, values in [-1, 1]
+    scaled: np.ndarray  # (n_cells, n_months), values in [-1, 1]
     x_min: float
     x_max: float
 
     def __len__(self) -> int:
-        return self.windows.shape[0]
+        n_cells, n_months = self.scaled.shape
+        return n_cells * (n_months - SEQ_LEN + 1)
 
 
 @dataclass
@@ -201,7 +199,7 @@ def build_model(config: TrainConfig, x_min: float, x_max: float,
 # normalization and window construction
 
 def normalize(mass: MassSeries) -> WindowSet:
-    """Min-max scale to [-1, 1] and cut stride-1 windows from every cell.
+    """Min-max scale to [-1, 1]; the windows are those of every cell's row.
 
     The scaling limits are the global min/max over all masked cells and
     months of this region-period, so one model sees one normalization.
@@ -213,8 +211,7 @@ def normalize(mass: MassSeries) -> WindowSet:
     x_max = float(values.max())
     if x_max == x_min:
         raise DegenerateInputError("constant mass field cannot be normalized to [-1, 1]")
-    windows = _windows(scale_to_unit(values, x_min, x_max))
-    return WindowSet(windows=windows, x_min=x_min, x_max=x_max)
+    return WindowSet(scaled=scale_to_unit(values, x_min, x_max), x_min=x_min, x_max=x_max)
 
 
 def _windows(scaled: np.ndarray) -> np.ndarray:
@@ -334,12 +331,12 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     the dropout masks of ``draw_dropout_masks``, all supplied by the
     caller so gradient checks can hold them fixed.
     Returns ((total, recon, kl), grads) where grads is a ``ParamBuffer``
-    aligned to ``model.params``: ``out`` when given (its contents
-    are overwritten), else a new one. ``x`` is a 2-D float batch of
-    windows, as ``normalize`` cuts them; it, ``eps`` and the masks share
-    the dtype of the model's parameters, which the whole step keeps. A
-    stack of M models takes (M, n, width) stacks of them, one batch per
-    model, and its loss terms are (M,) arrays (see ``_batch_loss``).
+    aligned to ``model.params``: ``out`` when given (its contents are
+    overwritten), else a new one. ``x`` is a 2-D float batch of windows;
+    it, ``eps`` and the masks share the dtype of the model's parameters,
+    which the whole step keeps. A stack of M models takes (M, n, width)
+    stacks of them, one batch per model, and its loss terms are (M,)
+    arrays (see ``_batch_loss``).
     """
     n = x.shape[-2]
     grads = ParamBuffer.like(model.params) if out is None else out
@@ -369,18 +366,21 @@ def loss_and_grads(model: VaeModel, x, eps, enc_masks, dec_masks, out=None):
     return (total, recon, kl), grads
 
 
-def eval_loss(model: VaeModel, x):
-    """Validation loss terms: dropout off, decode the posterior mean (z = mu).
+def eval_loss(model: VaeModel, windows, rows):
+    """Validation loss terms of the windows ``windows[rows]``: dropout off,
+    decode the posterior mean (z = mu).
 
-    The windows go through the network in blocks of at most
-    ``INFER_BLOCK_ROWS`` rows; each row's terms land in one vector per
-    term, so the batch means are those of a single pass.
+    The rows go through the network in blocks of at most
+    ``INFER_BLOCK_ROWS``, each gathered from ``windows`` (which may be a
+    strided view of overlapping windows) on its own; each row's terms land
+    in one vector per term, so the batch means are those of a single pass.
     """
-    sq_sum = np.empty(x.shape[0])
-    kl = np.empty(x.shape[0])
-    for rows in _blocks(x.shape[0], INFER_BLOCK_ROWS):
-        mu, logvar = encode(model, x[rows])
-        sq_sum[rows], kl[rows] = _row_losses(decode(model, mu) - x[rows], mu, logvar)
+    sq_sum = np.empty(len(rows))
+    kl = np.empty(len(rows))
+    for block in _blocks(len(rows), INFER_BLOCK_ROWS):
+        x = windows[rows[block]]
+        mu, logvar = encode(model, x)
+        sq_sum[block], kl[block] = _row_losses(decode(model, mu) - x, mu, logvar)
     return _batch_loss(sq_sum, kl, model.config.beta, model.config.likelihood_var)
 
 
@@ -400,11 +400,13 @@ class TrainRun:
     schedule, early stop, best snapshot and history.
 
     Making a run draws the initial weights and the train/validation split
-    from the run's generator and gathers the shuffled windows into float32
-    in row blocks; the float64 windows are not kept, so a caller that passes
-    ``normalize(...)`` inline frees them once the run is made. ``name``
-    names the run in a training error, and ``nbytes`` is the size of its
-    float32 windows.
+    from the run's generator. The run keeps a float32 copy of the scaled
+    series, viewed (without a copy) as the windows that start at each of
+    its months, and the shuffled rows of that view that hold its train and
+    validation windows; each batch gathers its windows from the view. The
+    float64 series is not kept, so a caller that passes ``normalize(...)``
+    inline frees it once the run is made. ``name`` names the run in a
+    training error.
     """
 
     def __init__(self, windows: WindowSet, config: TrainConfig, name: str = ""):
@@ -419,11 +421,14 @@ class TrainRun:
             np.float32)
         perm = self.rng.permutation(n)
         n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
-        shuffled = np.empty(windows.windows.shape, dtype=np.float32)
-        for rows in _blocks(n, INFER_BLOCK_ROWS):
-            shuffled[rows] = windows.windows[perm[rows]]
-        self.x_val, self.x_train = shuffled[:n_val], shuffled[n_val:]
-        self.nbytes = shuffled.nbytes
+        # windows run cell after cell; window k, the start-th of its cell, is row
+        # cell * n_months + start of the view (rows that cross two cells are never picked)
+        n_months = windows.scaled.shape[1]
+        cell, start = np.divmod(perm, n_months - SEQ_LEN + 1)
+        rows = cell * n_months + start
+        self.val_rows, self.train_rows = rows[:n_val], rows[n_val:]
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            windows.scaled.astype(np.float32).ravel(), SEQ_LEN)
         self.lr = config.learning_rate
         self.best_val, self.best_epoch = np.inf, 0
         self.best_params = self.model.params.flat.copy()
@@ -449,8 +454,8 @@ class TrainRun:
         return self.stale_early >= self.config.early_stop_patience
 
     def finish(self) -> tuple:
-        """(float64 model of the best epoch, history); the run's windows are released."""
-        self.x_train = self.x_val = None
+        """(float64 model of the best epoch, history); the run's data is released."""
+        self.windows = self.train_rows = self.val_rows = None
         self.model.params.flat[...] = self.best_params
         return self.model.astype(np.float64), {"epochs": self.history, "best_epoch": self.best_epoch,
                             "best_val_loss": self.best_val}
@@ -470,10 +475,10 @@ def train_lockstep(runs: list) -> list:
     naming the run, the epoch and the batch.
     """
     config = runs[0].config
-    n_train, n_val = runs[0].x_train.shape[0], runs[0].x_val.shape[0]
+    n_train, n_val = runs[0].train_rows.size, runs[0].val_rows.size
     for run in runs:
         if (replace(run.config, seed=config.seed) != config
-                or (run.x_train.shape[0], run.x_val.shape[0]) != (n_train, n_val)):
+                or (run.train_rows.size, run.val_rows.size) != (n_train, n_val)):
             raise ValueError("lockstep runs need one config apart from the seed and "
                              "equal window counts")
     active = list(runs)
@@ -485,14 +490,14 @@ def train_lockstep(runs: list) -> list:
             net, grads = VaeModel(params, config), ParamBuffer.like(params)
             models = [VaeModel(params.model(i), config) for i in range(len(active))]
             rngs = [run.rng for run in active]
-        orders = [run.rng.permutation(n_train) for run in active]
+        orders = [run.train_rows[run.rng.permutation(n_train)] for run in active]
         loss_sum = 0.0
         for batch, start in enumerate(range(0, n_train, config.batch_size)):
             size = min(config.batch_size, n_train - start)
             x = np.empty((len(active), size, SEQ_LEN), np.float32)
             eps = np.empty((len(active), size, config.latent_dim), np.float32)
             for i, (run, order) in enumerate(zip(active, orders)):
-                np.take(run.x_train, order[start:start + size], axis=0, out=x[i])
+                x[i] = run.windows[order[start:start + size]]
                 eps[i] = run.rng.standard_normal((size, config.latent_dim))
             enc_masks, dec_masks = draw_dropout_masks(net, size, rngs)
             (total, _, _), _ = loss_and_grads(net, x, eps, enc_masks, dec_masks, out=grads)
@@ -512,15 +517,15 @@ def train_lockstep(runs: list) -> list:
             loss_sum = loss_sum + total * size
 
         train_loss = loss_sum / n_train
-        stops = [run.end_epoch(epoch, float(train_loss[i]), eval_loss(models[i], run.x_val),
-                               params.flat[i])
+        stops = [run.end_epoch(epoch, float(train_loss[i]),
+                               eval_loss(models[i], run.windows, run.val_rows), params.flat[i])
                  for i, run in enumerate(active)]
         opt.lr[:, 0] = [run.lr for run in active]
         if any(stops):
             keep = [i for i, stop in enumerate(stops) if not stop]
             for run, stop in zip(active, stops):
                 if stop:
-                    run.x_train = run.x_val = None  # free its windows now
+                    run.windows = run.train_rows = run.val_rows = None  # free its data now
             active = [active[i] for i in keep]
             if not active:
                 break
@@ -542,14 +547,14 @@ def train(windows: WindowSet, config: TrainConfig):
 
     Steps and validation run in float32 on a float32 copy of the model;
     ``eps`` is drawn in float64 and cast, and the masks are float32 with
-    the positions a float64 draw would have. The shuffled windows are
-    gathered into float32 in row blocks, and the float64 windows are
-    released once gathered. The returned model is float64 and holds exact
+    the positions a float64 draw would have. Batches gather their windows
+    from a float32 copy of the scaled series, and the float64 series is
+    released once copied. The returned model is float64 and holds exact
     upcasts of the best epoch's float32 parameters. This is a
     ``TrainRun`` trained by ``train_lockstep`` as a stack of one.
     """
     run = TrainRun(windows, config)
-    del windows  # a caller that passes normalize(...) inline frees the float64 copy here
+    del windows  # a caller that passes normalize(...) inline frees the float64 series here
     return train_lockstep([run])[0]
 
 

@@ -91,6 +91,23 @@ def test_missing_config_exit_code(tmp_path):
     assert run(["synth", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("option, make, message", [
+    ("--config", lambda path: path.mkdir(), "{path}: cannot read the config"),
+    ("--config", lambda path: path.write_bytes(b'{"schema_version": 1, "seed": "\xff"}'),
+     "{path}: cannot read the config"),
+    ("--out", lambda path: path.write_text("a file"), "cannot make output directory {path}"),
+], ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+def test_unreadable_config_or_out_exits_1_naming_the_path(tmp_path, capsys, option, make,
+                                                           message):
+    path = tmp_path / "given"
+    make(path)
+    args = {"--config": str(write_config(tmp_path)), option: str(path)}
+    assert run(["synth", *(a for item in args.items() for a in item)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message.format(path=path)} (" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert run(["synth"]) == 1  # --config required
 
@@ -709,6 +726,24 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys, command, missing):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, header", [
+    ("train", "toy.json"),
+    ("extremes", "checkpoints/vae_quad_y1850-53.json"),
+])
+def test_input_header_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, header):
+    cfg = write_config(tmp_path, method="vae")
+    assert run(["synth", "--config", str(cfg)]) == 0
+    if command == "extremes":
+        assert run(["train", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / header
+    path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "is not valid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_compare_needs_both_methods_thresholds(tmp_path, capsys):
     # a vae run then an ssa run: both flag grids exist, but the second run
     # rewrote thresholds.csv with ssa rows only
@@ -760,13 +795,16 @@ def _extremes_both(tmp_path):
 @pytest.mark.parametrize("damage, message", [
     (lambda path: path.unlink(), "cumulative_totals.json missing"),
     (lambda path: path.write_text("[{"), "cumulative_totals.json: not valid JSON"),
+    (lambda path: path.write_bytes(b'[{"region": "\xff"}]'),
+     "cumulative_totals.json: not valid JSON"),
     (lambda path: path.write_text('[{"region": "quad"}]'), "cumulative_totals.json entry 0"),
     (lambda path: path.write_text(json.dumps(json.loads(path.read_text())[1:])),
      "cumulative_totals.json has no entry for (quad, y1850-53, vae)"),
     (lambda path: path.write_text(json.dumps(
         [{k: v for k, v in e.items() if k != "cells"} for e in json.loads(path.read_text())])),
      "cumulative_totals.json entry 0: needs region, period, method, cells"),
-], ids=["missing", "invalid-json", "entry-without-keys", "no-unit-entry", "entry-without-cells"])
+], ids=["missing", "invalid-json", "not-utf8", "entry-without-keys", "no-unit-entry",
+        "entry-without-cells"])
 def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage, message):
     cfg = _extremes_both(tmp_path)
     damage(tmp_path / "out" / "tables" / "cumulative_totals.json")
@@ -867,14 +905,6 @@ def test_synth_size_limit_is_the_one_the_readme_states():
     assert "2**31 (2,147,483,648) values" in readme
 
 
-def test_lockstep_byte_bound_is_the_one_the_readme_states():
-    from gpp_extremes import vae
-
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert vae.LOCKSTEP_MAX_BYTES == 4 * 2 ** 20
-    assert "`vae.LOCKSTEP_MAX_BYTES`\n  (4 MiB)" in readme
-
-
 @pytest.mark.parametrize("command", ["train", "extremes"])
 def test_mass_that_overflows_float64_is_a_data_error_naming_grid_and_region(
         tmp_path, capsys, command):
@@ -917,7 +947,7 @@ def test_training_error_names_the_group_member(tmp_path, capsys, monkeypatch):
         windows = normalize(mass)
         made.append(windows)
         if len(made) == 2:
-            windows.windows[:, 5] = np.nan
+            windows.scaled[:, 5::vae.SEQ_LEN] = np.nan  # a month of every window
         return windows
 
     monkeypatch.setattr(vae, "normalize", second_holds_nan)
@@ -929,7 +959,7 @@ def test_training_error_names_the_group_member(tmp_path, capsys, monkeypatch):
     assert len(made) == 2
 
 
-def test_lockstep_groups_hold_at_most_the_byte_bound(tmp_path, monkeypatch):
+def test_a_regions_equal_periods_train_as_one_lockstep_group(tmp_path, monkeypatch):
     from gpp_extremes import vae
 
     cfg = two_period_config(tmp_path)
@@ -941,25 +971,22 @@ def test_lockstep_groups_hold_at_most_the_byte_bound(tmp_path, monkeypatch):
     train_lockstep, groups = vae.train_lockstep, []
 
     def recorded(runs):
-        groups.append([r.nbytes for r in runs])
+        groups.append([r.name for r in runs])
         return train_lockstep(runs)
 
-    def checkpoints(out):
-        return {p.name: p.read_bytes() for p in (out / "checkpoints").iterdir()}
+    def outputs(out):
+        return {p.relative_to(out): p.read_bytes()
+                for sub in ("checkpoints", "reports") for p in (out / sub).iterdir()}
 
     monkeypatch.setattr(vae, "train_lockstep", recorded)
     assert run(["train", "--config", str(cfg)]) == 0
-    one = groups[0][0]
-    assert groups == [[one] * 3]
-    expected = checkpoints(tmp_path / "out")
-    assert len(expected) == 6
-    for bound, sizes in ((2 * one + 1, [2, 1]), (one - 1, [1, 1, 1])):
-        groups.clear()
-        monkeypatch.setattr(vae, "LOCKSTEP_MAX_BYTES", bound)
-        out = tmp_path / f"out{bound}"
-        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        assert [len(g) for g in groups] == sizes
-        assert checkpoints(out) == expected
+    assert groups == [["quad y1850-53", "quad y1854-57", "quad y1858-61"]]
+    # the same checkpoints and reports as the periods trained one at a time
+    monkeypatch.setattr(vae, "train_lockstep", lambda runs: [train_lockstep([r])[0] for r in runs])
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "alone")]) == 0
+    expected = outputs(tmp_path / "alone")
+    assert len(expected) == 9
+    assert outputs(tmp_path / "out") == expected
 
 
 def test_a_group_member_trains_to_the_checkpoint_of_a_run_alone(tmp_path):

@@ -127,7 +127,7 @@ def test_dropout_invalid_rate(rng):
 
 def _buffer(*arrays):
     """A ``ParamBuffer`` holding copies of ``arrays``."""
-    buf = nn.ParamBuffer.like(arrays)
+    buf = nn.ParamBuffer([a.shape for a in arrays], np.result_type(*arrays))
     for view, a in zip(buf, arrays):
         view[...] = a
     return buf

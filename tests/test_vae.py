@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def zero_model(rng, latent=3):
 
 
 def annual_mass(n_cells=4, n_months=120, seed=1, noise=0.0, variation=0.2):
-    n_lat = int(np.sqrt(n_cells))
+    n_lat = max(d for d in range(1, int(np.sqrt(n_cells)) + 1) if n_cells % d == 0)
     spec = grid.SynthSpec(
         n_lat=n_lat, n_lon=n_cells // n_lat, n_months=n_months,
         noise_std=noise, cell_variation=variation,
@@ -50,8 +51,8 @@ def test_normalize_endpoints():
     )
     ws = vae.normalize(mass)
     assert (ws.x_min, ws.x_max) == (0.0, 10.0)
-    assert ws.windows.min() == -1.0
-    assert ws.windows.max() == 1.0
+    assert ws.scaled.min() == -1.0
+    assert ws.scaled.max() == 1.0
 
 
 def test_normalize_constant_field_rejected():
@@ -75,12 +76,13 @@ def test_normalize_window_count():
     mass = annual_mass(n_cells=4, n_months=48)
     ws = vae.normalize(mass)
     assert len(ws) == 4 * (48 - 11)
-    assert ws.windows.shape == (len(ws), 12)
+    windows = vae._windows(ws.scaled)
+    assert windows.shape == (len(ws), 12)
     # provenance points back at the source values
     k = 77
     c, s = divmod(k, 48 - 11)  # windows run cell after cell
     np.testing.assert_allclose(
-        vae.denormalize(ws.windows[k], ws.x_min, ws.x_max),
+        vae.denormalize(windows[k], ws.x_min, ws.x_max),
         mass.values[c, s:s + 12],
         rtol=1e-12,
     )
@@ -90,13 +92,13 @@ def test_normalize_window_count():
 def test_normalize_windows_are_one_contiguous_copy(n_cells):
     mass = annual_mass(n_cells=n_cells, n_months=40, noise=0.05)
     ws = vae.normalize(mass)
-    scaled = vae.scale_to_unit(mass.values, ws.x_min, ws.x_max)
+    windows = vae._windows(ws.scaled)
     # the earlier construction: reshape, which copies for several cells, then copy again
-    reference = np.lib.stride_tricks.sliding_window_view(scaled, 12, axis=1)
+    reference = np.lib.stride_tricks.sliding_window_view(ws.scaled, 12, axis=1)
     reference = reference.reshape(-1, 12).copy()
-    assert ws.windows.flags.c_contiguous
-    assert ws.windows.tobytes() == reference.tobytes()
-    assert not np.shares_memory(ws.windows, mass.values)
+    assert windows.flags.c_contiguous
+    assert windows.tobytes() == reference.tobytes()
+    assert not np.shares_memory(windows, ws.scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_a_training_step_keeps_the_model_dtype(rng, monkeypatch, dtype):
     terms, grads = vae.loss_and_grads(model, x, eps, enc_masks, dec_masks)
     opt = nn.AdamState.for_params(model.params, lr=0.01)
     nn.adam_step(opt, model.params, grads)
-    val_terms = vae.eval_loss(model, x)
+    val_terms = vae.eval_loss(model, x, np.arange(4))
     arrays = [model.params.flat, *model.params, grads.flat, *grads, opt.m, opt.v, *opt.work,
               *enc_masks, *dec_masks]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
@@ -640,15 +642,15 @@ def test_reconstruct_blocks_match_one_pass(rng, monkeypatch, block, passes):
 def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows = vae.normalize(mass)
-    x_val = windows.windows[rng.permutation(len(windows))[:7220]]
+    windows = vae._windows(vae.normalize(mass).scaled)
+    rows = rng.permutation(len(windows))[:7220]
     calls = count_encode_calls(monkeypatch)
-    whole = vae.eval_loss(model, x_val)
+    whole = vae.eval_loss(model, windows, rows)
     assert calls == [1805] * 4  # the default block splits 7,220 rows evenly
     monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 10 ** 9)
-    assert vae.eval_loss(model, x_val) == whole
+    assert vae.eval_loss(model, windows, rows) == whole
     monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 1000)
-    assert vae.eval_loss(model, x_val) == whole
+    assert vae.eval_loss(model, windows, rows) == whole
 
 
 def test_eval_loss_seven_row_blocks_match_one_block(rng, monkeypatch):
@@ -663,9 +665,9 @@ def test_eval_loss_seven_row_blocks_match_one_block(rng, monkeypatch):
         p[...] = rng.integers(-1, 2, size=p.shape) / 8.0
     x = rng.integers(-8, 9, size=(50, 12)) / 8.0
     calls = count_encode_calls(monkeypatch)
-    whole = vae.eval_loss(model, x)
+    whole = vae.eval_loss(model, x, np.arange(50))
     monkeypatch.setattr(vae, "INFER_BLOCK_ROWS", 7)
-    blocked = vae.eval_loss(model, x)
+    blocked = vae.eval_loss(model, x, np.arange(50))
     assert calls[0] == 50 and sorted(set(calls[1:])) == [6, 7] and sum(calls[1:]) == 50
     assert np.isfinite(whole).all()
     assert blocked == whole
@@ -676,13 +678,14 @@ def test_inference_memory_is_bounded(rng):
     # cache held about 100 MiB of activations
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows = vae.normalize(mass)
+    windows = vae._windows(vae.normalize(mass).scaled)
+    rows = np.arange(len(windows))
     tracemalloc.start()
     try:
         vae.reconstruct(model, mass)
         _, reconstruct_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        vae.eval_loss(model, windows.windows)
+        vae.eval_loss(model, windows, rows)
         _, eval_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -690,19 +693,39 @@ def test_inference_memory_is_bounded(rng):
     assert eval_peak < 16 * 2 ** 20
 
 
-def test_training_gathers_the_shuffled_windows_without_a_whole_cast_copy():
-    # 36,100 windows: 3.3 MiB float64, 1.65 MiB float32. Casting all of them
-    # before the shuffle gather held both float32 copies at once (7.3 MiB
-    # peak); gathering the float32 rows in blocks peaks near 5.8 MiB
-    mass = annual_mass(100, 372, noise=0.05)
+@pytest.mark.parametrize("n_cells", [1, 9])
+def test_a_run_gathers_the_shuffled_windows_of_the_window_matrix(n_cells):
+    # the reference: the float32 rows of the window matrix in the order of the
+    # permutation drawn after the initial weights, validation rows first
+    ws = vae.normalize(annual_mass(n_cells, 40, noise=0.05))
+    config = vae.TrainConfig(batch_size=8, seed=5)
+    run = vae.TrainRun(ws, config)
+    rng = np.random.default_rng(config.seed)
+    vae.build_model(config, ws.x_min, ws.x_max, rng)
+    expected = vae._windows(ws.scaled)[rng.permutation(len(ws))].astype(np.float32)
+    gathered = run.windows[np.concatenate([run.val_rows, run.train_rows])]
+    assert gathered.dtype == np.float32
+    assert gathered.tobytes() == expected.tobytes()
+    assert run.val_rows.size == round(0.2 * len(ws))
+
+
+def test_lockstep_runs_hold_their_series_not_their_windows():
+    # three units of 300 cells x 372 months: 108,300 windows each, 5.0 MiB
+    # as float32 windows against 0.4 MiB as a float32 series. Runs that
+    # held shuffled float32 windows peaked at 26.3 MiB together (16.0 MiB
+    # for one run alone); runs that gather each batch from the series peak
+    # at 10.6 MiB
+    masses = [annual_mass(300, 372, seed=seed, noise=0.05) for seed in (1, 2, 3)]
     config = vae.TrainConfig(max_epochs=1, batch_size=128)
     tracemalloc.start()
     try:
-        vae.train(vae.normalize(mass), config)
+        runs = [vae.TrainRun(vae.normalize(mass), replace(config, seed=i))
+                for i, mass in enumerate(masses)]
+        vae.train_lockstep(runs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * 2 ** 20
+    assert peak < 12 * 2 ** 20
 
 
 def test_vae_anomalies_sign_convention():
@@ -928,7 +951,7 @@ def test_lockstep_needs_one_config_and_equal_window_counts():
 
 def test_lockstep_error_names_the_run_with_the_non_finite_loss():
     windows = unit_windows(3)
-    windows[1].windows[:, 4] = np.nan
+    windows[1].scaled[:, 4::vae.SEQ_LEN] = np.nan  # a month of every window
     cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
     runs = [vae.TrainRun(ws, cfg, name=name) for ws, name in zip(windows, "abc")]
     with pytest.raises(NumericalError,
