@@ -196,9 +196,7 @@ def _train_region(cfg: PipelineConfig, grid: GridSeries, region_units: list) -> 
     trained = {}
     for months in dict.fromkeys(u.period.months for u in region_units):
         group = [u for u in region_units if u.period.months == months]
-        # normalized inline, so each run frees its float64 series once made
-        runs = [vae_mod.TrainRun(vae_mod.normalize(_unit_mass(cfg, grid, u)),
-                                 replace(cfg.train, seed=u.seed),
+        runs = [vae_mod.TrainRun(_unit_mass(cfg, grid, u), replace(cfg.train, seed=u.seed),
                                  name=f"{u.region.name} {u.period.name}") for u in group]
         trained.update(zip((u.tag for u in group), vae_mod.train_lockstep(runs)))
     return [_write_training(cfg.out, unit, *trained.pop(unit.tag)) for unit in region_units]
@@ -252,9 +250,7 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
                 f"no checkpoint for {unit.region.name} {unit.period.name}; run "
                 f"`gpp-extremes train --config ...` first"
             )
-        model, _ = vae_mod.load_checkpoint(ckpt)
-        recon = vae_mod.reconstruct(model, mass)
-        return vae_mod.vae_anomalies(mass, recon)
+        return vae_mod.vae_anomalies(vae_mod.load_checkpoint(ckpt)[0], mass)
     kept = dict.fromkeys(cfg.dump_cells)
     anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, keep=kept)
     for cell, dec in kept.items():
@@ -397,12 +393,12 @@ def _unit_extremes(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> tuple:
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
     """Train every trial of the gridsearch space on the first unit."""
     unit = cfg.units()[0]
-    windows = vae_mod.normalize(_unit_mass(cfg, _load_input_grid(cfg), unit))
+    mass = _unit_mass(cfg, _load_input_grid(cfg), unit)
     rows = []
     best_idx = 0
     best_loss = np.inf
     for i, trial in enumerate(cfg.trials):
-        _, history = vae_mod.train(windows, replace(trial, seed=unit.seed))
+        _, history = vae_mod.train(mass, replace(trial, seed=unit.seed))
         loss = history["best_val_loss"]
         d, h, lr = trial.latent_dim, trial.hidden_dims, trial.learning_rate
         rows.append([i, d, "x".join(str(v) for v in h), lr, f"{loss:.8g}",
@@ -468,8 +464,11 @@ def cmd_compare(cfg: PipelineConfig) -> int:
     out = cfg.out
     thresholds = {}
     tpath = _artifact(out / "tables" / "thresholds.csv")
-    with tpath.open(newline="") as f:
-        rows = list(csv.reader(f))[1:]
+    try:
+        with tpath.open(newline="") as f:
+            rows = list(csv.reader(f))[1:]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{tpath}: not valid UTF-8 ({exc})") from exc
     for n, row in enumerate(rows, start=2):
         try:
             region, period, method, q_neg, _ = row

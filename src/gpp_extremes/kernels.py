@@ -1,7 +1,7 @@
 """Diagonal-averaging kernels shared by the SSA and VAE engines.
 
 ``rank_one_series`` turns SSA eigentriples back into component series and
-``overlap_average`` turns reconstructed stride-1 windows back into one
+``overlap_average`` turns reconstructed stride-1 windows back into
 series. Both divide anti-diagonal sums by the same coverage counts.
 """
 
@@ -31,10 +31,9 @@ def rank_one_series(u, s, vt):
 
 
 def overlap_average(windows):
-    """Average stride-1 windows back into a series of length n_win+width-1."""
-    n_win, width = windows.shape
-    n = n_win + width - 1
-    sums = np.zeros(n)
+    """Average (..., n_win, width) stride-1 windows back into (..., n_win+width-1) series."""
+    *lead, n_win, width = windows.shape
+    sums = np.zeros((*lead, n_win + width - 1))
     for j in range(width):
-        sums[j:j + n_win] += windows[:, j]
+        sums[..., j:j + n_win] += windows[..., j]
     return sums / _antidiag_counts(width, n_win)

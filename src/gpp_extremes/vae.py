@@ -8,6 +8,13 @@ Training minimizes a Gaussian window log-likelihood (squared error summed
 over the window, scaled by a fixed decoder variance) plus a beta-weighted
 closed-form KL term against the standard normal prior; see ``_batch_loss``.
 
+A unit's ``MassSeries`` is the one input. A training run scales it to
+[-1, 1] by its min and max, ``reconstruct`` by the model's, and both view
+the scaled series, without a copy, as the windows that start at each of
+its months; batches and blocks gather their windows from that view, at
+the rows ``_window_rows`` gives. ``vae_anomalies`` is the mass minus its
+reconstruction.
+
 Training is fully deterministic given the config seed. Inference
 (reconstruction and the validation loss) decodes the posterior mean with
 dropout off, so anomalies and thresholds are reproducible. It runs the
@@ -35,11 +42,10 @@ one Adam update per step for all of them. Each run keeps its own
 generator, data, learning rate, early stop and history, and a stacked
 step gives each model the bits of a step alone, so every run ends as it
 would have alone. ``train`` is a stack of one. A run holds its unit's
-scaled float32 series and its windows' start offsets, not its windows: a
-window is 12 consecutive months of one cell's row, so each batch gathers
-its windows from a strided view of the series. That is 12 bytes a window
-where float32 windows take 48, so ``cli.cmd_train`` trains all of a
-region's periods of equal length as one group, whatever the region size.
+scaled float32 series and the view rows of its windows, not its windows:
+12 bytes a window where float32 windows take 48, so ``cli.cmd_train``
+trains all of a region's periods of equal length as one group, whatever
+the region size.
 
 ``train`` runs its step loop and its validation passes in float32: it
 trains a float32 copy of the float64 Glorot initialization on a float32
@@ -128,20 +134,6 @@ class TrainConfig:
             raise ConfigError("likelihood_var must be > 0")
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """A region's normalized series, whose stride-1 12-month windows, cell
-    after cell, are the training data."""
-
-    scaled: np.ndarray  # (n_cells, n_months), values in [-1, 1]
-    x_min: float
-    x_max: float
-
-    def __len__(self) -> int:
-        n_cells, n_months = self.scaled.shape
-        return n_cells * (n_months - SEQ_LEN + 1)
-
-
 @dataclass
 class VaeModel:
     """A VAE whose layers are views into one ``ParamBuffer``, in checkpoint order.
@@ -196,33 +188,18 @@ def build_model(config: TrainConfig, x_min: float, x_max: float,
 
 
 # ---------------------------------------------------------------------------
-# normalization and window construction
+# scaling and windows
 
-def normalize(mass: MassSeries) -> WindowSet:
-    """Min-max scale to [-1, 1]; the windows are those of every cell's row.
+def _window_rows(cells, n_months: int) -> np.ndarray:
+    """(len(cells), n_months - 11) rows of the window view of an
+    (n_cells, n_months) series that hold the windows of its rows ``cells``.
 
-    The scaling limits are the global min/max over all masked cells and
-    months of this region-period, so one model sees one normalization.
+    Row r of the view, ``sliding_window_view(series.ravel(), SEQ_LEN)``,
+    holds the 12 months from flat index r, so the window that starts at
+    month s of cell c is row c * n_months + s; rows that cross two cells
+    are never picked.
     """
-    values = np.asarray(mass.values, dtype=float)
-    if values.shape[1] < SEQ_LEN:
-        raise ShapeError(f"need at least {SEQ_LEN} months, got {values.shape[1]}")
-    x_min = float(values.min())
-    x_max = float(values.max())
-    if x_max == x_min:
-        raise DegenerateInputError("constant mass field cannot be normalized to [-1, 1]")
-    return WindowSet(scaled=scale_to_unit(values, x_min, x_max), x_min=x_min, x_max=x_max)
-
-
-def _windows(scaled: np.ndarray) -> np.ndarray:
-    """Stride-1 windows of every row, row after row, as one C-contiguous array.
-
-    The windows are copied at most once: ``reshape`` copies those of
-    several rows, and for one row returns a view of overlapping windows,
-    which ``ascontiguousarray`` copies.
-    """
-    wins = np.lib.stride_tricks.sliding_window_view(scaled, SEQ_LEN, axis=1)
-    return np.ascontiguousarray(wins.reshape(-1, SEQ_LEN))
+    return np.asarray(cells)[:, None] * n_months + np.arange(n_months - SEQ_LEN + 1)
 
 
 def scale_to_unit(x, x_min, x_max):
@@ -399,36 +376,38 @@ class TrainRun:
     """One model's own part of training: its generator, data, learning-rate
     schedule, early stop, best snapshot and history.
 
-    Making a run draws the initial weights and the train/validation split
+    Making a run min-max scales the unit's mass to [-1, 1], with the
+    global min and max over its cells and months as the model's scaling
+    limits, then draws the initial weights and the train/validation split
     from the run's generator. The run keeps a float32 copy of the scaled
-    series, viewed (without a copy) as the windows that start at each of
-    its months, and the shuffled rows of that view that hold its train and
-    validation windows; each batch gathers its windows from the view. The
-    float64 series is not kept, so a caller that passes ``normalize(...)``
-    inline frees it once the run is made. ``name`` names the run in a
+    series, viewed (without a copy) as its windows, and the shuffled view
+    rows of its train and validation windows (``_window_rows``); each
+    batch gathers its windows from the view. ``name`` names the run in a
     training error.
     """
 
-    def __init__(self, windows: WindowSet, config: TrainConfig, name: str = ""):
-        n = len(windows)
+    def __init__(self, mass: MassSeries, config: TrainConfig, name: str = ""):
+        values = np.asarray(mass.values, dtype=float)
+        n_cells, n_months = values.shape
+        if n_months < SEQ_LEN:
+            raise ShapeError(f"need at least {SEQ_LEN} months, got {n_months}")
+        x_min, x_max = float(values.min()), float(values.max())
+        if x_max == x_min:
+            raise DegenerateInputError("constant mass field cannot be normalized to [-1, 1]")
+        rows = _window_rows(np.arange(n_cells), n_months).ravel()
+        n = rows.size
         if n < config.batch_size:
             raise ConfigError(f"{n} windows < batch size {config.batch_size}")
         self.config, self.name = config, name
         self.rng = np.random.default_rng(config.seed)
         # a float32 copy of the float64 Glorot draws trains; the best epoch's
         # float32 parameters become a float64 model when the run finishes
-        self.model = build_model(config, windows.x_min, windows.x_max, self.rng).astype(
-            np.float32)
-        perm = self.rng.permutation(n)
+        self.model = build_model(config, x_min, x_max, self.rng).astype(np.float32)
+        rows = rows[self.rng.permutation(n)]
         n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
-        # windows run cell after cell; window k, the start-th of its cell, is row
-        # cell * n_months + start of the view (rows that cross two cells are never picked)
-        n_months = windows.scaled.shape[1]
-        cell, start = np.divmod(perm, n_months - SEQ_LEN + 1)
-        rows = cell * n_months + start
         self.val_rows, self.train_rows = rows[:n_val], rows[n_val:]
         self.windows = np.lib.stride_tricks.sliding_window_view(
-            windows.scaled.astype(np.float32).ravel(), SEQ_LEN)
+            scale_to_unit(values, x_min, x_max).astype(np.float32).ravel(), SEQ_LEN)
         self.lr = config.learning_rate
         self.best_val, self.best_epoch = np.inf, 0
         self.best_params = self.model.params.flat.copy()
@@ -533,8 +512,9 @@ def train_lockstep(runs: list) -> list:
     return [run.finish() for run in runs]
 
 
-def train(windows: WindowSet, config: TrainConfig):
-    """Train on pooled windows; returns (best model, per-epoch history).
+def train(mass: MassSeries, config: TrainConfig):
+    """Train on the pooled windows of a unit's mass; returns (best model,
+    per-epoch history).
 
     Shuffled split by ``validation_fraction``; mean validation total loss
     drives both the plateau scheduler (halve the learning rate after
@@ -548,14 +528,12 @@ def train(windows: WindowSet, config: TrainConfig):
     Steps and validation run in float32 on a float32 copy of the model;
     ``eps`` is drawn in float64 and cast, and the masks are float32 with
     the positions a float64 draw would have. Batches gather their windows
-    from a float32 copy of the scaled series, and the float64 series is
-    released once copied. The returned model is float64 and holds exact
-    upcasts of the best epoch's float32 parameters. This is a
-    ``TrainRun`` trained by ``train_lockstep`` as a stack of one.
+    from a float32 copy of the scaled series (see ``TrainRun``). The
+    returned model is float64 and holds exact upcasts of the best epoch's
+    float32 parameters. This is a ``TrainRun`` trained by
+    ``train_lockstep`` as a stack of one.
     """
-    run = TrainRun(windows, config)
-    del windows  # a caller that passes normalize(...) inline frees the float64 series here
-    return train_lockstep([run])[0]
+    return train_lockstep([TrainRun(mass, config)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,49 +542,34 @@ def train(windows: WindowSet, config: TrainConfig):
 def reconstruct(model: VaeModel, mass: MassSeries) -> MassSeries:
     """Window-and-average reconstruction of a mass series.
 
-    Every stride-1 window is encoded and decoded at the posterior mean
-    (eval mode); overlapping reconstructed values are averaged per month
-    and denormalized. Cells go through the network in blocks of whole
-    cells of at most ``INFER_BLOCK_ROWS`` windows (one cell when a cell
-    has more), and only the current block's windows are built. Every
-    month gets a value; the edge months, covered by fewer windows, are
-    among those ``extremes.valid_months`` leaves out.
+    The mass is scaled with the model's limits. Every stride-1 window is
+    encoded and decoded at the posterior mean (eval mode); overlapping
+    reconstructed values are averaged per month and denormalized. Cells go
+    through the network in blocks of whole cells of at most
+    ``INFER_BLOCK_ROWS`` windows (one cell when a cell has more); each
+    block gathers only its own windows from the window view of the scaled
+    series, as training does. Every month gets a value; the edge months,
+    covered by fewer windows, are among those ``extremes.valid_months``
+    leaves out.
     """
     values = np.asarray(mass.values, dtype=float)
     n_cells, n_months = values.shape
     if n_months < SEQ_LEN:
         raise ShapeError(f"need at least {SEQ_LEN} months to reconstruct, got {n_months}")
     scaled = scale_to_unit(values, model.x_min, model.x_max)
+    view = np.lib.stride_tricks.sliding_window_view(scaled.ravel(), SEQ_LEN)
     per_cell = n_months - SEQ_LEN + 1
-    recon_scaled = np.empty_like(scaled)
+    recon = np.empty_like(scaled)
     for cells in _blocks(n_cells, max(1, INFER_BLOCK_ROWS // per_cell)):
-        mu, _ = encode(model, _windows(scaled[cells]))
-        xhat = decode(model, mu).reshape(-1, per_cell, SEQ_LEN)
-        for c, cell_hat in enumerate(xhat, start=cells.start):
-            recon_scaled[c] = kernels.overlap_average(cell_hat)
-    return MassSeries(
-        values=denormalize(recon_scaled, model.x_min, model.x_max),
-        cells=mass.cells,
-        start_year=mass.start_year,
-        start_month=mass.start_month,
-    )
+        windows = view[_window_rows(np.arange(n_cells)[cells], n_months)]
+        mu, _ = encode(model, windows.reshape(-1, SEQ_LEN))
+        recon[cells] = kernels.overlap_average(decode(model, mu).reshape(windows.shape))
+    return replace(mass, values=denormalize(recon, model.x_min, model.x_max))
 
 
-def vae_anomalies(original: MassSeries, reconstructed: MassSeries) -> MassSeries:
-    """Anomaly = original - reconstructed, per cell per month (GgC)."""
-    if original.values.shape != reconstructed.values.shape:
-        raise ShapeError(
-            f"original {original.values.shape} and reconstructed "
-            f"{reconstructed.values.shape} series are misaligned"
-        )
-    if not np.array_equal(original.cells, reconstructed.cells):
-        raise ShapeError("original and reconstructed series cover different cells")
-    return MassSeries(
-        values=original.values - reconstructed.values,
-        cells=original.cells,
-        start_year=original.start_year,
-        start_month=original.start_month,
-    )
+def vae_anomalies(model: VaeModel, mass: MassSeries) -> MassSeries:
+    """Anomaly = mass - its reconstruction by ``model``, per cell per month (GgC)."""
+    return replace(mass, values=mass.values - reconstruct(model, mass).values)
 
 
 # ---------------------------------------------------------------------------

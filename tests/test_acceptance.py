@@ -221,11 +221,9 @@ def test_criterion_7_injected_event_recall_and_jaccard():
     t_ssa = time.time() - t0
 
     t0 = time.time()
-    windows = vae.normalize(mass)
     cfg = vae.TrainConfig(max_epochs=60, seed=7, batch_size=128, likelihood_var=0.05)
-    model, _ = vae.train(windows, cfg)
-    recon = vae.reconstruct(model, mass)
-    an_vae = vae.vae_anomalies(mass, recon)
+    model, _ = vae.train(mass, cfg)
+    an_vae = vae.vae_anomalies(model, mass)
     rep_vae = extremes.build_report(an_vae, "R", "P", "vae")
     t_vae = time.time() - t0
 
@@ -257,9 +255,8 @@ def test_criterion_8_vae_convergence():
     spec = grid.SynthSpec(n_lat=3, n_lon=3, n_months=120, noise_std=0.0, cell_variation=0.3)
     g, _ = grid.synth_generate(spec, seed=1)
     mass = grid.flux_to_mass(g, grid.RegionMask("all", np.arange(9)))
-    windows = vae.normalize(mass)
     cfg = vae.TrainConfig(max_epochs=200, seed=11, batch_size=64)
-    _, hist = vae.train(windows, cfg)
+    _, hist = vae.train(mass, cfg)
     recons = [h["val_recon"] for h in hist["epochs"]]
     crossing = next((i + 1 for i, r in enumerate(recons) if r < 0.01), None)
     assert crossing is not None and crossing <= 200

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -582,11 +583,14 @@ def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     tables = tmp_path / "out" / "tables"
     tables.mkdir(parents=True)
-    (tables / "thresholds.csv").write_text(
-        "region,period,method,threshold_GgC_neg,threshold_GgC_pos\nquad,y1850-53,vae\n"
-    )
-    assert run(["compare", "--config", str(cfg)]) == 2
-    assert "thresholds.csv line 2" in capsys.readouterr().err
+    header = b"region,period,method,threshold_GgC_neg,threshold_GgC_pos\n"
+    for row, message in ((b"quad,y1850-53,vae\n", "thresholds.csv line 2"),
+                         (b"quad,y1850-53,vae,-1\xff,2\n", "thresholds.csv: not valid UTF-8")):
+        (tables / "thresholds.csv").write_bytes(header + row)
+        assert run(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 _EVENT = {"cell": 1, "start": 20, "length": 2, "suppression": 0.8}
@@ -686,6 +690,89 @@ def test_config_mistakes_exit_1_naming_the_key(tmp_path, capsys, command, key, o
     assert key in err
     assert "Traceback" not in err
     assert not any((tmp_path / "out" / "tables").iterdir())
+
+
+# Values a sweep mutation may give a config leaf: bools, integers of every
+# sign and size, floats at the edges of float64, strings, lists and objects
+SWEEP_VALUES = [True, False, 0, 1, -1, 2, 3.5, 0.5, -0.5, 1e-300, 10 ** 30, 1e308, -1e308,
+                float("nan"), "", "x", "18", [], [0], [1, 2], [[]], {}, {"a": 1}]
+SWEEP_COMMANDS = ("synth", "train", "extremes", "compare", "gridsearch")
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every key and list item under ``obj``, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _mutate(raw, rnd):
+    """A deep copy of ``raw`` with one or two leaves set to a value of
+    ``SWEEP_VALUES``, or one key deleted; the copy and its (path, value)
+    changes, where the value None deletes."""
+    raw = json.loads(json.dumps(raw))
+    nodes = list(_nodes(raw))
+    if rnd.random() < 0.2:
+        changes = [(rnd.choice([path for path, _ in nodes if isinstance(path[-1], str)]), None)]
+    else:
+        leaves = [path for path, value in nodes if not isinstance(value, (dict, list))]
+        changes = [(path, rnd.choice(SWEEP_VALUES))
+                   for path in rnd.sample(leaves, rnd.choice((1, 2)))]
+    for path, value in changes:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return raw, changes
+
+
+def test_exit_codes_and_reruns_hold_under_random_configs(tmp_path, capsys, monkeypatch):
+    # Mutated copies of the toy config go through every command, after a
+    # synth with the toy config itself so that later commands find a grid:
+    # each returns a documented exit code (0-3), never an exception or a
+    # traceback. Then valid random configs run twice give byte-identical trees.
+    rnd = random.Random(19)
+    monkeypatch.chdir(tmp_path)  # a mutated out_dir is relative to the working directory
+    for i in range(200):
+        work = tmp_path / f"m{i}"
+        work.mkdir()
+        toy = write_config(work)
+        assert run(["synth", "--config", str(toy)]) == 0
+        raw, changes = _mutate(json.loads(toy.read_text()), rnd)
+        config = work / "mutated.json"
+        config.write_text(json.dumps(raw))
+        for command in SWEEP_COMMANDS:
+            try:
+                code = run([command, "--config", str(config), "--jobs", "1"])
+            except Exception as exc:
+                pytest.fail(f"{command} with {changes} raised {exc!r}")
+            assert code in (0, 1, 2, 3), (command, changes, code)
+        assert "Traceback" not in capsys.readouterr().err, changes
+    for i in range(2):
+        work = tmp_path / f"v{i}"
+        work.mkdir()
+        raw = json.loads(write_config(work).read_text())
+        raw["seed"] = rnd.randrange(1000)
+        raw["train"].update(max_epochs=rnd.randint(2, 4), batch_size=rnd.choice((16, 32)),
+                            hidden_dims=[rnd.choice((8, 16, 24)), rnd.choice((4, 8))],
+                            latent_dim=rnd.randint(1, 3),
+                            learning_rate=rnd.choice((0.001, 0.005, 0.02)))
+        raw["ssa"].update(window=rnd.randint(12, 24), dump_cells=[rnd.randrange(4)])
+        config = work / "valid.json"
+        config.write_text(json.dumps(raw))
+        trees = []
+        for _ in range(2):
+            shutil.rmtree(work / "out", ignore_errors=True)
+            for command in SWEEP_COMMANDS:
+                assert run([command, "--config", str(config), "--jobs", "1"]) == 0, (command, raw)
+            trees.append(tree(work / "out"))
+        assert trees[0] == trees[1]
+        assert len(trees[0]) > 20
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -941,16 +1028,15 @@ def test_training_error_names_the_group_member(tmp_path, capsys, monkeypatch):
 
     cfg = two_period_config(tmp_path)
     assert run(["synth", "--config", str(cfg)]) == 0
-    normalize, made = vae.normalize, []
+    TrainRun, made = vae.TrainRun, []
 
-    def second_holds_nan(mass):
-        windows = normalize(mass)
-        made.append(windows)
+    def second_holds_nan(mass, config, name=""):
+        made.append(name)
         if len(made) == 2:
-            windows.scaled[:, 5::vae.SEQ_LEN] = np.nan  # a month of every window
-        return windows
+            mass.values[:, 5::vae.SEQ_LEN] = np.nan  # a month of every window
+        return TrainRun(mass, config, name)
 
-    monkeypatch.setattr(vae, "normalize", second_holds_nan)
+    monkeypatch.setattr(vae, "TrainRun", second_holds_nan)
     capsys.readouterr()
     assert run(["train", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err

@@ -39,8 +39,15 @@ def annual_mass(n_cells=4, n_months=120, seed=1, noise=0.0, variation=0.2):
     return grid.flux_to_mass(g, grid.RegionMask("all", np.arange(n_cells)))
 
 
+def window_matrix(mass):
+    """The float64 windows of a unit, cell after cell, as one matrix: the
+    stride-1 windows of every row of its min-max scaled series."""
+    scaled = vae.scale_to_unit(mass.values, mass.values.min(), mass.values.max())
+    return np.lib.stride_tricks.sliding_window_view(scaled, 12, axis=1).reshape(-1, 12)
+
+
 # ---------------------------------------------------------------------------
-# normalization
+# normalization (a training run scales its unit's mass)
 
 def test_normalize_endpoints():
     mass = grid.MassSeries(
@@ -49,56 +56,55 @@ def test_normalize_endpoints():
         start_year=1850,
         start_month=1,
     )
-    ws = vae.normalize(mass)
-    assert (ws.x_min, ws.x_max) == (0.0, 10.0)
-    assert ws.scaled.min() == -1.0
-    assert ws.scaled.max() == 1.0
+    run = vae.TrainRun(mass, vae.TrainConfig(batch_size=1))
+    assert (run.model.x_min, run.model.x_max) == (0.0, 10.0)
+    assert run.windows.shape == (1, 12)  # one cell of 12 months: one window
+    assert run.windows.min() == -1.0
+    assert run.windows.max() == 1.0
 
 
 def test_normalize_constant_field_rejected():
-    mass = grid.MassSeries(
-        values=np.full((2, 24), 7.0), cells=np.array([0, 1]),
-        start_year=1850, start_month=1,
-    )
-    with pytest.raises(DegenerateInputError):
-        vae.normalize(mass)
+    # and so is a series shorter than one window
+    for n_months, error, message in (
+            (24, DegenerateInputError, "constant mass field cannot be normalized"),
+            (11, ShapeError, "need at least 12 months, got 11")):
+        mass = grid.MassSeries(
+            values=np.full((2, n_months), 7.0), cells=np.array([0, 1]),
+            start_year=1850, start_month=1,
+        )
+        for start in (vae.TrainRun, vae.train):
+            with pytest.raises(error, match=message):
+                start(mass, vae.TrainConfig(batch_size=1))
 
 
 def test_normalize_roundtrip(rng):
     mass = annual_mass()
-    ws = vae.normalize(mass)
-    lo, hi = ws.x_min, ws.x_max
+    run = vae.TrainRun(mass, vae.TrainConfig())
+    lo, hi = run.model.x_min, run.model.x_max
+    assert (lo, hi) == (mass.values.min(), mass.values.max())
     back = vae.denormalize(vae.scale_to_unit(mass.values, lo, hi), lo, hi)
     np.testing.assert_allclose(back, mass.values, rtol=1e-12)
 
 
 def test_normalize_window_count():
     mass = annual_mass(n_cells=4, n_months=48)
-    ws = vae.normalize(mass)
-    assert len(ws) == 4 * (48 - 11)
-    windows = vae._windows(ws.scaled)
-    assert windows.shape == (len(ws), 12)
-    # provenance points back at the source values
-    k = 77
-    c, s = divmod(k, 48 - 11)  # windows run cell after cell
+    run = vae.TrainRun(mass, vae.TrainConfig())
+    rows = vae._window_rows(np.arange(4), 48)
+    assert rows.shape == (4, 48 - 11)
+    # the run's train and validation rows are every cell's windows, once each
+    picked = np.concatenate([run.val_rows, run.train_rows])
+    assert np.array_equal(np.sort(picked), rows.ravel())
+    # provenance points back at the source values: the window that starts at
+    # month s of cell c
+    c, s = 2, 3
+    lo, hi = run.model.x_min, run.model.x_max
     np.testing.assert_allclose(
-        vae.denormalize(windows[k], ws.x_min, ws.x_max),
+        vae.denormalize(run.windows[rows[c, s]], lo, hi),
         mass.values[c, s:s + 12],
-        rtol=1e-12,
+        rtol=0, atol=1e-7 * (hi - lo),  # the run's series is float32
     )
-
-
-@pytest.mark.parametrize("n_cells", [1, 9])
-def test_normalize_windows_are_one_contiguous_copy(n_cells):
-    mass = annual_mass(n_cells=n_cells, n_months=40, noise=0.05)
-    ws = vae.normalize(mass)
-    windows = vae._windows(ws.scaled)
-    # the earlier construction: reshape, which copies for several cells, then copy again
-    reference = np.lib.stride_tricks.sliding_window_view(ws.scaled, 12, axis=1)
-    reference = reference.reshape(-1, 12).copy()
-    assert windows.flags.c_contiguous
-    assert windows.tobytes() == reference.tobytes()
-    assert not np.shares_memory(windows, ws.scaled)
+    assert rows[c, s] == c * 48 + s
+    assert np.array_equal(vae._window_rows([3, 1], 48), rows[[3, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +328,15 @@ def test_a_training_step_keeps_the_model_dtype(rng, monkeypatch, dtype):
 
 
 def test_train_returns_float64_upcasts_of_float32_parameters():
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(max_epochs=3, seed=4, hidden_dims=(8, 4), latent_dim=2)
-    model, history = vae.train(ws, cfg)
+    model, history = vae.train(mass, cfg)
     p = model.params.flat
     assert p.dtype == np.float64
     assert {a.dtype for a in model.params} == {np.dtype(np.float64)}
     assert np.array_equal(p, p.astype(np.float32))
     # trained, not the float64 Glorot draws
-    init = vae.build_model(cfg, ws.x_min, ws.x_max, np.random.default_rng(cfg.seed))
+    init = vae.build_model(cfg, model.x_min, model.x_max, np.random.default_rng(cfg.seed))
     assert not np.array_equal(p, init.params.flat)
     assert type(history["best_val_loss"]) is float
 
@@ -466,47 +472,42 @@ def test_in_place_step_is_bit_identical(rng, dtype):
 # ---------------------------------------------------------------------------
 # training protocol
 
-def pure_annual_windows(n_cells=4, n_months=120):
-    ws = vae.normalize(annual_mass(n_cells, n_months))
-    return ws
-
-
 def test_train_early_stop_patience_arithmetic():
     # lr = 0 freezes the model, validation loss is constant, training must
     # halt after 1 + patience epochs
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(
         max_epochs=500, learning_rate=0.0, early_stop_patience=50, seed=0
     )
-    _, hist = vae.train(ws, cfg)
+    _, hist = vae.train(mass, cfg)
     assert len(hist["epochs"]) == 51
     assert hist["best_epoch"] == 1
 
 
 def test_train_history_bounded():
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(max_epochs=7, seed=0)
-    _, hist = vae.train(ws, cfg)
+    _, hist = vae.train(mass, cfg)
     assert len(hist["epochs"]) <= 7
 
 
 def test_train_deterministic_replay():
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(max_epochs=6, seed=123)
-    m1, h1 = vae.train(ws, cfg)
-    m2, h2 = vae.train(ws, cfg)
+    m1, h1 = vae.train(mass, cfg)
+    m2, h2 = vae.train(mass, cfg)
     assert h1 == h2
     for a, b in zip(m1.params, m2.params):
         assert a.tobytes() == b.tobytes()
 
 
 def test_train_lr_schedule_halves():
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(
         max_epochs=40, learning_rate=0.0, early_stop_patience=30,
         plateau_patience=5, seed=0,
     )
-    _, hist = vae.train(ws, cfg)
+    _, hist = vae.train(mass, cfg)
     lrs = [h["lr"] for h in hist["epochs"]]
     for a, b in zip(lrs, lrs[1:]):
         assert b <= a
@@ -515,7 +516,7 @@ def test_train_lr_schedule_halves():
     # an actual decay sequence with nonzero lr
     cfg2 = vae.TrainConfig(max_epochs=30, learning_rate=0.005, seed=3,
                            early_stop_patience=25)
-    _, hist2 = vae.train(ws, cfg2)
+    _, hist2 = vae.train(mass, cfg2)
     lrs2 = [h["lr"] for h in hist2["epochs"]]
     for a, b in zip(lrs2, lrs2[1:]):
         assert b == a or b == pytest.approx(a * 0.5)
@@ -526,19 +527,19 @@ def test_train_divergence_reports_epoch_and_batch():
 
     from gpp_extremes.errors import NumericalError
 
-    ws = pure_annual_windows()
+    mass = annual_mass()
     cfg = vae.TrainConfig(max_epochs=10, learning_rate=1e8, batch_size=32,
                           hidden_dims=(16, 8), latent_dim=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NumericalError, match="epoch"):
-            vae.train(ws, cfg)
+            vae.train(mass, cfg)
 
 
 def test_train_requires_enough_windows():
-    ws = pure_annual_windows(4, 14)
-    with pytest.raises(ConfigError):
-        vae.train(ws, vae.TrainConfig(batch_size=64))
+    mass = annual_mass(4, 14)
+    with pytest.raises(ConfigError, match="12 windows < batch size 64"):
+        vae.train(mass, vae.TrainConfig(batch_size=64))
 
 
 def test_train_config_validation():
@@ -577,9 +578,8 @@ def test_overlap_average_full_coverage_values(rng):
 
 def test_reconstruct_output_shape_and_validity(rng):
     mass = annual_mass(4, 60)
-    ws = vae.normalize(mass)
     model, _ = tiny_model(rng)
-    model.x_min, model.x_max = ws.x_min, ws.x_max
+    model.x_min, model.x_max = mass.values.min(), mass.values.max()
     recon = vae.reconstruct(model, mass)
     assert recon.values.shape == mass.values.shape
 
@@ -589,13 +589,12 @@ def test_reconstruct_overfit_oracle():
     # dropout) behaves like the identity; the tanh output saturating
     # towards the +-1 normalization endpoints sets the error floor
     mass = annual_mass(1, 72, variation=0.0)
-    ws = vae.normalize(mass)
     cfg = vae.TrainConfig(
         max_epochs=800, batch_size=32, seed=5, dropout_rate=0.0, beta=0.0,
         hidden_dims=(48, 24), latent_dim=4, likelihood_var=0.01,
         plateau_patience=60, early_stop_patience=200,
     )
-    model, hist = vae.train(ws, cfg)
+    model, hist = vae.train(mass, cfg)
     recon = vae.reconstruct(model, mass)
     scaled_orig = vae.scale_to_unit(mass.values, model.x_min, model.x_max)
     scaled_recon = vae.scale_to_unit(recon.values, model.x_min, model.x_max)
@@ -639,10 +638,45 @@ def test_reconstruct_blocks_match_one_pass(rng, monkeypatch, block, passes):
     assert blocked.values.tobytes() == whole.values.tobytes()
 
 
+def reference_reconstruct(model, mass):
+    """The reconstructed values of ``vae.reconstruct`` as it was when each
+    block copied its cells' windows into a window matrix and the windows
+    were averaged back one cell at a time."""
+    values = np.asarray(mass.values, dtype=float)
+    n_cells, n_months = values.shape
+    scaled = vae.scale_to_unit(values, model.x_min, model.x_max)
+    per_cell = n_months - vae.SEQ_LEN + 1
+    recon_scaled = np.empty_like(scaled)
+    for cells in vae._blocks(n_cells, max(1, vae.INFER_BLOCK_ROWS // per_cell)):
+        wins = np.lib.stride_tricks.sliding_window_view(scaled[cells], vae.SEQ_LEN, axis=1)
+        mu, _ = vae.encode(model, np.ascontiguousarray(wins.reshape(-1, vae.SEQ_LEN)))
+        xhat = vae.decode(model, mu).reshape(-1, per_cell, vae.SEQ_LEN)
+        for c, cell_hat in enumerate(xhat, start=cells.start):
+            sums = np.zeros(n_months)
+            for j in range(vae.SEQ_LEN):
+                sums[j:j + per_cell] += cell_hat[:, j]
+            recon_scaled[c] = sums / kernels._antidiag_counts(vae.SEQ_LEN, per_cell)
+    return vae.denormalize(recon_scaled, model.x_min, model.x_max)
+
+
+@pytest.mark.parametrize("n_cells, n_months", [
+    (23, 372),  # at most 5 cells a block, which does not divide 23: blocks of 4 and 5
+    (3, 2100),  # 2,089 windows a cell, more than INFER_BLOCK_ROWS: one cell a block
+    (1, 400),  # a single cell
+])
+def test_reconstruct_matches_the_window_matrix_reconstruction(rng, n_cells, n_months):
+    mass = annual_mass(n_cells, n_months, noise=0.05)
+    model = default_model(rng, mass)
+    recon = vae.reconstruct(model, mass)
+    assert recon.values.tobytes() == reference_reconstruct(model, mass).tobytes()
+    assert recon.cells is mass.cells
+    assert (recon.start_year, recon.start_month) == (mass.start_year, mass.start_month)
+
+
 def test_eval_loss_blocks_match_one_pass(rng, monkeypatch):
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows = vae._windows(vae.normalize(mass).scaled)
+    windows = window_matrix(mass)
     rows = rng.permutation(len(windows))[:7220]
     calls = count_encode_calls(monkeypatch)
     whole = vae.eval_loss(model, windows, rows)
@@ -678,7 +712,7 @@ def test_inference_memory_is_bounded(rng):
     # cache held about 100 MiB of activations
     mass = annual_mass(100, 372, noise=0.05)
     model = default_model(rng, mass)
-    windows = vae._windows(vae.normalize(mass).scaled)
+    windows = window_matrix(mass)
     rows = np.arange(len(windows))
     tracemalloc.start()
     try:
@@ -697,16 +731,18 @@ def test_inference_memory_is_bounded(rng):
 def test_a_run_gathers_the_shuffled_windows_of_the_window_matrix(n_cells):
     # the reference: the float32 rows of the window matrix in the order of the
     # permutation drawn after the initial weights, validation rows first
-    ws = vae.normalize(annual_mass(n_cells, 40, noise=0.05))
+    mass = annual_mass(n_cells, 40, noise=0.05)
     config = vae.TrainConfig(batch_size=8, seed=5)
-    run = vae.TrainRun(ws, config)
+    run = vae.TrainRun(mass, config)
     rng = np.random.default_rng(config.seed)
-    vae.build_model(config, ws.x_min, ws.x_max, rng)
-    expected = vae._windows(ws.scaled)[rng.permutation(len(ws))].astype(np.float32)
+    vae.build_model(config, run.model.x_min, run.model.x_max, rng)
+    windows = window_matrix(mass)
+    assert len(windows) == n_cells * (40 - 11)
+    expected = windows[rng.permutation(len(windows))].astype(np.float32)
     gathered = run.windows[np.concatenate([run.val_rows, run.train_rows])]
     assert gathered.dtype == np.float32
     assert gathered.tobytes() == expected.tobytes()
-    assert run.val_rows.size == round(0.2 * len(ws))
+    assert run.val_rows.size == round(0.2 * len(windows))
 
 
 def test_lockstep_runs_hold_their_series_not_their_windows():
@@ -719,7 +755,7 @@ def test_lockstep_runs_hold_their_series_not_their_windows():
     config = vae.TrainConfig(max_epochs=1, batch_size=128)
     tracemalloc.start()
     try:
-        runs = [vae.TrainRun(vae.normalize(mass), replace(config, seed=i))
+        runs = [vae.TrainRun(mass, replace(config, seed=i))
                 for i, mass in enumerate(masses)]
         vae.train_lockstep(runs)
         _, peak = tracemalloc.get_traced_memory()
@@ -728,27 +764,19 @@ def test_lockstep_runs_hold_their_series_not_their_windows():
     assert peak < 12 * 2 ** 20
 
 
-def test_vae_anomalies_sign_convention():
+def test_vae_anomalies_sign_convention(rng, monkeypatch):
     mass = annual_mass(2, 48)
+    model = default_model(rng, mass)
+    anoms = vae.vae_anomalies(model, mass)
+    assert anoms.values.tobytes() == (mass.values - vae.reconstruct(model, mass).values).tobytes()
+    assert anoms.cells is mass.cells
+    assert (anoms.start_year, anoms.start_month) == (mass.start_year, mass.start_month)
     recon_values = mass.values.copy()
     recon_values[0, 20] += 5.0  # reconstruction above original
-    recon = grid.MassSeries(
-        values=recon_values, cells=mass.cells,
-        start_year=mass.start_year, start_month=mass.start_month,
-    )
-    anoms = vae.vae_anomalies(mass, recon)
+    monkeypatch.setattr(vae, "reconstruct", lambda model, m: replace(m, values=recon_values))
+    anoms = vae.vae_anomalies(model, mass)
     assert anoms.values[0, 20] == -5.0  # suppressed productivity is negative
     assert anoms.values[1, 20] == 0.0
-
-
-def test_vae_anomalies_misaligned_rejected():
-    mass = annual_mass(2, 48)
-    recon = grid.MassSeries(
-        values=mass.values[:, :36], cells=mass.cells,
-        start_year=mass.start_year, start_month=mass.start_month,
-    )
-    with pytest.raises(ShapeError):
-        vae.vae_anomalies(mass, recon)
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +881,8 @@ def test_nan_gradient_names_its_parameter_index(rng):
 
 
 def test_checkpoint_save_load_save_bytes_identical(tmp_path, rng):
-    windows = vae.normalize(annual_mass(noise=0.05))
     cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
-    model, history = vae.train(windows, cfg)
+    model, history = vae.train(annual_mass(noise=0.05), cfg)
     vae.save_checkpoint(model, tmp_path / "a", seed=3, epoch=history["best_epoch"])
     loaded, manifest = vae.load_checkpoint(tmp_path / "a")
     vae.save_checkpoint(loaded, tmp_path / "b", seed=manifest["seed"], epoch=manifest["epoch"])
@@ -883,18 +910,18 @@ def test_load_checkpoint_draws_no_weights(tmp_path, rng, monkeypatch):
 # ---------------------------------------------------------------------------
 # lockstep training
 
-def unit_windows(n_units, n_cells=9, n_months=120):
-    """Windows of ``n_units`` units of one shape, each from its own grid."""
-    return [vae.normalize(annual_mass(n_cells, n_months, seed=seed, noise=0.05))
+def unit_masses(n_units, n_cells=9, n_months=120):
+    """The mass of ``n_units`` units of one shape, each from its own grid."""
+    return [annual_mass(n_cells, n_months, seed=seed, noise=0.05)
             for seed in range(1, n_units + 1)]
 
 
-def train_both_ways(windows, configs, tmp_path):
+def train_both_ways(masses, configs, tmp_path):
     """Checkpoint bytes and histories of each unit trained alone and in one
     lockstep group."""
-    alone = [vae.train(ws, cfg) for ws, cfg in zip(windows, configs)]
-    runs = [vae.TrainRun(ws, cfg, name=f"unit {i}") for i, (ws, cfg)
-            in enumerate(zip(windows, configs))]
+    alone = [vae.train(mass, cfg) for mass, cfg in zip(masses, configs)]
+    runs = [vae.TrainRun(mass, cfg, name=f"unit {i}") for i, (mass, cfg)
+            in enumerate(zip(masses, configs))]
     together = vae.train_lockstep(runs)
     out = []
     for way, results in (("alone", alone), ("lockstep", together)):
@@ -907,10 +934,10 @@ def train_both_ways(windows, configs, tmp_path):
 
 
 def test_three_equal_units_in_lockstep_match_three_runs_alone(tmp_path):
-    windows = unit_windows(3)
+    masses = unit_masses(3)
     configs = [vae.TrainConfig(max_epochs=4, batch_size=48, seed=seed, likelihood_var=0.05)
                for seed in (7, 8, 9)]
-    alone, together = train_both_ways(windows, configs, tmp_path)
+    alone, together = train_both_ways(masses, configs, tmp_path)
     for (_, ckpt_a, hist_a), (_, ckpt_b, hist_b) in zip(alone, together):
         assert ckpt_a == ckpt_b
         assert hist_a == hist_b
@@ -922,12 +949,12 @@ def test_three_equal_units_in_lockstep_match_three_runs_alone(tmp_path):
 def test_lockstep_runs_that_stop_and_cut_rates_at_different_epochs_match_runs_alone(tmp_path):
     # a small patience makes each run cut its rate and stop at epochs of
     # its own, so the stack loses members at different epochs
-    windows = unit_windows(4)
+    masses = unit_masses(4)
     configs = [vae.TrainConfig(max_epochs=40, batch_size=40, seed=seed, learning_rate=0.03,
                                plateau_patience=1, early_stop_patience=3,
                                hidden_dims=(16, 8), latent_dim=2, dropout_rate=0.05)
                for seed in (21, 22, 23, 24)]
-    alone, together = train_both_ways(windows, configs, tmp_path)
+    alone, together = train_both_ways(masses, configs, tmp_path)
     for (_, ckpt_a, hist_a), (_, ckpt_b, hist_b) in zip(alone, together):
         assert ckpt_a == ckpt_b
         assert [e["lr"] for e in hist_a["epochs"]] == [e["lr"] for e in hist_b["epochs"]]
@@ -939,21 +966,21 @@ def test_lockstep_runs_that_stop_and_cut_rates_at_different_epochs_match_runs_al
 
 
 def test_lockstep_needs_one_config_and_equal_window_counts():
-    windows = unit_windows(2)
+    masses = unit_masses(2)
     cfg = vae.TrainConfig(max_epochs=1, batch_size=32)
     with pytest.raises(ValueError, match="one config apart from the seed"):
-        vae.train_lockstep([vae.TrainRun(windows[0], cfg),
-                            vae.TrainRun(windows[1], vae.TrainConfig(max_epochs=2, batch_size=32))])
-    short = vae.normalize(annual_mass(9, 100, seed=3, noise=0.05))
+        vae.train_lockstep([vae.TrainRun(masses[0], cfg),
+                            vae.TrainRun(masses[1], vae.TrainConfig(max_epochs=2, batch_size=32))])
+    short = annual_mass(9, 100, seed=3, noise=0.05)
     with pytest.raises(ValueError, match="equal window counts"):
-        vae.train_lockstep([vae.TrainRun(windows[0], cfg), vae.TrainRun(short, cfg)])
+        vae.train_lockstep([vae.TrainRun(masses[0], cfg), vae.TrainRun(short, cfg)])
 
 
 def test_lockstep_error_names_the_run_with_the_non_finite_loss():
-    windows = unit_windows(3)
-    windows[1].scaled[:, 4::vae.SEQ_LEN] = np.nan  # a month of every window
+    masses = unit_masses(3)
+    masses[1].values[:, 4::vae.SEQ_LEN] = np.nan  # a month of every window
     cfg = vae.TrainConfig(max_epochs=2, batch_size=32, hidden_dims=(8, 4), latent_dim=2)
-    runs = [vae.TrainRun(ws, cfg, name=name) for ws, name in zip(windows, "abc")]
+    runs = [vae.TrainRun(mass, cfg, name=name) for mass, name in zip(masses, "abc")]
     with pytest.raises(NumericalError,
                        match=r"^training b aborted at epoch 1, batch 0: non-finite loss$"):
         vae.train_lockstep(runs)
