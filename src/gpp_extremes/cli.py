@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data error,
 
 ``train`` and ``extremes`` run their units in up to ``--jobs`` forked
 worker processes, each on one BLAS thread, and print and merge the
-results in config order, so outputs do not depend on ``--jobs``.
+results in config order, so outputs do not depend on ``--jobs``. A unit
+that runs in the command's own process splits its SSA cells across the
+workers instead.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def available_cpus() -> int:
 
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` tasks at ``--jobs jobs``: at most
-    ``jobs``, one per task and one per available CPU."""
+    ``jobs``, one per task and one per available CPU. Also the number of
+    chunks a unit's SSA cells are split into (``_ssa_anomalies``)."""
     return max(1, min(jobs, tasks, available_cpus()))
 
 
@@ -128,13 +131,19 @@ def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -
     count. An error raised in a task is raised here when its turn comes;
     tasks after it may have written their files by then. Every worker has
     exited when this returns or raises.
+
+    Tasks that run in a worker, or here in place of a pool, see ``cfg``
+    with ``jobs`` 1, so a call to this function made inside a task runs its
+    own tasks in-process: pools do not nest, and the note below is printed
+    once. A task of a lone unit (one task, so it runs here with ``cfg`` as
+    it is) may start a pool of its own; ``_ssa_anomalies`` does.
     """
     workers = worker_count(cfg.jobs or available_cpus(), len(tasks))
     if workers > 1 and not BLAS_PINNED:
         if cfg.jobs is not None:
             print(f"note: --jobs {cfg.jobs} runs the units in this process: numpy loaded "
                   f"before {', '.join(BLAS_THREAD_VARS)} were all set to 1", file=sys.stderr)
-        workers = 1
+        cfg, workers = replace(cfg, jobs=1), 1
     if workers == 1:
         for task in tasks:
             take(work(cfg, grid, task))
@@ -144,7 +153,8 @@ def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(work, cfg, grid, tasks))
+                               initializer=_init_worker,
+                               initargs=(work, replace(cfg, jobs=1), grid, tasks))
     try:
         for future in [pool.submit(_run_task, i) for i in range(len(tasks))]:
             take(future.result())
@@ -251,12 +261,37 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
                 f"`gpp-extremes train --config ...` first"
             )
         return vae_mod.vae_anomalies(vae_mod.load_checkpoint(ckpt)[0], mass)
+    return _ssa_anomalies(cfg, mass, unit)
+
+
+def _ssa_anomalies(cfg: PipelineConfig, mass: MassSeries, unit: Unit) -> MassSeries:
+    """SSA anomalies of the unit's cells, split into contiguous chunks, one
+    per worker, that run as tasks (see ``_run_units``).
+
+    A chunk is a view of ``mass``, which a forked worker inherits. Each
+    chunk's anomaly rows are copied into one array in chunk order, so the
+    result does not depend on the chunk count: SSA is independent per cell.
+    """
+    chunks = worker_count(cfg.jobs or available_cpus(), mass.cells.size)
+    tasks = [(unit, replace(mass, values=values, cells=cells))
+             for values, cells in zip(np.array_split(mass.values, chunks),
+                                      np.array_split(mass.cells, chunks))]
+    anoms = np.empty_like(mass.values)
+    rows = iter(np.array_split(anoms, chunks))
+    _run_units(cfg, None, _ssa_chunk, tasks, lambda part: np.copyto(next(rows), part))
+    return replace(mass, values=anoms)
+
+
+def _ssa_chunk(cfg: PipelineConfig, _grid, task: tuple) -> np.ndarray:
+    """A chunk's anomaly rows, with the decomposition of each dump cell in
+    the chunk written."""
+    unit, mass = task
     kept = dict.fromkeys(cfg.dump_cells)
     anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, keep=kept)
     for cell, dec in kept.items():
         if dec is not None:
             _write_ssa_decomposition(cfg.out, unit.tag, cell, mass, dec)
-    return anoms
+    return anoms.values
 
 
 def _write_ssa_decomposition(out, tag, cell, mass, dec):
@@ -372,12 +407,17 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
 
 def _unit_extremes(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> tuple:
     """Every method's extremes of one unit, with its per-unit outputs written;
-    (threshold rows, cumulative totals, stdout lines), one entry per method."""
+    (threshold rows, cumulative totals, stdout lines), one entry per method.
+
+    Every method's anomalies come first, so the unit's mass is freed before
+    the reports are built.
+    """
     region, period = unit.region.name, unit.period.name
     mass = _unit_mass(cfg, grid, unit)
+    anomalies = [(method, _anomalies(method, mass, unit, cfg)) for method in cfg.methods]
+    del mass
     rows, totals, lines = [], [], []
-    for method in cfg.methods:
-        anoms = _anomalies(method, mass, unit, cfg)
+    for method, anoms in anomalies:
         report = extremes_mod.build_report(anoms, region, period, method)
         _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
         q = report.thresholds
@@ -541,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory (overrides config)")
     common.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
     common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the units of train and extremes "
-                             "(default: the CPUs available)")
+                        help="worker processes for the units of train and extremes, "
+                             "or for a lone unit's SSA cells (default: the CPUs available)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text in (

@@ -82,10 +82,14 @@ def pooled_sample(anoms: MassSeries, valid: np.ndarray) -> np.ndarray:
 
 
 def compute_thresholds(anoms: MassSeries, valid: np.ndarray) -> ThresholdSet:
-    """Percentile thresholds over the pooled regional anomaly sample."""
+    """Percentile thresholds over the pooled regional anomaly sample.
+
+    The pool is this function's own copy, so both percentiles partition it
+    in place; the order statistics, and so the thresholds, do not change.
+    """
     pool = pooled_sample(anoms, valid)
-    return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0))),
-                        q_pos=float(np.percentile(pool, 95.0)))
+    return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0, overwrite_input=True))),
+                        q_pos=float(np.percentile(pool, 95.0, overwrite_input=True)))
 
 
 def classify(anoms: MassSeries, valid: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:

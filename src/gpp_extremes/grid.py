@@ -75,8 +75,9 @@ class GridSeries:
             raise ShapeError("cell_area must be positive for every cell")
         if np.any(self.land_frac < 0) or np.any(self.land_frac > 1):
             raise ShapeError("land_frac must lie in [0, 1]")
-        land = self.land_frac > 0
-        if np.any(~np.isfinite(self.values[land])):
+        # a bool per value, not a copy of the land cells' values
+        finite = np.isfinite(self.values).all(axis=1)
+        if np.any(~finite & (self.land_frac > 0)):
             raise ShapeError("non-finite flux in a cell with land_frac > 0")
         return self
 
@@ -185,12 +186,18 @@ def in_float_range(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def write_flat(path: str | Path, header: dict, values: np.ndarray) -> None:
-    """Write ``header`` as JSON to `<base>.json` and ``values`` as
-    little-endian float64 to `<base>.f64`."""
+def write_flat(path: str | Path, header: dict, *blocks: np.ndarray) -> None:
+    """Write ``header`` as JSON to `<base>.json` and the ``blocks``, one after
+    another, as little-endian float64 to `<base>.f64`.
+
+    Each block is written from its own memory (C order), so the payload is
+    never held as one concatenated copy.
+    """
     header_path, payload_path = _paths(path)
     header_path.write_text(json.dumps(header, indent=2) + "\n")
-    payload_path.write_bytes(values.astype("<f8", copy=False).tobytes())
+    with payload_path.open("wb") as f:
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
@@ -236,8 +243,7 @@ def save_grid(grid: GridSeries, path: str | Path) -> None:
     grid.validate()
     header = {name: getattr(grid, name) for name in _HEADER_FIELDS}
     header["layout"] = "cell-major"
-    write_flat(path, header, np.concatenate([grid.values.ravel(), grid.cell_area,
-                                             grid.land_frac]))
+    write_flat(path, header, grid.values, grid.cell_area, grid.land_frac)
 
 
 def load_grid(path: str | Path) -> GridSeries:

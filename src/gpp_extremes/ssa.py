@@ -18,9 +18,12 @@ and one row-wise argmax, and the frequency bands are applied to all
 components at once. Each class is still summed in component order from
 zeros, so the result has the same bits as a component-by-component loop.
 
-Cells are decomposed one after another in the calling process. Parallel
-work is the CLI's: ``--jobs`` runs (region, period) units in worker
-processes, each with BLAS on one thread (see ``cli._run_units``).
+``ssa_anomalies`` decomposes its cells one after another in the calling
+process. Parallel work is the CLI's: ``--jobs`` runs (region, period)
+units in worker processes, each with BLAS on one thread, and a unit that
+runs in the command's own process splits its cells into contiguous
+chunks, one per worker, that run as tasks (``cli._ssa_anomalies``). SSA is
+independent per cell, so the anomalies do not depend on the split.
 """
 
 from __future__ import annotations

@@ -397,6 +397,60 @@ sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]))
     assert "4 a worker process died" in readme
 
 
+def one_unit_ssa_config(tmp_path, **ssa):
+    """One region of 6 cells, one period, SSA only: a lone unit whose cells
+    `extremes` splits into chunks, with dump cells 0, 2 and 5, each in
+    another chunk at 3 chunks."""
+    return write_config(
+        tmp_path, method="ssa",
+        synth={"name": "toy", "n_lat": 2, "n_lon": 3, "n_months": 48,
+               "noise_std": 4e-7, "cell_variation": 0.2,
+               "events": [{"cell": 4, "start": 20, "length": 2, "suppression": 0.8}]},
+        regions=[{"name": "six", "cells": list(range(6))}],
+        ssa={"window": 18, "dump_cells": [0, 2, 5], **ssa})
+
+
+def test_a_lone_units_ssa_cells_give_the_same_outputs_at_any_jobs(tmp_path):
+    cfg = one_unit_ssa_config(tmp_path)
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    runs = {}
+    for jobs in ("1", "2", "3", None):
+        out = tmp_path / f"jobs{jobs}"
+        done = cli_run("extremes", "--config", str(cfg), "--out", str(out),
+                       *(["--jobs", jobs] if jobs else []))
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        runs[jobs] = (tree(out), done.stdout)
+    reference, stdout = runs["1"]
+    assert len(stdout.splitlines()) == 1
+    assert sorted(p.name for p in reference if p.name.startswith("ssa_decomp_")) == [
+        f"ssa_decomp_six_y1850-53_cell{c}.csv" for c in (0, 2, 5)]
+    for jobs in ("2", "3", None):
+        other, other_stdout = runs[jobs]
+        assert other_stdout == stdout, jobs
+        assert other.keys() == reference.keys()
+        assert [name for name in reference if reference[name] != other[name]] == [], jobs
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_in_a_cell_chunk_ends_the_command_with_exit_4(tmp_path):
+    cfg = one_unit_ssa_config(tmp_path)
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    done = python_run(f"""
+import os, sys
+from gpp_extremes import cli
+
+def dies(cfg, grid, task):
+    os._exit(9)
+
+cli._ssa_chunk = dies
+sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]))
+""")
+    assert done.returncode == errors.WorkerError.exit_code == 4
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: a worker process ended without returning its result")
+    assert "Traceback" not in done.stderr
+
+
 @needs_two_cpus
 def test_no_worker_outlives_the_command(tmp_path):
     cfg = two_region_config(tmp_path)
@@ -416,18 +470,26 @@ print("ok")
 
 
 def test_one_job_or_one_task_imports_no_pool(tmp_path):
+    """A lone unit's SSA cells are tasks too: its `extremes` imports no pool at
+    --jobs 1 or with one cell, and starts one at --jobs 2 on 2 or more CPUs."""
     cfg = write_config(tmp_path, method="ssa")
+    (tmp_path / "one").mkdir()
+    one_cell_cfg = write_config(tmp_path / "one", method="ssa",
+                                regions=[{"name": "cell", "cells": [2]}])
     (tmp_path / "two").mkdir()
     pool_cfg = two_region_config(tmp_path / "two")
     done = python_run(f"""
 import sys
 from gpp_extremes import cli
 
-for cfg in ({str(cfg)!r}, {str(pool_cfg)!r}):
+for cfg in ({str(cfg)!r}, {str(one_cell_cfg)!r}, {str(pool_cfg)!r}):
     assert cli.main(["synth", "--config", cfg]) == 0
-assert cli.main(["extremes", "--config", {str(cfg)!r}]) == 0
+assert cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "1"]) == 0
+assert cli.main(["extremes", "--config", {str(one_cell_cfg)!r}]) == 0
 assert cli.main(["train", "--config", {str(pool_cfg)!r}, "--jobs", "1"]) == 0
 assert "multiprocessing" not in sys.modules
+assert cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]) == 0
+assert ("concurrent.futures.process" in sys.modules) == (cli.available_cpus() > 1)
 print("ok")
 """)
     assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["ok"]), done.stderr

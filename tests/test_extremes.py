@@ -64,6 +64,17 @@ def test_thresholds_100_sample_boundary(rng):
     assert int((vals > ts.q_pos).sum()) == 5
 
 
+def test_thresholds_are_the_percentiles_and_leave_the_anomalies_as_they_are(rng):
+    anoms = random_field(rng)
+    before = anoms.values.copy()
+    valid = extremes.valid_months(anoms.n_months)
+    ts = extremes.compute_thresholds(anoms, valid)
+    pool = anoms.values[:, valid].ravel()
+    assert (ts.q_neg, ts.q_pos) == (float(abs(np.percentile(pool, 5.0))),
+                                    float(np.percentile(pool, 95.0)))
+    assert anoms.values.tobytes() == before.tobytes()
+
+
 def test_thresholds_empty_pool():
     anoms = field(np.zeros((2, 40)))
     with pytest.raises(EmptyRegionError):

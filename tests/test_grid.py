@@ -89,6 +89,16 @@ def test_bool_header_field_is_a_format_error(tmp_path, rng, field):
         grid.load_grid(tmp_path / "g")
 
 
+def test_write_flat_writes_the_bytes_of_one_concatenated_payload(tmp_path, rng):
+    values = rng.normal(size=(4, 6))
+    blocks = (values, values[:, ::2], rng.normal(size=3).astype(">f8"),
+              np.arange(5, dtype=np.float32))
+    grid.write_flat(tmp_path / "g", {"n": 1}, *blocks)
+    payload = np.concatenate([b.ravel() for b in blocks]).astype("<f8").tobytes()
+    assert (tmp_path / "g.f64").read_bytes() == payload
+    assert json.loads((tmp_path / "g.json").read_text()) == {"n": 1}
+
+
 def test_roundtrip_flat_binary_bit_exact(tmp_path, rng):
     g = random_grid(rng, 3, 4, 36)
     grid.save_grid(g, tmp_path / "g")
@@ -266,3 +276,18 @@ def test_validate_rejects_nan_on_land():
     )
     with pytest.raises(ShapeError):
         g.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_accepts_non_finite_flux_off_land_only(bad):
+    values = np.ones((3, 12))
+    values[1, 5] = bad
+
+    def grid_with(land_frac):
+        return grid.GridSeries(
+            n_lat=1, n_lon=3, n_months=12, start_year=2000, start_month=1,
+            values=values, cell_area=np.full(3, 1e9), land_frac=np.array(land_frac))
+
+    assert grid_with([0.5, 0.0, 1.0]).validate().values is values
+    with pytest.raises(ShapeError, match="^non-finite flux in a cell with land_frac > 0$"):
+        grid_with([0.5, 1e-9, 0.0]).validate()
