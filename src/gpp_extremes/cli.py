@@ -6,11 +6,12 @@ seed, so two runs with the same config produce byte-identical outputs.
 Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 numerical failure, 4 a worker process died.
 
-``train`` and ``extremes`` run their units in up to ``--jobs`` forked
-worker processes, each on one BLAS thread, and print and merge the
-results in config order, so outputs do not depend on ``--jobs``. A unit
-that runs in the command's own process splits its SSA cells across the
-workers instead.
+``train`` and ``extremes`` run their units in up to ``--jobs`` worker
+processes, each on one BLAS thread, and print and merge the results in
+config order, so outputs do not depend on ``--jobs``. A unit that runs in
+the command's own process splits its SSA cells across the workers
+instead. Workers are forked with ``os.fork`` and talk to the command
+through pipes (``_run_units``), so no command imports ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ BLAS_PINNED = _pin_blas()  # worker processes run only then
 import argparse  # noqa: E402
 import csv  # noqa: E402
 import json  # noqa: E402
+import pickle  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -105,32 +107,23 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, available_cpus()))
 
 
-_worker_state = None  # (work, cfg, grid, tasks) in a pool worker, set by _init_worker
-
-
-def _init_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _run_task(index: int):
-    work, cfg, grid, tasks = _worker_state
-    return work(cfg, grid, tasks[index])
-
-
 def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -> None:
     """``take(work(cfg, grid, task))`` for every task, in task order.
 
     With more than one worker (``worker_count`` of ``cfg.jobs``, by default
     the available CPUs) and BLAS pinned to one thread when numpy loaded,
-    the tasks run in a pool of forked processes. A worker inherits
-    ``cfg``, ``grid`` and the tasks from this process and receives only a
-    task's index; ``work`` writes the task's own files and returns what
-    ``take`` needs, which comes back pickled. ``take`` runs here, in task
-    order, so printed lines and merged tables do not depend on the worker
-    count. An error raised in a task is raised here when its turn comes;
-    tasks after it may have written their files by then. Every worker has
-    exited when this returns or raises.
+    the tasks run in worker processes forked with ``os.fork``
+    (``_fork_worker``). A worker inherits ``cfg``, ``grid`` and the tasks
+    from this process and reads only task indices from its request pipe;
+    ``work`` writes the task's own files and returns what ``take`` needs,
+    which comes back on the worker's reply pipe. A worker is sent its next
+    index when it replies, so tasks go to whichever worker is free.
+    ``take`` runs here, in task order, so printed lines and merged tables
+    do not depend on the worker count. An error raised in a task is raised
+    here when its turn comes; tasks after it may have written their files
+    by then. A worker that ends, or cannot be sent an index, while it owes
+    a result is a ``WorkerError`` (exit 4). Every worker has exited when
+    this returns or raises.
 
     Tasks that run in a worker, or here in place of a pool, see ``cfg``
     with ``jobs`` 1, so a call to this function made inside a task runs its
@@ -148,21 +141,108 @@ def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -
         for task in tasks:
             take(work(cfg, grid, task))
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import selectors
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker,
-                               initargs=(work, replace(cfg, jobs=1), grid, tasks))
+    cfg = replace(cfg, jobs=1)
+    indices = iter(range(len(tasks)))  # the tasks not yet sent
+    results, taken = {}, 0  # replies not yet taken, by task index; tasks taken
+    pids, pipes = [], []  # per worker: (request writer, reply reader)
+    selector = selectors.DefaultSelector()
+
+    def send(requests, replies) -> None:
+        index = next(indices, None)
+        if index is None:
+            requests.close()  # the worker exits
+            return
+        try:
+            requests.write(index.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise _worker_died() from None
+        selector.register(replies, selectors.EVENT_READ, (requests, index))
+
     try:
-        for future in [pool.submit(_run_task, i) for i in range(len(tasks))]:
-            take(future.result())
-    except BrokenProcessPool as exc:
-        raise WorkerError("a worker process ended without returning its result (killed, "
-                          "or out of memory?); rerun with --jobs 1") from exc
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for _ in range(workers):
+            pid, channel = _fork_worker(work, cfg, grid, tasks,
+                                        [selector, *(f for ch in pipes for f in ch)])
+            pids.append(pid)
+            pipes.append(channel)
+            send(*channel)
+        while taken < len(tasks):
+            for key, _ in selector.select():
+                replies, (requests, index) = key.fileobj, key.data
+                selector.unregister(replies)
+                size = int.from_bytes(replies.read(8), "little")
+                reply = replies.read(size)
+                if not size or len(reply) < size:
+                    raise _worker_died()
+                results[index] = pickle.loads(reply)
+                send(requests, replies)
+            while taken in results:
+                ok, value = results.pop(taken)
+                if not ok:
+                    raise value
+                take(value)
+                taken += 1
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        selector.close()
+        for f in (f for channel in pipes for f in channel):
+            f.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _worker_died() -> WorkerError:
+    return WorkerError("a worker process ended without returning its result (killed, "
+                       "or out of memory?); rerun with --jobs 1")
+
+
+def _fork_worker(work, cfg: PipelineConfig, grid: GridSeries, tasks: list, inherited: list):
+    """Fork one worker of ``_run_units``: its pid and (request writer, reply
+    reader).
+
+    The worker closes ``inherited``: the command's selector and the pipe
+    ends of the workers forked before it, so that each of them sees its
+    requests end. It then runs
+    the task of each index it reads and writes ``(ok, result or
+    exception)``, pickled and prefixed with its length, until its requests
+    end. It leaves only through ``os._exit``, never returning into the
+    caller, so it runs none of the caller's code after its tasks and
+    flushes only what they wrote to stdout and stderr.
+    """
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for f in inherited:
+                f.close()
+            os.close(request_w)
+            os.close(reply_r)
+            with open(reply_w, "wb") as replies:
+                while index := os.read(request_r, 4):
+                    try:
+                        result = work(cfg, grid, tasks[int.from_bytes(index, "little")])
+                        reply = pickle.dumps((True, result))
+                    except Exception as exc:  # the command raises it when its turn comes
+                        if not isinstance(exc, PipelineError):  # a bug: show where it was
+                            import traceback
+
+                            traceback.print_exc()
+                        reply = pickle.dumps((False, exc))
+                    replies.write(len(reply).to_bytes(8, "little"))
+                    replies.write(reply)
+                    replies.flush()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(request_r)
+    os.close(reply_w)
+    return pid, (open(request_w, "wb", buffering=0), open(reply_r, "rb"))
 
 
 def _print_lines(lines: list) -> None:

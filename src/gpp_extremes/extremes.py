@@ -4,9 +4,11 @@ Protocol: ``valid_months`` keeps every month but the first and last year,
 the one span both engines share, and is the only place that decides which
 months count. Pool every valid (cell, month) anomaly of the region, set
 the negative threshold from the 5th percentile and the positive one from
-the 95th (linear interpolation between order statistics), flag with
-strict inequalities, then aggregate flags into per-cell frequency maps
-and regional monthly series.
+the 95th, flag with strict inequalities, then aggregate flags into
+per-cell frequency maps and regional monthly series. The percentiles are
+Hyndman & Fan's type 7 (linear interpolation between order statistics):
+``np.percentile``'s bits, from the two order statistics ``np.partition``
+places, without the ``numpy.ma`` import that ``np.percentile`` makes.
 """
 
 from __future__ import annotations
@@ -81,6 +83,27 @@ def pooled_sample(anoms: MassSeries, valid: np.ndarray) -> np.ndarray:
     return pool
 
 
+def _percentile(pool: np.ndarray, q: float) -> float:
+    """``np.percentile(pool, q)`` of a 1-D float64 pool, bit for bit.
+
+    NaN if the pool holds one; else numpy's linear interpolation
+    (``_lerp``) between the order statistics at ``floor((n-1)*q/100)`` and
+    the next index, with numpy's weight. Where that index is the last
+    (q = 100, or a pool of one), numpy takes the maximum twice, at index
+    -1. The pool is partitioned in place at numpy's own indices, so even
+    tied zeros of opposite sign land where numpy puts them.
+    """
+    n = pool.size
+    index = (n - 1) * (q / 100)
+    lo, hi = (int(index), int(index) + 1) if index < n - 1 else (-1, -1)
+    pool.partition(sorted({-1, 0, lo, hi}))
+    a, b, top = float(pool[lo]), float(pool[hi]), float(pool[-1])
+    if top != top:  # NaN sorts last
+        return top
+    t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def compute_thresholds(anoms: MassSeries, valid: np.ndarray) -> ThresholdSet:
     """Percentile thresholds over the pooled regional anomaly sample.
 
@@ -88,8 +111,7 @@ def compute_thresholds(anoms: MassSeries, valid: np.ndarray) -> ThresholdSet:
     in place; the order statistics, and so the thresholds, do not change.
     """
     pool = pooled_sample(anoms, valid)
-    return ThresholdSet(q_neg=float(abs(np.percentile(pool, 5.0, overwrite_input=True))),
-                        q_pos=float(np.percentile(pool, 95.0, overwrite_input=True)))
+    return ThresholdSet(q_neg=abs(_percentile(pool, 5.0)), q_pos=_percentile(pool, 95.0))
 
 
 def classify(anoms: MassSeries, valid: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:

@@ -19,14 +19,21 @@ def rank_one_series(u, s, vt):
 
     The anti-diagonal sums of an outer product are exactly the full
     convolution of its two vectors, so each component costs one
-    ``np.convolve`` instead of materializing an L x K matrix.
+    correlation instead of materializing an L x K matrix. It is the call
+    ``np.convolve(u[:, c], vt[c])`` makes, the longer vector with the
+    shorter one reversed, so the series have ``np.convolve``'s bits; the
+    reversed vectors are one contiguous copy, and the rows are scaled
+    and averaged at once.
     """
     rows, k = u.shape
     cols = vt.shape[1]
-    counts = _antidiag_counts(rows, cols)
+    longer, shorter = (vt, u.T) if cols > rows else (u.T, vt)
+    shorter = shorter[:, ::-1].copy()
     out = np.empty((k, rows + cols - 1))
     for c in range(k):
-        out[c] = s[c] * np.convolve(u[:, c], vt[c]) / counts
+        out[c] = np.correlate(longer[c], shorter[c], "full")
+    out *= s[:, None]
+    out /= _antidiag_counts(rows, cols)
     return out
 
 

@@ -286,7 +286,7 @@ def test_extremes_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def two_region_config(tmp_path):
+def two_region_config(tmp_path, **overrides):
     """2 regions x 2 periods, both methods: 2 train tasks, 4 extremes tasks."""
     return write_config(
         tmp_path,
@@ -298,6 +298,7 @@ def two_region_config(tmp_path):
         periods=[{"name": "p", "start_year": 1850, "end_year": 1853},
                  {"name": "q", "start_year": 1854, "end_year": 1857}],
         train={"max_epochs": 2, "batch_size": 32, "hidden_dims": [16, 8], "latent_dim": 2},
+        **overrides,
     )
 
 
@@ -451,48 +452,129 @@ sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]))
     assert "Traceback" not in done.stderr
 
 
+def counting_forks(script):
+    """``script`` after a prelude that records in ``forks`` the pid of every
+    child ``os.fork`` makes."""
+    return """
+import os, sys
+from gpp_extremes import cli
+
+forks, real_fork = [], os.fork
+
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+
+os.fork = fork
+""" + script
+
+
 @needs_two_cpus
 def test_no_worker_outlives_the_command(tmp_path):
     cfg = two_region_config(tmp_path)
-    done = python_run(f"""
-import multiprocessing, sys
-from gpp_extremes import cli
-
+    done = python_run(counting_forks(f"""
 assert cli.BLAS_PINNED
 assert cli.main(["synth", "--config", {str(cfg)!r}]) == 0
-assert "concurrent.futures.process" not in sys.modules
-assert cli.main(["train", "--config", {str(cfg)!r}, "--jobs", "2"]) == 0
-assert "concurrent.futures.process" in sys.modules, "the pool did not run"
-assert multiprocessing.active_children() == []
-print("ok")
-""")
-    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["ok"]), done.stderr
+assert forks == []
+for command in ("train", "extremes", "compare"):
+    assert cli.main([command, "--config", {str(cfg)!r}, "--jobs", "2"]) == 0
+assert len(forks) == 4, "train and extremes each start 2 workers"
+for name in ("numpy.ma", "multiprocessing", "concurrent.futures"):
+    assert name not in sys.modules, name
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("ok")
+"""))
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.splitlines()[-1:] == ["ok"]
+    assert done.stdout.splitlines().count("ok") == 1  # no worker ran the rest of the script
 
 
 def test_one_job_or_one_task_imports_no_pool(tmp_path):
-    """A lone unit's SSA cells are tasks too: its `extremes` imports no pool at
-    --jobs 1 or with one cell, and starts one at --jobs 2 on 2 or more CPUs."""
+    """A lone unit's SSA cells are tasks too: its `extremes` forks no worker at
+    --jobs 1 or with one cell, and forks 2 at --jobs 2 on 2 or more CPUs."""
     cfg = write_config(tmp_path, method="ssa")
     (tmp_path / "one").mkdir()
     one_cell_cfg = write_config(tmp_path / "one", method="ssa",
                                 regions=[{"name": "cell", "cells": [2]}])
     (tmp_path / "two").mkdir()
     pool_cfg = two_region_config(tmp_path / "two")
-    done = python_run(f"""
-import sys
-from gpp_extremes import cli
-
+    done = python_run(counting_forks(f"""
 for cfg in ({str(cfg)!r}, {str(one_cell_cfg)!r}, {str(pool_cfg)!r}):
     assert cli.main(["synth", "--config", cfg]) == 0
 assert cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "1"]) == 0
 assert cli.main(["extremes", "--config", {str(one_cell_cfg)!r}]) == 0
 assert cli.main(["train", "--config", {str(pool_cfg)!r}, "--jobs", "1"]) == 0
-assert "multiprocessing" not in sys.modules
+assert forks == []
 assert cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]) == 0
-assert ("concurrent.futures.process" in sys.modules) == (cli.available_cpus() > 1)
+assert len(forks) == (2 if cli.available_cpus() > 1 else 0)
+for name in ("numpy.ma", "multiprocessing", "concurrent.futures"):
+    assert name not in sys.modules, name
 print("ok")
+"""))
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.splitlines()[-1:] == ["ok"]
+    assert done.stdout.splitlines().count("ok") == 1  # no worker ran the rest of the script
+
+
+def test_of_two_failing_units_the_first_in_config_order_reports(tmp_path):
+    """The second of four units fails, and in a pool it fails after the
+    third has failed: at --jobs 1 and 2 the second's error is reported."""
+    cfg = two_region_config(tmp_path, method="ssa")
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    results = []
+    for jobs in ("1", "2"):
+        done = python_run(f"""
+import sys, time
+from gpp_extremes import cli, errors
+
+real = cli._unit_extremes
+
+def fails(cfg, grid, unit):
+    if (unit.region.name, unit.period.name) == ("west", "q"):
+        time.sleep(1.0)
+        raise errors.DataError("west q fails")
+    if (unit.region.name, unit.period.name) == ("east", "p"):
+        raise errors.DataError("east p fails")
+    return real(cfg, grid, unit)
+
+cli._unit_extremes = fails
+sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--out", {str(tmp_path / jobs)!r},
+                   "--jobs", "{jobs}"]))
 """)
-    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["ok"]), done.stderr
+        results.append((done.returncode, done.stdout, done.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 2
+    assert results[0][2] == "error: west q fails\n"
+    assert len(results[0][1].splitlines()) == 1  # the first unit's line
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_before_reading_its_next_task_ends_the_command_with_exit_4(
+        tmp_path):
+    cfg = two_region_config(tmp_path, method="ssa")
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    done = python_run(f"""
+import os, sys
+from gpp_extremes import cli
+
+command, real = os.getpid(), cli._unit_extremes
+
+def then_dies(cfg, grid, unit):
+    result = real(cfg, grid, unit)
+    if os.getpid() != command:  # in a worker: its next read of a task index ends it
+        os.read = lambda fd, n: os._exit(9)
+    return result
+
+cli._unit_extremes = then_dies
+sys.exit(cli.main(["extremes", "--config", {str(cfg)!r}, "--jobs", "2"]))
+""")
+    assert done.returncode == errors.WorkerError.exit_code == 4
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: a worker process ended without returning its result")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("tasks", [1, 2, 12])

@@ -75,6 +75,32 @@ def test_thresholds_are_the_percentiles_and_leave_the_anomalies_as_they_are(rng)
     assert anoms.values.tobytes() == before.tobytes()
 
 
+def percentile_pools(rng):
+    """Pools of 1 to 5,000 values: heavy tails, ties, spans of many
+    magnitudes and signed zeros."""
+    for n in [*range(1, 42), 99, 100, 101, 347, 1000, 4999, 5000]:
+        yield rng.standard_t(1.2, size=n)
+        yield rng.integers(-3, 4, size=n).astype(float)
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-200, 200, size=n)
+        yield np.where(rng.random(n) < 0.5, -0.0, 0.0)
+
+
+def test_percentile_is_numpys_bit_for_bit(rng):
+    for pool in percentile_pools(rng):
+        for q in (0.0, 5.0, 50.0, 95.0, 100.0):
+            got = extremes._percentile(pool.copy(), q)
+            assert np.float64(got).tobytes() == np.percentile(pool, q).tobytes(), (pool.size, q)
+
+
+def test_percentile_of_a_pool_holding_nan_is_nan(rng):
+    for n in (1, 2, 20, 5000):
+        for at in {0, n // 2, n - 1}:
+            pool = rng.normal(size=n)
+            pool[at] = np.nan
+            for q in (0.0, 5.0, 50.0, 95.0, 100.0):
+                assert np.isnan(extremes._percentile(pool.copy(), q))
+
+
 def test_thresholds_empty_pool():
     anoms = field(np.zeros((2, 40)))
     with pytest.raises(EmptyRegionError):

@@ -149,6 +149,20 @@ def _rank_one_series_loops(u, s, vt):
     return out
 
 
+def test_rank_one_series_has_the_bits_of_one_convolve_per_component(rng):
+    """The kernel's batched scaling and correlations give, bit for bit, each
+    component's ``s[c] * np.convolve(u[:, c], vt[c]) / counts``."""
+    series = rng.normal(size=372).cumsum() + 10.0 * np.sin(np.arange(372) * np.pi / 6)
+    triples = [ssa.decompose(ssa.embed(series, 120))]
+    triples += [np.linalg.svd(rng.normal(size=shape), full_matrices=False)
+                for shape in ((15, 25), (25, 15), (20, 20), (1, 7))]
+    for u, s, vt in triples:
+        counts = kernels._antidiag_counts(u.shape[0], vt.shape[1])
+        expected = np.array([s[c] * np.convolve(u[:, c], vt[c]) / counts
+                             for c in range(s.size)])
+        assert kernels.rank_one_series(u, s, vt).tobytes() == expected.tobytes(), u.shape
+
+
 def _overlap_average_loops(windows):
     """Stride-1 windows summed into their months, one element at a time."""
     n_win, width = windows.shape
