@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -927,6 +929,20 @@ def test_readme_example_config_loads(tmp_path):
     path.write_text(blocks[0].split("```")[0])
     units = PipelineConfig.load(path).units()
     assert [u.tag for u in units] == ["WNA_1850-80"]
+
+
+def test_every_test_the_readme_names_exists():
+    root = Path(__file__).resolve().parents[1]
+    readme = re.sub(r"```.*?```", "", (root / "README.md").read_text(), flags=re.S)
+    cited = {name for span in re.findall(r"`([^`]*)`", readme)
+             for name in re.findall(r"\btest_\w+", span)}
+    defined = set()
+    for path in (root / "tests").glob("*.py"):
+        defined.add(path.stem)
+        defined.update(node.name for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.FunctionDef))
+    assert len(cited) > 10, "the README should name the tests that pin its guarantees"
+    assert sorted(cited - defined) == []
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])
