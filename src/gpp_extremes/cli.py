@@ -57,6 +57,7 @@ from .grid import (  # noqa: E402
     GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
 
 OUT_DIRS = ("tables", "figures", "grids", "checkpoints", "reports")
+SSA_CHUNK_CELLS = 32  # most cells in a chunk of a lone unit's SSA cells
 
 
 def _load_input_grid(cfg: PipelineConfig) -> GridSeries:
@@ -102,8 +103,7 @@ def available_cpus() -> int:
 
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` tasks at ``--jobs jobs``: at most
-    ``jobs``, one per task and one per available CPU. Also the number of
-    chunks a unit's SSA cells are split into (``_ssa_anomalies``)."""
+    ``jobs``, one per task and one per available CPU."""
     return max(1, min(jobs, tasks, available_cpus()))
 
 
@@ -345,14 +345,17 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
 
 
 def _ssa_anomalies(cfg: PipelineConfig, mass: MassSeries, unit: Unit) -> MassSeries:
-    """SSA anomalies of the unit's cells, split into contiguous chunks, one
-    per worker, that run as tasks (see ``_run_units``).
+    """SSA anomalies of the unit's cells, split into contiguous chunks that
+    run as tasks (see ``_run_units``): one chunk with one worker, else at
+    least one per worker and at most ``SSA_CHUNK_CELLS`` cells each, so a
+    free worker takes the next chunk and a reply holds few rows.
 
     A chunk is a view of ``mass``, which a forked worker inherits. Each
     chunk's anomaly rows are copied into one array in chunk order, so the
     result does not depend on the chunk count: SSA is independent per cell.
     """
-    chunks = worker_count(cfg.jobs or available_cpus(), mass.cells.size)
+    workers = worker_count(cfg.jobs or available_cpus(), mass.cells.size)
+    chunks = 1 if workers == 1 else max(workers, -(-mass.cells.size // SSA_CHUNK_CELLS))
     tasks = [(unit, replace(mass, values=values, cells=cells))
              for values, cells in zip(np.array_split(mass.values, chunks),
                                       np.array_split(mass.cells, chunks))]
@@ -407,21 +410,13 @@ def _write_report_outputs(report, tag, grid, out):
     )
     (out / "figures" / f"freq_{tag}.svg").write_text(fig)
 
-    # flags: a grid over the whole input grid, zeros outside the region
-    flags = np.zeros((grid.n_cells, report.flags.shape[1]))
-    flags[report.cells] = report.flags
+    # flags: a grid over the whole input grid, zeros outside the region,
+    # written a block of cells at a time from the region's int8 flags
     save_grid(
-        GridSeries(
-            n_lat=grid.n_lat,
-            n_lon=grid.n_lon,
-            n_months=flags.shape[1],
-            start_year=report.start_year,
-            start_month=report.start_month,
-            values=flags,
-            cell_area=grid.cell_area,
-            land_frac=grid.land_frac,
-        ),
+        replace(grid, n_months=report.flags.shape[1], start_year=report.start_year,
+                start_month=report.start_month, values=report.flags),
         out / "grids" / f"flags_{tag}",
+        cells=report.cells,
     )
 
     # monthly series CSV + figures
@@ -615,7 +610,7 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                         f"{path} has no {item} for ({key[0]}, {key[1]}, {method}); run "
                         f"`gpp-extremes extremes` with method: both"
                     )
-            flags[method] = g = load_grid(gpath)
+            g = load_grid(gpath)
             if (g.start_year, g.start_month, g.n_months) != (period.start_year, 1, period.months):
                 raise DataError(
                     f"{gpath}.json does not span period {period.name} ({period.start_year}-"
@@ -629,9 +624,11 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                     f"not the cells {cells.tolist()} of region {key[0]}; rerun "
                     f"`gpp-extremes extremes --config ...`"
                 )
+            flags[method] = g.values[cells]  # a copy: the grid itself is dropped
+            del g
         vae, ssa = (*key, "vae"), (*key, "ssa")
         stats.append(compare_mod.compare_methods(
-            *key, flags["vae"].values[cells], flags["ssa"].values[cells],
+            *key, flags["vae"], flags["ssa"],
             thresholds[vae], thresholds[ssa], totals[vae][0], totals[ssa][0]))
     _write_csv(
         out / "tables" / "agreement.csv",

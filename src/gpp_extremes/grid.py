@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,7 @@ GRAMS_PER_GIGAGRAM = 1.0e9
 GGC_PER_TGC = 1.0e3
 
 _HEADER_FIELDS = ("n_lat", "n_lon", "n_months", "start_year", "start_month")
+SAVE_BLOCK_ROWS = 32  # cells per block of values that save_grid writes
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,17 @@ class GridSeries:
     def n_cells(self) -> int:
         return self.n_lat * self.n_lon
 
-    def validate(self) -> "GridSeries":
+    def validate(self, cells: np.ndarray | None = None) -> "GridSeries":
+        """The grid, checked; with ``cells`` (see ``save_grid``), ``values``
+        holds those cells' rows only."""
         if self.n_lat < 1 or self.n_lon < 1 or self.n_months < 1:
             raise ShapeError("grid dimensions must be positive")
         if not (1 <= self.start_month <= 12):
             raise FormatError(f"start_month must be 1..12, got {self.start_month}")
-        if self.values.shape != (self.n_cells, self.n_months):
+        name, rows = ("n_cells", self.n_cells) if cells is None else ("cells", len(cells))
+        if self.values.shape != (rows, self.n_months):
             raise ShapeError(
-                f"values shape {self.values.shape} != "
-                f"(n_cells={self.n_cells}, n_months={self.n_months})"
+                f"values shape {self.values.shape} != ({name}={rows}, n_months={self.n_months})"
             )
         if self.cell_area.shape != (self.n_cells,) or self.land_frac.shape != (self.n_cells,):
             raise ShapeError("cell_area and land_frac must have one entry per cell")
@@ -77,7 +81,8 @@ class GridSeries:
             raise ShapeError("land_frac must lie in [0, 1]")
         # a bool per value, not a copy of the land cells' values
         finite = np.isfinite(self.values).all(axis=1)
-        if np.any(~finite & (self.land_frac > 0)):
+        land = self.land_frac if cells is None else self.land_frac[cells]
+        if np.any(~finite & (land > 0)):
             raise ShapeError("non-finite flux in a cell with land_frac > 0")
         return self
 
@@ -191,13 +196,15 @@ def write_flat(path: str | Path, header: dict, *blocks: np.ndarray) -> None:
     another, as little-endian float64 to `<base>.f64`.
 
     Each block is written from its own memory (C order), so the payload is
-    never held as one concatenated copy.
+    never held as one concatenated copy. A block that is an iterator of
+    arrays (a generator, say) is written one array at a time.
     """
     header_path, payload_path = _paths(path)
     header_path.write_text(json.dumps(header, indent=2) + "\n")
     with payload_path.open("wb") as f:
         for block in blocks:
-            f.write(np.ascontiguousarray(block, dtype="<f8"))
+            for part in block if isinstance(block, Iterator) else (block,):
+                f.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
 def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
@@ -233,17 +240,34 @@ def _check_header(raw: dict, header_path: Path) -> None:
         raise FormatError(f"{header_path}: header field 'start_month' outside 1..12")
 
 
-def save_grid(grid: GridSeries, path: str | Path) -> None:
+def save_grid(grid: GridSeries, path: str | Path, *, cells: np.ndarray | None = None) -> None:
     """Write a grid as `<base>.json` plus a flat-binary payload `<base>.f64`.
 
     The payload is little-endian float64: values in cell-major order (all
     months of cell 0, then cell 1, ...), then the cell_area block, then the
-    land_frac block.
+    land_frac block. The values go out in blocks of ``SAVE_BLOCK_ROWS``
+    cells. With ``cells``, sorted and distinct cell indices, ``grid.values``
+    holds only those cells' rows, in that order, and every other cell is
+    written as zeros: a region's grid (the flags `extremes` writes) is
+    never held as a full-grid float64 array.
     """
-    grid.validate()
+    grid.validate(cells)
     header = {name: getattr(grid, name) for name in _HEADER_FIELDS}
     header["layout"] = "cell-major"
-    write_flat(path, header, grid.values, grid.cell_area, grid.land_frac)
+    write_flat(path, header, _value_blocks(grid, cells), grid.cell_area, grid.land_frac)
+
+
+def _value_blocks(grid: GridSeries, cells: np.ndarray | None):
+    """The full-grid values of ``save_grid``, ``SAVE_BLOCK_ROWS`` cells at a time."""
+    for start in range(0, grid.n_cells, SAVE_BLOCK_ROWS):
+        stop = min(start + SAVE_BLOCK_ROWS, grid.n_cells)
+        if cells is None:
+            yield grid.values[start:stop]
+            continue
+        block = np.zeros((stop - start, grid.n_months))
+        lo, hi = np.searchsorted(cells, (start, stop))
+        block[cells[lo:hi] - start] = grid.values[lo:hi]
+        yield block
 
 
 def load_grid(path: str | Path) -> GridSeries:
@@ -293,8 +317,10 @@ def flux_to_mass(grid: GridSeries, mask: RegionMask, source="grid") -> MassSerie
         )
     seconds = grid.month_seconds()
     scale = grid.cell_area[cells] * grid.land_frac[cells] / GRAMS_PER_GIGAGRAM
+    values = grid.values[cells]  # a copy, scaled in place
     with np.errstate(over="ignore"):
-        values = grid.values[cells] * scale[:, None] * seconds[None, :]
+        values *= scale[:, None]
+        values *= seconds[None, :]
     if not np.isfinite(values).all():
         cell = cells[np.nonzero(~np.isfinite(values))[0][0]]
         raise DataError(
@@ -361,7 +387,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
     either way it is scaled to the requested standard deviation. Events
     multiply the clean signal by (1 - suppression) over their span.
     Returns the grid and a boolean (n_cells, n_months) array marking
-    injected (cell, month) samples.
+    injected (cell, month) samples. The flux is computed in place in one
+    (n_cells, n_months) array; the noise draws are the one other array of
+    that size.
     """
     n_cells = spec.n_lat * spec.n_lon
     for i, ev in enumerate(spec.events):
@@ -379,26 +407,28 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
     t = np.arange(spec.n_months, dtype=float)
     scale = 1.0 + spec.cell_variation * rng.uniform(-1.0, 1.0, size=n_cells)
     annual = np.sin(2.0 * np.pi * t / 12.0)
-    clean = scale[:, None] * (spec.base_flux + spec.annual_amplitude * annual[None, :])
-    clean = clean + spec.trend_linear * t[None, :] + spec.trend_quadratic * t[None, :] ** 2
+    values = scale[:, None] * (spec.base_flux + spec.annual_amplitude * annual[None, :])
+    values += spec.trend_linear * t[None, :]
+    values += spec.trend_quadratic * t[None, :] ** 2
 
     truth = np.zeros((n_cells, spec.n_months), dtype=bool)
     for ev in spec.events:
         span = slice(ev.start, ev.start + ev.length)
-        clean[ev.cell, span] *= 1.0 - ev.suppression
+        values[ev.cell, span] *= 1.0 - ev.suppression
         truth[ev.cell, span] = True
 
-    values = clean
     if spec.noise_std > 0:
         if spec.noise_df == 0:
-            noise = rng.normal(0.0, spec.noise_std, size=clean.shape)
+            noise = rng.normal(0.0, spec.noise_std, size=values.shape)
         elif spec.noise_df >= 3:
-            draws = rng.standard_t(spec.noise_df, size=clean.shape)
-            noise = draws * spec.noise_std / np.sqrt(spec.noise_df / (spec.noise_df - 2.0))
+            noise = rng.standard_t(spec.noise_df, size=values.shape)
+            noise *= spec.noise_std
+            noise /= np.sqrt(spec.noise_df / (spec.noise_df - 2.0))
         else:
             raise SynthSpecError("noise_df must be 0 (Gaussian) or >= 3")
-        values = values + noise
-    values = np.maximum(values, 0.0)
+        values += noise
+        del noise
+    np.maximum(values, 0.0, out=values)
 
     if isinstance(spec.land_frac, (int, float)):
         land = np.full(n_cells, float(spec.land_frac))

@@ -13,17 +13,26 @@ at L=120, K=253. The two agree to rounding, not bit for bit; the
 tolerance gate (singular values, orthonormality, group sums and group
 classes against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
 
-The periodograms of a cell's components come from one batched ``rfft``
-and one row-wise argmax, and the frequency bands are applied to all
-components at once. Each class is still summed in component order from
-zeros, so the result has the same bits as a component-by-component loop.
+The periodograms of a cell's components come from ``rfft`` on blocks of
+a few rows and a row-wise argmax, and the frequency bands are applied to
+all components at once. Each class is still summed in component order
+from zeros, so the result has the same bits as a component-by-component
+loop.
 
 ``ssa_anomalies`` decomposes its cells one after another in the calling
-process. Parallel work is the CLI's: ``--jobs`` runs (region, period)
-units in worker processes, each with BLAS on one thread, and a unit that
-runs in the command's own process splits its cells into contiguous
-chunks, one per worker, that run as tasks (``cli._ssa_anomalies``). SSA is
-independent per cell, so the anomalies do not depend on the split.
+process, in one ``SsaWork`` of scratch arrays made once per call: the
+trajectory matrix, the projection and right singular vectors of
+``decompose`` and the component series are overwritten cell after cell.
+With the periodogram blocks kept under ``MMAP_THRESHOLD``, a cell makes
+no numpy array that glibc would serve with fresh, zero-filled pages from
+``mmap`` and give back on free, so a cell costs few page faults.
+
+Parallel work is the CLI's: ``--jobs`` runs (region, period) units in
+worker processes, each with BLAS on one thread, and a unit that runs in
+the command's own process splits its cells into contiguous chunks of at
+most ``cli.SSA_CHUNK_CELLS`` cells, at least one per worker, that run as
+tasks (``cli._ssa_anomalies``). SSA is independent per cell, so the
+anomalies do not depend on the split.
 """
 
 from __future__ import annotations
@@ -78,6 +87,32 @@ class SsaConfig:
             raise SsaWindowError(f"freq_tolerance must be > 0, got {self.freq_tolerance}")
 
 
+# glibc's default mmap threshold: an allocation this large or larger gets fresh
+# pages from the kernel, and gives them back when it is freed.
+MMAP_THRESHOLD = 128 * 1024
+
+
+@dataclass(frozen=True)
+class SsaWork:
+    """Scratch arrays of ``decompose_series`` for series of one length.
+
+    ``ssa_anomalies`` makes one per call and every cell overwrites it, so
+    nothing in it may outlive the cell: an ``SsaDecomposition`` holds
+    arrays of its own.
+    """
+
+    trajectory: np.ndarray  # (L, K) trajectory matrix, embed's output
+    projection: np.ndarray  # (K, L) X.T @ u
+    vt: np.ndarray  # (L, K) right singular vectors
+    components: np.ndarray  # (L, n) component series
+
+    @classmethod
+    def empty(cls, window: int, n_months: int) -> "SsaWork":
+        k = n_months - window + 1
+        return cls(trajectory=np.empty((window, k)), projection=np.empty((k, window)),
+                   vt=np.empty((window, k)), components=np.empty((window, n_months)))
+
+
 @dataclass(frozen=True)
 class SsaDecomposition:
     trend: np.ndarray
@@ -86,12 +121,17 @@ class SsaDecomposition:
     classes: np.ndarray  # index into GROUPS of each eigentriple, in singular-value order
 
 
-def embed(series: np.ndarray, window: int) -> np.ndarray:
-    """Hankel trajectory matrix: column j holds series[j : j+window]."""
-    return np.lib.stride_tricks.sliding_window_view(series, window).T.copy()
+def embed(series: np.ndarray, window: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Hankel trajectory matrix: column j holds series[j : j+window]; written
+    into ``out`` when it is given."""
+    view = np.lib.stride_tricks.sliding_window_view(series, window).T
+    if out is None:
+        return view.copy()
+    np.copyto(out, view)
+    return out
 
 
-def decompose(x: np.ndarray):
+def decompose(x: np.ndarray, *, work: SsaWork | None = None):
     """Thin SVD ``(u, s, vt)`` of a wide L x K trajectory matrix from its lag covariance.
 
     Only wide matrices (L <= K) are taken; ``validate_for`` admits no
@@ -103,7 +143,9 @@ def decompose(x: np.ndarray):
     of a rank-deficient matrix near zero. Triples come out with
     non-increasing singular values, ties in eigenvalue order. Agrees with
     ``np.linalg.svd`` to rounding, not bit for bit: the gate is in
-    ``tests/test_ssa_tolerance.py``.
+    ``tests/test_ssa_tolerance.py``. With ``work``, the projection is
+    computed in ``work.projection`` and ``vt`` is ``work.vt`` (unless the
+    triples had to be reordered).
     """
     cov = x @ x.T
     if not np.isfinite(cov).all():
@@ -116,8 +158,11 @@ def decompose(x: np.ndarray):
         ) from exc
     u = eigvecs[:, ::-1].copy()  # eigenvalues descending
     # (X.T @ u).T has the same bits at any BLAS thread count; u.T @ X does not.
-    # Its C-ordered copy peaks lower in memory than the strided view, at equal speed.
-    vt = np.ascontiguousarray((x.T @ u).T)
+    # vt is its C-ordered copy, so each singular vector is one contiguous row.
+    proj = np.empty((x.shape[1], x.shape[0])) if work is None else work.projection
+    vt = np.empty(x.shape) if work is None else work.vt
+    np.matmul(x.T, u, out=proj)
+    np.copyto(vt, proj.T)
     s = np.sqrt(np.einsum("ij,ij->i", vt, vt))
     np.divide(vt, s[:, None], out=vt, where=s[:, None] > 0.0)
     if np.any(s[1:] > s[:-1]):
@@ -129,14 +174,21 @@ def decompose(x: np.ndarray):
 def dominant_frequency(block: np.ndarray, pad_factor: int = 4) -> np.ndarray:
     """Argmax frequency (cycles/month) of each row's zero-padded periodogram.
 
-    ``block`` is a (k, n) array of series; the k frequencies come from one
-    ``rfft`` along the rows. An all-zero row has no frequency and gets
-    NaN, which grouping sends to the residual class.
+    ``block`` is a (k, n) array of series; the frequencies come from
+    ``rfft`` along the rows, run on as many rows at a time as keep its
+    complex output under ``MMAP_THRESHOLD`` (10 rows at 372 months). Each
+    row's transform is its own, so the frequencies do not depend on the
+    split. An all-zero row has no frequency and gets NaN, which grouping
+    sends to the residual class.
     """
     n = block.shape[1]
     nfft = max(pad_factor * n, n)
-    power = np.abs(np.fft.rfft(block, nfft, axis=1)) ** 2
-    freqs = np.argmax(power, axis=1) / nfft
+    rows = max(1, (MMAP_THRESHOLD - 1) // (16 * (nfft // 2 + 1)))
+    freqs = np.empty(block.shape[0])
+    for start in range(0, block.shape[0], rows):
+        power = np.abs(np.fft.rfft(block[start:start + rows], nfft, axis=1)) ** 2
+        freqs[start:start + rows] = np.argmax(power, axis=1)
+    freqs /= nfft
     freqs[~np.any(block != 0.0, axis=1)] = np.nan
     return freqs
 
@@ -153,9 +205,10 @@ def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
     return np.where(trend, 0, np.where(seasonal, 1, 2))
 
 
-def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
-    """Classify every eigentriple and sum the component series per class."""
-    comps = kernels.rank_one_series(u, s, vt)
+def group(u, s, vt, config: SsaConfig, *, out: np.ndarray | None = None) -> SsaDecomposition:
+    """Classify every eigentriple and sum the component series per class; the
+    component series are written into ``out`` when it is given."""
+    comps = kernels.rank_one_series(u, s, vt, out=out)
     classes = _classify(dominant_frequency(comps, config.pad_factor), config)
     sums = []
     for c in range(len(GROUPS)):
@@ -168,11 +221,15 @@ def group(u, s, vt, config: SsaConfig) -> SsaDecomposition:
     )
 
 
-def decompose_series(series: np.ndarray, config: SsaConfig) -> SsaDecomposition:
-    """embed -> eigentriples -> diagonal averaging -> frequency grouping for one cell."""
+def decompose_series(series: np.ndarray, config: SsaConfig, *,
+                     work: SsaWork | None = None) -> SsaDecomposition:
+    """embed -> eigentriples -> diagonal averaging -> frequency grouping for one
+    cell, in the scratch arrays of ``work`` (fresh ones when it is None)."""
     config.validate_for(series.shape[0])
-    u, s, vt = decompose(embed(series, config.window))
-    return group(u, s, vt, config)
+    if work is None:
+        work = SsaWork.empty(config.window, series.shape[0])
+    u, s, vt = decompose(embed(series, config.window, out=work.trajectory), work=work)
+    return group(u, s, vt, config, out=work.components)
 
 
 def ssa_anomalies(mass: MassSeries, config: SsaConfig,
@@ -189,8 +246,9 @@ def ssa_anomalies(mass: MassSeries, config: SsaConfig,
     config.validate_for(values.shape[1])
 
     anoms = np.empty_like(values)
+    work = SsaWork.empty(config.window, values.shape[1])
     for c, cell in enumerate(np.asarray(mass.cells).tolist()):
-        dec = decompose_series(values[c], config)
+        dec = decompose_series(values[c], config, work=work)
         anoms[c] = dec.residual
         if keep is not None and cell in keep:
             keep[cell] = dec

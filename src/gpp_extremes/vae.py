@@ -21,9 +21,10 @@ dropout off, so anomalies and thresholds are reproducible. It runs the
 cache-free eval pass of ``nn.DenseStack.infer`` on blocks of at most
 ``INFER_BLOCK_ROWS`` windows (whole cells for reconstruction), so its
 memory stays at a few MB whatever the region size. Blocks are cut to
-near-equal lengths: a product of a few hundred rows or fewer can take
-another BLAS kernel, with other rounding, than one of thousands, and
-blocks of thousands of rows give the same bits as one pass over all rows.
+near-equal lengths: a product of a hundred rows or so can take another
+BLAS kernel, with other rounding, than one of thousands, while blocks of
+a cell's windows (361 at 372 months) or more give the same bits as one
+pass over all rows.
 
 A model holds the ``TrainConfig`` it was built from, and its latent width,
 loss weights and dropout rate are read from there alone: no layer or stack
@@ -87,9 +88,9 @@ _FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
                        "activation_output": "tanh"}
 # Most rows per eval-mode pass (reconstruct, eval_loss): bounds inference
 # memory at a few MB of activations whatever the region size: a pass holds
-# two layers' activations at a time, 3 MB of float64 at 2,048 rows through
+# two layers' activations at a time, 1.5 MB of float64 at 1,024 rows through
 # the 128- and 64-wide layers.
-INFER_BLOCK_ROWS = 2048
+INFER_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpp_extremes import cli, errors, grid, ssa
+from gpp_extremes import cli, errors, extremes, grid, ssa
 from gpp_extremes.config import PipelineConfig
 from gpp_extremes.grid import load_grid
 
@@ -210,6 +212,29 @@ def test_compare_from_artifacts(tmp_path):
         format(totals[m][f"{s}_TgC"], ".6g")
         for s in ("negative", "positive") for m in ("vae", "ssa")
     ]
+
+
+def test_compare_holds_one_flags_grid_at_a_time(tmp_path):
+    # a 4-cell region of a 100 x 100-cell grid of 48 months: holding both
+    # flags grids of the unit peaked at 2.1 times one grid's payload (8.1
+    # MiB); keeping only the region's rows of each grid peaks at 1.1 times
+    cfg = write_config(
+        tmp_path,
+        synth={"name": "big", "n_lat": 100, "n_lon": 100, "n_months": 48,
+               "noise_std": 4e-7, "cell_variation": 0.2},
+        grid={"path": str(tmp_path / "out" / "big")},
+        regions=[{"name": "four", "cells": [4040, 4041, 4140, 4141]}])
+    for command in ("synth", "train", "extremes"):
+        assert run([command, "--config", str(cfg)]) == 0
+    payload = (tmp_path / "out" / "grids" / "flags_vae_four_y1850-53.f64").stat().st_size
+    assert payload == (100 * 100 * 48 + 2 * 100 * 100) * 8
+    tracemalloc.start()
+    try:
+        assert run(["compare", "--config", str(cfg)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload
 
 
 def test_gridsearch_rows_and_best_marker(tmp_path):
@@ -413,11 +438,13 @@ def one_unit_ssa_config(tmp_path, **ssa):
         ssa={"window": 18, "dump_cells": [0, 2, 5], **ssa})
 
 
-def test_a_lone_units_ssa_cells_give_the_same_outputs_at_any_jobs(tmp_path):
-    cfg = one_unit_ssa_config(tmp_path)
+def assert_lone_unit_outputs_identical_at_any_jobs(tmp_path, cfg, jobs_list, dumps):
+    """`extremes` of a lone unit writes the same tree, with the decompositions
+    ``dumps``, and the same one stdout line at each --jobs of ``jobs_list``
+    (None: the default), the first of which is 1."""
     assert cli_run("synth", "--config", str(cfg)).returncode == 0
     runs = {}
-    for jobs in ("1", "2", "3", None):
+    for jobs in jobs_list:
         out = tmp_path / f"jobs{jobs}"
         done = cli_run("extremes", "--config", str(cfg), "--out", str(out),
                        *(["--jobs", jobs] if jobs else []))
@@ -425,13 +452,88 @@ def test_a_lone_units_ssa_cells_give_the_same_outputs_at_any_jobs(tmp_path):
         runs[jobs] = (tree(out), done.stdout)
     reference, stdout = runs["1"]
     assert len(stdout.splitlines()) == 1
-    assert sorted(p.name for p in reference if p.name.startswith("ssa_decomp_")) == [
-        f"ssa_decomp_six_y1850-53_cell{c}.csv" for c in (0, 2, 5)]
-    for jobs in ("2", "3", None):
+    assert sorted(p.name for p in reference if p.name.startswith("ssa_decomp_")) == dumps
+    for jobs in jobs_list[1:]:
         other, other_stdout = runs[jobs]
         assert other_stdout == stdout, jobs
         assert other.keys() == reference.keys()
         assert [name for name in reference if reference[name] != other[name]] == [], jobs
+
+
+def test_a_lone_units_ssa_cells_give_the_same_outputs_at_any_jobs(tmp_path):
+    assert_lone_unit_outputs_identical_at_any_jobs(
+        tmp_path, one_unit_ssa_config(tmp_path), ("1", "2", "3", None),
+        [f"ssa_decomp_six_y1850-53_cell{c}.csv" for c in (0, 2, 5)])
+
+
+def test_a_lone_unit_larger_than_one_chunk_gives_the_same_outputs_at_any_jobs(tmp_path):
+    # 70 cells: one chunk at --jobs 1, three of 24, 23 and 23 cells at --jobs 2
+    # and 3, with a dump cell in each
+    cfg = write_config(
+        tmp_path, method="ssa",
+        synth={"name": "toy", "n_lat": 7, "n_lon": 10, "n_months": 48,
+               "noise_std": 4e-7, "cell_variation": 0.2,
+               "events": [{"cell": 40, "start": 20, "length": 2, "suppression": 0.8}]},
+        regions=[{"name": "seventy", "cells": list(range(70))}],
+        ssa={"window": 18, "dump_cells": [0, 30, 69]})
+    assert_lone_unit_outputs_identical_at_any_jobs(
+        tmp_path, cfg, ("1", "2", "3"),
+        [f"ssa_decomp_seventy_y1850-53_cell{c}.csv" for c in (0, 30, 69)])
+
+
+@pytest.mark.parametrize("jobs, cpus, cells, sizes", [
+    (1, 4, 70, [70]),  # one worker: one chunk
+    (2, 4, 70, [24, 23, 23]),  # at most SSA_CHUNK_CELLS cells a chunk
+    (4, 4, 70, [18, 18, 17, 17]),  # at least one chunk per worker
+    (8, 2, 40, [20, 20]),
+    (3, 4, 2, [1, 1]),  # never more workers than cells
+])
+def test_a_lone_units_ssa_chunks(tmp_path, monkeypatch, jobs, cpus, cells, sizes):
+    monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+    chunks = []
+    monkeypatch.setattr(cli, "_run_units", lambda cfg, grid, work, tasks, take: chunks.extend(
+        mass.cells.tolist() for _, mass in tasks))
+    cfg = replace(PipelineConfig.load(write_config(tmp_path)), jobs=jobs)
+    mass = grid.MassSeries(values=np.zeros((cells, 48)), cells=np.arange(cells),
+                           start_year=1850, start_month=1)
+    cli._ssa_anomalies(cfg, mass, cfg.units()[0])
+    assert [len(c) for c in chunks] == sizes
+    assert sum(chunks, []) == list(range(cells))
+
+
+def old_flags_writer(report, g, path):
+    """The flags grid as `extremes` wrote it from a full-grid float64 array."""
+    flags = np.zeros((g.n_cells, report.flags.shape[1]))
+    flags[report.cells] = report.flags
+    grid.save_grid(replace(g, n_months=flags.shape[1], start_year=report.start_year,
+                           start_month=report.start_month, values=flags), path)
+
+
+def test_the_flags_grid_is_written_without_a_full_grid_array(tmp_path, rng):
+    # a 25-cell region of a 100 x 100-cell grid over 372 months: with a
+    # full-grid float64 flags array (28.4 MiB) the outputs peaked at 32.9 MiB;
+    # blocks of 32 cells peak at 3.3 MiB
+    g = grid.GridSeries(n_lat=100, n_lon=100, n_months=372, start_year=1850, start_month=1,
+                        values=np.broadcast_to(0.0, (10_000, 372)),
+                        cell_area=rng.uniform(1e9, 1e10, 10_000),
+                        land_frac=rng.uniform(0.2, 1.0, 10_000))
+    cells = np.array([lat * 100 + lon for lat in range(40, 45) for lon in range(60, 65)])
+    anoms = grid.MassSeries(values=rng.normal(size=(25, 372)), cells=cells, start_year=1850,
+                            start_month=1)
+    report = extremes.build_report(anoms, "r", "p", "ssa")
+    for sub in cli.OUT_DIRS:
+        (tmp_path / sub).mkdir()
+    tracemalloc.start()
+    try:
+        cli._write_report_outputs(report, "ssa_r_p", g, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    old_flags_writer(report, g, tmp_path / "old")
+    for suffix in (".json", ".f64"):
+        new = (tmp_path / "grids" / f"flags_ssa_r_p{suffix}").read_bytes()
+        assert new == (tmp_path / f"old{suffix}").read_bytes()
 
 
 @needs_two_cpus
@@ -637,9 +739,9 @@ def test_ssa_dump_reuses_the_extremes_decomposition(tmp_path, monkeypatch):
     decompose = ssa.decompose_series
     calls = []
 
-    def counting(series, config):
+    def counting(series, config, **kwargs):
         calls.append(config)
-        return decompose(series, config)
+        return decompose(series, config, **kwargs)
 
     monkeypatch.setattr(ssa, "decompose_series", counting)
     assert run(["extremes", "--config", str(cfg)]) == 0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +110,24 @@ def test_roundtrip_flat_binary_bit_exact(tmp_path, rng):
     assert loaded.land_frac.tobytes() == g.land_frac.tobytes()
     assert (loaded.start_year, loaded.start_month) == (1901, 3)
 
+
+
+@pytest.mark.parametrize("cells", [[], [0], [31, 32], [0, 5, 31, 32, 33, 63, 64, 69]])
+def test_save_grid_of_some_cells_writes_zeros_for_the_others(tmp_path, rng, cells):
+    # values go out 32 cells at a time: cells on both sides of a block edge,
+    # and the last cell, in the last and partial block
+    g = random_grid(rng, 7, 10, 5)
+    cells = np.array(cells, dtype=int)
+    rows = rng.integers(-1, 2, size=(cells.size, 5)).astype(np.int8)
+    full = np.zeros_like(g.values)
+    full[cells] = rows
+    grid.save_grid(replace(g, values=full), tmp_path / "full")
+    grid.save_grid(replace(g, values=rows), tmp_path / "some", cells=cells)
+    for suffix in (".json", ".f64"):
+        some, full = (tmp_path / f"{name}{suffix}" for name in ("some", "full"))
+        assert some.read_bytes() == full.read_bytes()
+    with pytest.raises(ShapeError, match=rf"!= \(cells={cells.size + 1}, n_months=5\)$"):
+        grid.save_grid(replace(g, values=rows), tmp_path / "bad", cells=np.arange(cells.size + 1))
 
 # ---------------------------------------------------------------------------
 # flux -> mass
@@ -250,6 +270,34 @@ def test_synth_truth_shape_and_from_dict():
     assert truth.shape == (4, 36)
     assert truth.sum() == 2
 
+
+
+# sha256 of (values, truth) and of a region's mass over a month slice, computed
+# before synth_generate and flux_to_mass worked in place
+SYNTH_DIGESTS = {
+    0: ("7af3e3c61732488175e900a4ab587a6b6b04bb451a39f85267850dd07abc886a",
+        "f348a3de5f5bd5efd23b1aa06fb43e0f23fc30e5ab1a716a36ec06d0ea954e25"),
+    6: ("ee386a269c05e4f4bb98ace76f5026c17be86ec97fc3a1c9d5a08c78f5c5038b",
+        "3182fd43ab6681ea2861d7f6e650e5455f1f4d53e3c3581ccc579f3ae76396f6"),
+}
+
+
+@pytest.mark.parametrize("noise_df", [0, 6])  # Gaussian, Student-t
+def test_synth_and_mass_keep_their_digests(noise_df):
+    # both trends, an event clipped to zero by the noise and one that is not
+    events = (grid.SynthEvent(cell=3, start=10, length=4, suppression=0.7),
+              grid.SynthEvent(cell=11, start=40, length=2, suppression=1.0))
+    shape = {0: dict(n_lat=3, n_lon=5, n_months=60, noise_std=1e-6,
+                     trend_linear=2e-9, trend_quadratic=-3e-11),
+             6: dict(n_lat=4, n_lon=4, n_months=72, noise_std=1.2e-6, cell_variation=0.15,
+                     trend_linear=-1e-9, trend_quadratic=5e-11)}[noise_df]
+    spec = grid.SynthSpec(noise_df=noise_df, events=events, **shape)
+    g, truth = grid.synth_generate(spec, seed=7)
+    assert (g.values == 0.0).any()
+    mass = grid.flux_to_mass(g.slice_months(5, 40), grid.RegionMask("r", np.array([0, 3, 11, 12])))
+    digests = (hashlib.sha256(g.values.tobytes() + truth.tobytes()).hexdigest(),
+               hashlib.sha256(mass.values.tobytes()).hexdigest())
+    assert digests == SYNTH_DIGESTS[noise_df]
 
 # ---------------------------------------------------------------------------
 # slicing and validation
