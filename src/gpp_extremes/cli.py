@@ -54,19 +54,19 @@ from . import vae as vae_mod  # noqa: E402
 from .config import PipelineConfig, Unit  # noqa: E402
 from .errors import ConfigError, DataError, PipelineError, WorkerError  # noqa: E402
 from .grid import (  # noqa: E402
-    GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
+    GridFile, GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
 
 OUT_DIRS = ("tables", "figures", "grids", "checkpoints", "reports")
 SSA_CHUNK_CELLS = 32  # most cells in a chunk of a lone unit's SSA cells
 
 
-def _load_input_grid(cfg: PipelineConfig) -> GridSeries:
+def _load_input_grid(cfg: PipelineConfig) -> GridFile:
     if cfg.grid_path is None:
         raise ConfigError("config needs grid.path pointing at an input grid")
     return load_grid(cfg.grid_path)
 
 
-def _unit_mass(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> MassSeries:
+def _unit_mass(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> MassSeries:
     """Per-cell mass of the unit's region over its period, which must lie in the grid."""
     period = unit.period
     offset = (period.start_year - grid.start_year) * 12 + (1 - grid.start_month)
@@ -107,17 +107,18 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, available_cpus()))
 
 
-def _run_units(cfg: PipelineConfig, grid: GridSeries, work, tasks: list, take) -> None:
+def _run_units(cfg: PipelineConfig, grid: GridFile, work, tasks: list, take) -> None:
     """``take(work(cfg, grid, task))`` for every task, in task order.
 
     With more than one worker (``worker_count`` of ``cfg.jobs``, by default
     the available CPUs) and BLAS pinned to one thread when numpy loaded,
     the tasks run in worker processes forked with ``os.fork``
     (``_fork_worker``). A worker inherits ``cfg``, ``grid`` and the tasks
-    from this process and reads only task indices from its request pipe;
-    ``work`` writes the task's own files and returns what ``take`` needs,
-    which comes back on the worker's reply pipe. A worker is sent its next
-    index when it replies, so tasks go to whichever worker is free.
+    from this process and reads only task indices from its request pipe.
+    ``grid`` is a ``GridFile``, which holds no values: a task reads its own
+    rows. ``work`` writes the task's own files and returns what ``take``
+    needs, which comes back on the worker's reply pipe. A worker is sent its
+    next index when it replies, so tasks go to whichever worker is free.
     ``take`` runs here, in task order, so printed lines and merged tables
     do not depend on the worker count. An error raised in a task is raised
     here when its turn comes; tasks after it may have written their files
@@ -198,7 +199,7 @@ def _worker_died() -> WorkerError:
                        "or out of memory?); rerun with --jobs 1")
 
 
-def _fork_worker(work, cfg: PipelineConfig, grid: GridSeries, tasks: list, inherited: list):
+def _fork_worker(work, cfg: PipelineConfig, grid: GridFile, tasks: list, inherited: list):
     """Fork one worker of ``_run_units``: its pid and (request writer, reply
     reader).
 
@@ -276,7 +277,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _train_region(cfg: PipelineConfig, grid: GridSeries, region_units: list) -> list:
+def _train_region(cfg: PipelineConfig, grid: GridFile, region_units: list) -> list:
     """Train a region's units and write their outputs, in config order; their stdout lines.
 
     Periods of equal length have equal window counts, and each length's
@@ -346,16 +347,17 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
 
 def _ssa_anomalies(cfg: PipelineConfig, mass: MassSeries, unit: Unit) -> MassSeries:
     """SSA anomalies of the unit's cells, split into contiguous chunks that
-    run as tasks (see ``_run_units``): one chunk with one worker, else at
-    least one per worker and at most ``SSA_CHUNK_CELLS`` cells each, so a
-    free worker takes the next chunk and a reply holds few rows.
+    run as tasks (see ``_run_units``): one chunk with one worker, else a
+    multiple of the worker count, with at most ``SSA_CHUNK_CELLS`` cells
+    each, so a free worker takes the next chunk, a reply holds few rows and
+    no worker runs the last chunk alone.
 
     A chunk is a view of ``mass``, which a forked worker inherits. Each
     chunk's anomaly rows are copied into one array in chunk order, so the
     result does not depend on the chunk count: SSA is independent per cell.
     """
     workers = worker_count(cfg.jobs or available_cpus(), mass.cells.size)
-    chunks = 1 if workers == 1 else max(workers, -(-mass.cells.size // SSA_CHUNK_CELLS))
+    chunks = workers * -(-mass.cells.size // (workers * SSA_CHUNK_CELLS)) if workers > 1 else 1
     tasks = [(unit, replace(mass, values=values, cells=cells))
              for values, cells in zip(np.array_split(mass.values, chunks),
                                       np.array_split(mass.cells, chunks))]
@@ -413,8 +415,9 @@ def _write_report_outputs(report, tag, grid, out):
     # flags: a grid over the whole input grid, zeros outside the region,
     # written a block of cells at a time from the region's int8 flags
     save_grid(
-        replace(grid, n_months=report.flags.shape[1], start_year=report.start_year,
-                start_month=report.start_month, values=report.flags),
+        GridSeries(n_lat=grid.n_lat, n_lon=grid.n_lon, n_months=report.flags.shape[1],
+                   start_year=report.start_year, start_month=report.start_month,
+                   values=report.flags, cell_area=grid.cell_area, land_frac=grid.land_frac),
         out / "grids" / f"flags_{tag}",
         cells=report.cells,
     )
@@ -469,6 +472,9 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
         totals.extend(unit_totals)
         _print_lines(lines)
 
+    if "ssa" in cfg.methods:  # loaded once here, not again in each forked worker
+        import numpy.fft  # noqa: F401
+
     _run_units(cfg, _load_input_grid(cfg), _unit_extremes, units, take)
     out = cfg.out
     _write_csv(
@@ -480,7 +486,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _unit_extremes(cfg: PipelineConfig, grid: GridSeries, unit: Unit) -> tuple:
+def _unit_extremes(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> tuple:
     """Every method's extremes of one unit, with its per-unit outputs written;
     (threshold rows, cumulative totals, stdout lines), one entry per method.
 
@@ -624,8 +630,8 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                     f"not the cells {cells.tolist()} of region {key[0]}; rerun "
                     f"`gpp-extremes extremes --config ...`"
                 )
-            flags[method] = g.values[cells]  # a copy: the grid itself is dropped
-            del g
+            flags[method] = g.read_rows(cells)
+            del g  # one grid's cell fields at a time
         vae, ssa = (*key, "vae"), (*key, "ssa")
         stats.append(compare_mod.compare_methods(
             *key, flags["vae"], flags["ssa"],

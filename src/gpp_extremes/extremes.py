@@ -132,7 +132,7 @@ def regional_series(anoms: MassSeries, flags: np.ndarray, sign: int):
     """(monthly count, monthly magnitude in TgC) of one sign's extremes."""
     hits = flags == sign
     counts = hits.sum(axis=0)
-    mags = np.where(hits, anoms.values, 0.0).sum(axis=0) / GGC_PER_TGC
+    mags = np.add.reduce(anoms.values, axis=0, where=hits, initial=0.0) / GGC_PER_TGC
     return counts, mags
 
 

@@ -2,10 +2,13 @@
 
 Owns the on-disk format (flat-binary + JSON header), the flux to
 per-cell carbon-mass conversion, region masking and the synthetic-data
-generator used for desk-scale validation. ``write_flat`` and ``read_flat``
-are the one writer and reader of the flat-binary container, which grids and
-VAE checkpoints share: a payload that is not whole float64 values is a
-FormatError naming the file.
+generator used for desk-scale validation. ``write_flat`` is the one writer
+of the flat-binary container, which grids and VAE checkpoints share, and
+``_frame_flat`` the one check of its framing: a payload that is not whole
+float64 values is a FormatError naming the file. A checkpoint is read
+whole (``read_flat``); a grid is read in parts at their offsets
+(``load_grid``, ``GridFile.read_rows``), so no grid payload is ever held in
+memory.
 
 Units: stored grid values are fluxes in gC m^-2 s^-1; derived mass series
 are GgC per month per cell. Month lengths follow a no-leap 365-day
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +39,15 @@ GRAMS_PER_GIGAGRAM = 1.0e9
 GGC_PER_TGC = 1.0e3
 
 _HEADER_FIELDS = ("n_lat", "n_lon", "n_months", "start_year", "start_month")
-SAVE_BLOCK_ROWS = 32  # cells per block of values that save_grid writes
+# cells per block of values that save_grid writes, load_grid checks and
+# synth_generate draws noise for
+SAVE_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
 class GridSeries:
-    """A lat x lon x month flux field with per-cell area and land fraction.
+    """A lat x lon x month flux field with per-cell area and land fraction,
+    held in memory: what ``synth_generate`` makes and ``save_grid`` writes.
 
     ``values`` has shape (n_cells, n_months) with cells in row-major
     (lat-major) order. Cells with land_frac == 0 may hold NaN; land cells
@@ -75,23 +81,47 @@ class GridSeries:
             )
         if self.cell_area.shape != (self.n_cells,) or self.land_frac.shape != (self.n_cells,):
             raise ShapeError("cell_area and land_frac must have one entry per cell")
-        if not np.all(self.cell_area > 0):
-            raise ShapeError("cell_area must be positive for every cell")
-        if np.any(self.land_frac < 0) or np.any(self.land_frac > 1):
-            raise ShapeError("land_frac must lie in [0, 1]")
-        # a bool per value, not a copy of the land cells' values
-        finite = np.isfinite(self.values).all(axis=1)
+        _check_cell_fields(self.cell_area, self.land_frac)
+        blocks = (self.values[start:start + SAVE_BLOCK_ROWS]
+                  for start in range(0, rows, SAVE_BLOCK_ROWS))
         land = self.land_frac if cells is None else self.land_frac[cells]
-        if np.any(~finite & (land > 0)):
+        if _first_bad_cell(blocks, land) is not None:
             raise ShapeError("non-finite flux in a cell with land_frac > 0")
         return self
+
+
+@dataclass(frozen=True)
+class GridFile:
+    """A grid on disk that ``load_grid`` has checked.
+
+    The header fields, cell areas and land fractions are in memory; the
+    values stay in ``payload`` until ``read_rows`` reads some cells' rows.
+    The payload holds ``record_months`` months per cell, of which this grid
+    spans [first_month, first_month + n_months): ``slice_months`` narrows
+    the span without reading anything.
+    """
+
+    payload: Path
+    record_months: int
+    n_lat: int
+    n_lon: int
+    n_months: int
+    start_year: int
+    start_month: int
+    cell_area: np.ndarray
+    land_frac: np.ndarray
+    first_month: int = 0
+
+    @property
+    def n_cells(self) -> int:
+        return self.n_lat * self.n_lon
 
     def month_seconds(self) -> np.ndarray:
         """Seconds in each month of the record (no-leap calendar)."""
         cal = (self.start_month - 1 + np.arange(self.n_months)) % 12
         return MONTH_DAYS[cal] * SECONDS_PER_DAY
 
-    def slice_months(self, start: int, count: int) -> "GridSeries":
+    def slice_months(self, start: int, count: int) -> "GridFile":
         """Sub-record of ``count`` months beginning at month index ``start``."""
         if start < 0 or count < 1 or start + count > self.n_months:
             raise ShapeError(
@@ -99,16 +129,42 @@ class GridSeries:
                 f"{self.n_months} months"
             )
         total = (self.start_month - 1) + start
-        return GridSeries(
-            n_lat=self.n_lat,
-            n_lon=self.n_lon,
-            n_months=count,
-            start_year=self.start_year + total // 12,
-            start_month=total % 12 + 1,
-            values=self.values[:, start:start + count],
-            cell_area=self.cell_area,
-            land_frac=self.land_frac,
-        )
+        return replace(self, n_months=count, start_year=self.start_year + total // 12,
+                       start_month=total % 12 + 1, first_month=self.first_month + start)
+
+    def read_rows(self, cells: np.ndarray) -> np.ndarray:
+        """The values of ``cells`` over the grid's months, one row per cell.
+
+        The layout is cell-major, so each cell's months are one contiguous
+        run of the payload, read at its offset straight into its row.
+        """
+        rows = np.empty((len(cells), self.n_months), dtype="<f8")
+        _read_at(self.payload, ((8 * (int(cell) * self.record_months + self.first_month), row)
+                                for cell, row in zip(cells, rows)))
+        return rows
+
+
+def _check_cell_fields(cell_area: np.ndarray, land_frac: np.ndarray) -> None:
+    if not np.all(cell_area > 0):
+        raise ShapeError("cell_area must be positive for every cell")
+    if np.any(land_frac < 0) or np.any(land_frac > 1):
+        raise ShapeError("land_frac must lie in [0, 1]")
+
+
+def _first_bad_cell(blocks: Iterable[np.ndarray], land: np.ndarray) -> int | None:
+    """The index of the first cell with a non-finite flux and land > 0, or None.
+
+    ``blocks`` are the values of consecutive cells, a block of rows at a
+    time, and ``land`` the cells' land fractions. A block is checked with a
+    bool per value of that block, not of the grid.
+    """
+    start = 0
+    for block in blocks:
+        bad = ~np.isfinite(block).all(axis=1) & (land[start:start + len(block)] > 0)
+        if bad.any():
+            return start + int(bad.argmax())
+        start += len(block)
+    return None
 
 
 @dataclass(frozen=True)
@@ -119,7 +175,7 @@ class RegionMask:
     cells: np.ndarray
     min_land_frac: float = 0.10
 
-    def effective_cells(self, grid: GridSeries) -> np.ndarray:
+    def effective_cells(self, grid: GridFile) -> np.ndarray:
         """Cell indices retained for analysis: land_frac strictly above cutoff."""
         cells = np.asarray(self.cells, dtype=int)
         if cells.size and (cells.min() < 0 or cells.max() >= grid.n_cells):
@@ -160,12 +216,25 @@ def _paths(path: str | Path) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(".f64")
 
 
-def _read(path: Path, read=Path.read_bytes):
+def _read(path: Path, read):
     """``read(path)``; a missing file is a DataError naming it."""
     try:
         return read(path)
     except FileNotFoundError as exc:
         raise DataError(f"{path}: file not found") from exc
+
+
+def _read_at(path: Path, parts: Iterable[tuple[int, np.ndarray]]) -> None:
+    """Fill each C-contiguous float64 array of ``parts``, (byte offset, array)
+    pairs, from its offset of the payload ``path``. A missing file is a
+    DataError naming it; so is a payload that ends first (it shrank after
+    its size was checked)."""
+    with _read(path, lambda p: p.open("rb")) as f:
+        for offset, out in parts:
+            f.seek(offset)
+            if f.readinto(memoryview(out).cast("B")) != out.nbytes:
+                raise DataError(f"{path}: payload ends before byte {offset + out.nbytes}; "
+                                f"it shrank while it was read")
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -207,19 +276,29 @@ def write_flat(path: str | Path, header: dict, *blocks: np.ndarray) -> None:
                 f.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
-def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
-    """The header path, header, payload path and payload of a ``write_flat`` pair.
+def _frame_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, int]:
+    """The header path, header, payload path and payload length in float64
+    values of a ``write_flat`` pair.
 
     A missing file is a DataError; a header that is not a JSON object, or a
     payload that is not whole float64 values, is a FormatError naming the file.
     """
     header_path, payload_path = _paths(path)
     header = _read_json(header_path, what)
-    data = _read(payload_path)
-    if len(data) % 8:
-        raise FormatError(f"{payload_path}: payload of {len(data)} bytes is not whole "
+    size = _read(payload_path, Path.stat).st_size
+    if size % 8:
+        raise FormatError(f"{payload_path}: payload of {size} bytes is not whole "
                           f"float64 values")
-    return header_path, header, payload_path, np.frombuffer(data, dtype="<f8")
+    return header_path, header, payload_path, size // 8
+
+
+def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
+    """The header path, header, payload path and whole payload of a
+    ``write_flat`` pair, checked as ``_frame_flat`` checks it."""
+    header_path, header, payload_path, size = _frame_flat(path, what)
+    payload = np.empty(size, dtype="<f8")
+    _read_at(payload_path, [(0, payload)])
+    return header_path, header, payload_path, payload
 
 
 def _check_header(raw: dict, header_path: Path) -> None:
@@ -270,39 +349,53 @@ def _value_blocks(grid: GridSeries, cells: np.ndarray | None):
         yield block
 
 
-def load_grid(path: str | Path) -> GridSeries:
-    """Read a grid as :func:`save_grid` writes it."""
-    header_path, raw, payload_path, payload = read_flat(path, "header")
+def load_grid(path: str | Path) -> GridFile:
+    """Check a grid as :func:`save_grid` writes it, reading into memory only
+    its header, cell areas and land fractions.
+
+    The whole payload is checked all the same: its framing and size, and
+    the finiteness of every land cell's flux, read ``SAVE_BLOCK_ROWS`` cells
+    at a time into one reused buffer. The values stay on disk
+    (``GridFile.read_rows``).
+    """
+    header_path, raw, payload_path, size = _frame_flat(path, "header")
     _check_header(raw, header_path)
-    n_cells = raw["n_lat"] * raw["n_lon"]
-    expected = n_cells * raw["n_months"] + 2 * n_cells
-    if payload.size != expected:
+    n_cells, n_months = raw["n_lat"] * raw["n_lon"], raw["n_months"]
+    expected = n_cells * n_months + 2 * n_cells
+    if size != expected:
         raise ShapeError(
-            f"{payload_path}: payload holds {payload.size} values, header "
+            f"{payload_path}: payload holds {size} values, header "
             f"implies {expected}"
         )
-    values = payload[: n_cells * raw["n_months"]].reshape(n_cells, raw["n_months"])
-    cell_area = payload[n_cells * raw["n_months"]: n_cells * raw["n_months"] + n_cells]
-    land_frac = payload[n_cells * raw["n_months"] + n_cells:]
+    per_cell = np.empty(2 * n_cells, dtype="<f8")
+    _read_at(payload_path, [(8 * n_cells * n_months, per_cell)])
+    cell_area, land_frac = per_cell[:n_cells], per_cell[n_cells:]
+    _check_cell_fields(cell_area, land_frac)
+    bad = _first_bad_cell(_payload_blocks(payload_path, n_cells, n_months), land_frac)
+    if bad is not None:
+        raise ShapeError(
+            f"{payload_path}: non-finite flux in cell {bad}, which has land_frac > 0")
+    return GridFile(payload=payload_path, record_months=n_months,
+                    **{name: raw[name] for name in _HEADER_FIELDS},
+                    cell_area=cell_area, land_frac=land_frac)
 
-    grid = GridSeries(
-        n_lat=raw["n_lat"],
-        n_lon=raw["n_lon"],
-        n_months=raw["n_months"],
-        start_year=raw["start_year"],
-        start_month=raw["start_month"],
-        values=values,
-        cell_area=cell_area,
-        land_frac=land_frac,
-    )
-    return grid.validate()
+
+def _payload_blocks(path: Path, n_cells: int, n_months: int) -> Iterator[np.ndarray]:
+    """The values of the payload ``path``, ``SAVE_BLOCK_ROWS`` cells at a
+    time, each block read into the same buffer."""
+    buffer = np.empty((SAVE_BLOCK_ROWS, n_months), dtype="<f8")
+    for start in range(0, n_cells, SAVE_BLOCK_ROWS):
+        block = buffer[:n_cells - start]
+        _read_at(path, [(8 * start * n_months, block)])
+        yield block
 
 
 # ---------------------------------------------------------------------------
 # unit conversion and aggregation
 
-def flux_to_mass(grid: GridSeries, mask: RegionMask, source="grid") -> MassSeries:
-    """Convert flux to per-cell monthly carbon mass over a region.
+def flux_to_mass(grid: GridFile, mask: RegionMask, source="grid") -> MassSeries:
+    """Convert flux to per-cell monthly carbon mass over a region, reading
+    only the region's cells over the grid's months.
 
     mass[GgC/month] = flux[gC m^-2 s^-1] * area[m^2] * land_frac
                       * seconds_in_month / 1e9
@@ -317,7 +410,7 @@ def flux_to_mass(grid: GridSeries, mask: RegionMask, source="grid") -> MassSerie
         )
     seconds = grid.month_seconds()
     scale = grid.cell_area[cells] * grid.land_frac[cells] / GRAMS_PER_GIGAGRAM
-    values = grid.values[cells]  # a copy, scaled in place
+    values = grid.read_rows(cells)  # scaled in place
     with np.errstate(over="ignore"):
         values *= scale[:, None]
         values *= seconds[None, :]
@@ -388,8 +481,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
     multiply the clean signal by (1 - suppression) over their span.
     Returns the grid and a boolean (n_cells, n_months) array marking
     injected (cell, month) samples. The flux is computed in place in one
-    (n_cells, n_months) array; the noise draws are the one other array of
-    that size.
+    (n_cells, n_months) array; the noise is drawn ``SAVE_BLOCK_ROWS`` cells
+    at a time.
     """
     n_cells = spec.n_lat * spec.n_lon
     for i, ev in enumerate(spec.events):
@@ -418,16 +511,19 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
         truth[ev.cell, span] = True
 
     if spec.noise_std > 0:
-        if spec.noise_df == 0:
-            noise = rng.normal(0.0, spec.noise_std, size=values.shape)
-        elif spec.noise_df >= 3:
-            noise = rng.standard_t(spec.noise_df, size=values.shape)
-            noise *= spec.noise_std
-            noise /= np.sqrt(spec.noise_df / (spec.noise_df - 2.0))
-        else:
+        if spec.noise_df != 0 and spec.noise_df < 3:
             raise SynthSpecError("noise_df must be 0 (Gaussian) or >= 3")
-        values += noise
-        del noise
+        # drawn a block of cells at a time: the draws fill the blocks in
+        # order, so they are the bits of one whole-grid draw
+        for start in range(0, n_cells, SAVE_BLOCK_ROWS):
+            block = values[start:start + SAVE_BLOCK_ROWS]
+            if spec.noise_df == 0:
+                noise = rng.normal(0.0, spec.noise_std, size=block.shape)
+            else:
+                noise = rng.standard_t(spec.noise_df, size=block.shape)
+                noise *= spec.noise_std
+                noise /= np.sqrt(spec.noise_df / (spec.noise_df - 2.0))
+            block += noise
     np.maximum(values, 0.0, out=values)
 
     if isinstance(spec.land_frac, (int, float)):

@@ -1,7 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gpp_extremes import grid
+
+
+def mass_of(g, mask, months=None):
+    """``grid.flux_to_mass`` of the in-memory grid ``g`` over ``mask``, and over
+    the months (start, count) if given, read as commands read it: from ``g``
+    saved and loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        grid.save_grid(g, Path(tmp) / "g")
+        loaded = grid.load_grid(Path(tmp) / "g")
+        return grid.flux_to_mass(loaded if months is None else loaded.slice_months(*months), mask)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import mass_of
 
 from gpp_extremes import compare, extremes, grid, ssa, vae
 
@@ -195,7 +196,7 @@ def detection_dataset():
     )
     g, truth = grid.synth_generate(spec, seed=42)
     mask = grid.RegionMask("R", np.arange(100))
-    return grid.flux_to_mass(g, mask), truth, spec, mask
+    return mass_of(g, mask), truth, spec, mask
 
 
 @pytest.mark.slow
@@ -210,9 +211,9 @@ def test_criterion_7_injected_event_recall_and_jaccard():
     quiet, _ = grid.synth_generate(replace(spec, noise_std=0.0), seed=42)
     quiet_ref, _ = grid.synth_generate(replace(spec, noise_std=0.0, events=()), seed=42)
     noisy_ref, _ = grid.synth_generate(replace(spec, events=()), seed=42)
-    ref = grid.flux_to_mass(quiet_ref, mask)
-    suppressed_ggc = (ref.values - grid.flux_to_mass(quiet, mask).values)[truth]
-    noise_ggc = (grid.flux_to_mass(noisy_ref, mask).values - ref.values).std()
+    ref = mass_of(quiet_ref, mask)
+    suppressed_ggc = (ref.values - mass_of(quiet, mask).values)[truth]
+    noise_ggc = (mass_of(noisy_ref, mask).values - ref.values).std()
     assert suppressed_ggc.min() >= 3.0 * noise_ggc
 
     t0 = time.time()
@@ -254,7 +255,7 @@ def test_criterion_7_injected_event_recall_and_jaccard():
 def test_criterion_8_vae_convergence():
     spec = grid.SynthSpec(n_lat=3, n_lon=3, n_months=120, noise_std=0.0, cell_variation=0.3)
     g, _ = grid.synth_generate(spec, seed=1)
-    mass = grid.flux_to_mass(g, grid.RegionMask("all", np.arange(9)))
+    mass = mass_of(g, grid.RegionMask("all", np.arange(9)))
     cfg = vae.TrainConfig(max_epochs=200, seed=11, batch_size=64)
     _, hist = vae.train(mass, cfg)
     recons = [h["val_recon"] for h in hist["epochs"]]

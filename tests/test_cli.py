@@ -176,7 +176,8 @@ def test_extremes_full_outputs(tmp_path):
         assert ">TgC</text>" in (figures / f"magnitude_{tag}.svg").read_text()
         assert (grids / f"flags_{tag}.f64").exists()
         flags_grid = load_grid(grids / f"flags_{tag}")
-        assert set(np.unique(flags_grid.values)) <= {-1.0, 0.0, 1.0}
+        cells = np.arange(flags_grid.n_cells)
+        assert set(np.unique(flags_grid.read_rows(cells))) <= {-1.0, 0.0, 1.0}
         monthly = (tables / f"monthly_{tag}.csv").read_text().splitlines()
         assert monthly[0].startswith("month,year,valid,count_neg")
         assert len(monthly) == 1 + 48
@@ -217,7 +218,9 @@ def test_compare_from_artifacts(tmp_path):
 def test_compare_holds_one_flags_grid_at_a_time(tmp_path):
     # a 4-cell region of a 100 x 100-cell grid of 48 months: holding both
     # flags grids of the unit peaked at 2.1 times one grid's payload (8.1
-    # MiB); keeping only the region's rows of each grid peaks at 1.1 times
+    # MiB), and reading each whole payload at 1.1 times; reading the
+    # region's rows at their offsets leaves one grid's cell areas and land
+    # fractions (16 bytes a cell) as the largest part, 0.05 times the payload
     cfg = write_config(
         tmp_path,
         synth={"name": "big", "n_lat": 100, "n_lon": 100, "n_months": 48,
@@ -234,7 +237,33 @@ def test_compare_holds_one_flags_grid_at_a_time(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * payload
+    assert peak < 16 * 100 * 100 + 128 * 1024
+
+
+def test_load_and_a_units_mass_read_only_the_units_rows(tmp_path, rng):
+    # a 25-cell unit of a 4,000-cell x 372-month grid (an 11.9 MB payload),
+    # over a period that starts a year into the record: reading the whole
+    # payload peaked at 13.5 MB; reading the header, the cell fields, the
+    # streamed check's blocks and the unit's rows at their offsets stays
+    # under a bound that does not grow with the payload
+    n_cells, n_months = 4000, 372
+    grid.save_grid(grid.GridSeries(n_lat=40, n_lon=100, n_months=n_months, start_year=1850,
+                                   start_month=1,
+                                   values=rng.uniform(1e-6, 9e-6, (n_cells, n_months)),
+                                   cell_area=rng.uniform(1e9, 1e10, n_cells),
+                                   land_frac=rng.uniform(0.2, 1.0, n_cells)), tmp_path / "big")
+    cells = [lat * 100 + lon for lat in range(10, 15) for lon in range(30, 35)]
+    cfg = PipelineConfig.load(write_config(
+        tmp_path, grid={"path": str(tmp_path / "big")}, regions=[{"name": "r", "cells": cells}],
+        periods=[{"name": "p", "start_year": 1851, "end_year": 1880}]))
+    tracemalloc.start()
+    try:
+        mass = cli._unit_mass(cfg, cli._load_input_grid(cfg), cfg.units()[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mass.values.shape == (25, 360)
+    assert peak < 2 ** 20
 
 
 def test_gridsearch_rows_and_best_marker(tmp_path):
@@ -483,10 +512,11 @@ def test_a_lone_unit_larger_than_one_chunk_gives_the_same_outputs_at_any_jobs(tm
 
 @pytest.mark.parametrize("jobs, cpus, cells, sizes", [
     (1, 4, 70, [70]),  # one worker: one chunk
-    (2, 4, 70, [24, 23, 23]),  # at most SSA_CHUNK_CELLS cells a chunk
+    (2, 4, 70, [18, 18, 17, 17]),  # a multiple of the workers, not 3 chunks of 24-23
     (4, 4, 70, [18, 18, 17, 17]),  # at least one chunk per worker
     (8, 2, 40, [20, 20]),
     (3, 4, 2, [1, 1]),  # never more workers than cells
+    (2, 2, 400, [29] * 8 + [28] * 6),  # at most SSA_CHUNK_CELLS cells a chunk
 ])
 def test_a_lone_units_ssa_chunks(tmp_path, monkeypatch, jobs, cpus, cells, sizes):
     monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
@@ -621,6 +651,37 @@ print("ok")
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     assert done.stdout.splitlines()[-1:] == ["ok"]
     assert done.stdout.splitlines().count("ok") == 1  # no worker ran the rest of the script
+
+
+@needs_two_cpus
+def test_ssa_extremes_loads_numpy_fft_once_before_its_workers_fork(tmp_path):
+    """SSA's periodograms need numpy.fft: `extremes` loads it before it forks,
+    so that each worker does not load it again. A VAE-only `extremes` never
+    loads it."""
+    (tmp_path / "vae").mkdir()
+    vae_cfg = two_region_config(tmp_path / "vae", method="vae")
+    (tmp_path / "ssa").mkdir()
+    ssa_cfg = write_config(tmp_path / "ssa", method="ssa")
+    done = python_run(counting_forks(f"""
+fft_at_fork, counted_fork = [], os.fork
+
+def fork():
+    fft_at_fork.append("numpy.fft" in sys.modules)
+    return counted_fork()
+
+os.fork = fork
+for cfg in ({str(vae_cfg)!r}, {str(ssa_cfg)!r}):
+    assert cli.main(["synth", "--config", cfg]) == 0
+assert cli.main(["train", "--config", {str(vae_cfg)!r}, "--jobs", "1"]) == 0
+assert cli.main(["extremes", "--config", {str(vae_cfg)!r}, "--jobs", "2"]) == 0
+assert fft_at_fork == [False, False], fft_at_fork
+assert "numpy.fft" not in sys.modules
+assert cli.main(["extremes", "--config", {str(ssa_cfg)!r}, "--jobs", "2"]) == 0
+assert fft_at_fork == [False, False, True, True], fft_at_fork
+print("ok")
+"""))
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.splitlines()[-1:] == ["ok"]
 
 
 def test_of_two_failing_units_the_first_in_config_order_reports(tmp_path):

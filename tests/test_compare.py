@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import mass_of
 
 from gpp_extremes import compare, extremes
 from gpp_extremes.errors import ShapeError
@@ -135,7 +136,7 @@ def test_both_engines_agree_on_hotspot_ground_truth():
         cell_variation=0.15, events=tuple(events),
     )
     g, truth = grid.synth_generate(spec, seed=5)
-    mass = grid.flux_to_mass(g, grid.RegionMask("R", np.arange(100)))
+    mass = mass_of(g, grid.RegionMask("R", np.arange(100)))
 
     an_ssa = ssa.ssa_anomalies(mass, ssa.SsaConfig())
     rep_ssa = extremes.build_report(an_ssa, "R", "P", "ssa")

@@ -219,6 +219,25 @@ def test_regional_series_conservation(rng):
     assert mags.sum() == pytest.approx(direct, rel=1e-12)
 
 
+def test_regional_magnitudes_have_the_bits_of_the_np_where_form(rng):
+    # the magnitudes sum each month's hits in place; np.where built a
+    # unit-sized copy first. Both add the cells in order, so the bits agree,
+    # with heavy tails, zeros of both signs among hits and misses, a month
+    # with no hits and a month whose hits are all -0.0
+    values = rng.standard_t(3, size=(50, 48)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    flags = rng.choice(np.array([extremes.NEG, extremes.NONE, extremes.POS], dtype=np.int8),
+                       size=values.shape)
+    flags[:, 7] = extremes.NONE
+    flags[:, 9], values[:, 9] = extremes.POS, -0.0
+    for sign in (extremes.NEG, extremes.POS):
+        _, mags = extremes.regional_series(field(values), flags, sign)
+        where_form = np.where(flags == sign, values, 0.0).sum(axis=0) / 1000.0
+        assert mags.tobytes() == where_form.tobytes()
+        assert mags[7] == 0.0 and not np.signbit(mags[7])
+
+
 def test_cumulative_totals_zero_field():
     report = extremes.build_report(field(np.zeros((2, 48))), "R", "P", "ssa")
     totals = extremes.cumulative_totals(report)

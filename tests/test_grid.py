@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import mass_of
 
 from gpp_extremes import grid
 from gpp_extremes.errors import (
+    DataError,
     EmptyRegionError,
     FormatError,
     ShapeError,
@@ -46,7 +48,7 @@ def test_load_small_flat_binary(tmp_path):
     loaded = grid.load_grid(tmp_path / "g")
     assert loaded.n_cells == 4
     assert loaded.n_months == 12
-    np.testing.assert_array_equal(loaded.values, g.values)
+    np.testing.assert_array_equal(loaded.read_rows(np.arange(4)), g.values)
 
 
 def test_payload_shape_mismatch(tmp_path, rng):
@@ -105,7 +107,7 @@ def test_roundtrip_flat_binary_bit_exact(tmp_path, rng):
     g = random_grid(rng, 3, 4, 36)
     grid.save_grid(g, tmp_path / "g")
     loaded = grid.load_grid(tmp_path / "g")
-    assert loaded.values.tobytes() == g.values.tobytes()
+    assert loaded.read_rows(np.arange(12)).tobytes() == g.values.tobytes()
     assert loaded.cell_area.tobytes() == g.cell_area.tobytes()
     assert loaded.land_frac.tobytes() == g.land_frac.tobytes()
     assert (loaded.start_year, loaded.start_month) == (1901, 3)
@@ -129,6 +131,63 @@ def test_save_grid_of_some_cells_writes_zeros_for_the_others(tmp_path, rng, cell
     with pytest.raises(ShapeError, match=rf"!= \(cells={cells.size + 1}, n_months=5\)$"):
         grid.save_grid(replace(g, values=rows), tmp_path / "bad", cells=np.arange(cells.size + 1))
 
+def write_value(path, index, value):
+    """Overwrite the float64 at ``index`` of the payload ``path`` in place."""
+    payload = np.fromfile(path, dtype="<f8")
+    payload[index] = value
+    payload.tofile(path)
+
+
+@pytest.mark.parametrize("cell", [0, 40, 69])  # the first, a middle and the partial last block
+def test_load_grid_streams_the_land_flux_check(tmp_path, rng, cell):
+    # 70 cells are read in blocks of 32, 32 and 6 cells: a NaN on land in
+    # any of them is the error validate raises for the grid in memory,
+    # naming the file and the cell; on a cell with no land it is accepted
+    g = random_grid(rng, 7, 10, 5)
+    g.land_frac[cell] = 0.5
+    grid.save_grid(g, tmp_path / "g")
+    write_value(tmp_path / "g.f64", cell * 5 + 4, np.nan)
+    with pytest.raises(ShapeError, match=rf"g.f64: non-finite flux in cell {cell}, which has "
+                                         rf"land_frac > 0$"):
+        grid.load_grid(tmp_path / "g")
+    bad = g.values.copy()
+    bad[cell, 4] = np.nan
+    with pytest.raises(ShapeError, match="^non-finite flux in a cell with land_frac > 0$"):
+        replace(g, values=bad).validate()
+    g.land_frac[cell] = 0.0
+    grid.save_grid(g, tmp_path / "g")
+    write_value(tmp_path / "g.f64", cell * 5 + 4, np.nan)
+    assert np.isnan(grid.load_grid(tmp_path / "g").read_rows([cell])[0, 4])
+
+
+def test_a_payload_that_shrinks_after_load_is_a_data_error(tmp_path, rng):
+    grid.save_grid(random_grid(rng), tmp_path / "g")
+    loaded = grid.load_grid(tmp_path / "g")
+    payload = (tmp_path / "g.f64").read_bytes()
+    (tmp_path / "g.f64").write_bytes(payload[:3 * 24 * 8])  # cells 0-2 remain
+    assert loaded.read_rows([2]).shape == (1, 24)
+    with pytest.raises(DataError, match=r"g.f64: payload ends before byte \d+; it shrank"):
+        grid.flux_to_mass(loaded, grid.RegionMask("r", np.arange(6), min_land_frac=0.0))
+
+
+def test_mass_read_at_offsets_equals_the_mass_of_the_whole_payload(tmp_path, rng):
+    # a slice that starts mid-record (a March-start grid, from month 17) and
+    # cells far apart: the mass as computed from the whole payload in memory
+    g = random_grid(rng, 7, 10, 60)
+    grid.save_grid(g, tmp_path / "g")
+    cells = np.array([3, 8, 9, 40, 69])
+    mass = grid.flux_to_mass(grid.load_grid(tmp_path / "g").slice_months(17, 30),
+                             grid.RegionMask("r", cells, min_land_frac=0.0))
+    payload = np.fromfile(tmp_path / "g.f64", dtype="<f8")
+    values = payload[:70 * 60].reshape(70, 60)[cells][:, 17:47]
+    area, land = payload[70 * 60:70 * 61], payload[70 * 61:]
+    values *= (area[cells] * land[cells] / 1e9)[:, None]
+    values *= grid.MONTH_DAYS[(2 + 17 + np.arange(30)) % 12][None, :] * 86400.0
+    assert mass.values.tobytes() == values.tobytes()
+    assert mass.cells.tolist() == cells.tolist()
+    assert (mass.start_year, mass.start_month) == (1902, 8)
+
+
 # ---------------------------------------------------------------------------
 # flux -> mass
 
@@ -144,7 +203,7 @@ def test_flux_to_mass_hand_value():
         cell_area=np.array([1e10]),
         land_frac=np.array([1.0]),
     )
-    mass = grid.flux_to_mass(g, grid.RegionMask("r", np.array([0])))
+    mass = mass_of(g, grid.RegionMask("r", np.array([0])))
     assert mass.values[0, 0] == pytest.approx(25.92, rel=1e-12)
 
 
@@ -152,14 +211,14 @@ def test_flux_to_mass_zero_flux(small_grid, full_mask):
     from dataclasses import replace
 
     g = replace(small_grid, values=np.zeros_like(small_grid.values))
-    mass = grid.flux_to_mass(g, full_mask)
+    mass = mass_of(g, full_mask)
     assert np.all(mass.values == 0)
 
 
 def test_flux_to_mass_land_frac_linearity(small_grid, full_mask):
     # land fractions 0.8/0.5/0.3 stay above the 0.1 cutoff when halved,
     # so the effective cell set is unchanged and every mass halves
-    mass = grid.flux_to_mass(small_grid, full_mask)
+    mass = mass_of(small_grid, full_mask)
     halved = grid.GridSeries(
         n_lat=small_grid.n_lat,
         n_lon=small_grid.n_lon,
@@ -170,20 +229,20 @@ def test_flux_to_mass_land_frac_linearity(small_grid, full_mask):
         cell_area=small_grid.cell_area,
         land_frac=small_grid.land_frac / 2.0,
     )
-    mass_halved = grid.flux_to_mass(halved, grid.RegionMask("sub", mass.cells))
+    mass_halved = mass_of(halved, grid.RegionMask("sub", mass.cells))
     np.testing.assert_array_equal(mass.cells, mass_halved.cells)
     np.testing.assert_allclose(mass_halved.values, mass.values / 2.0, rtol=1e-12)
 
 
 def test_flux_to_mass_excludes_low_land(small_grid, full_mask):
-    mass = grid.flux_to_mass(small_grid, full_mask)
+    mass = mass_of(small_grid, full_mask)
     assert list(mass.cells) == [0, 1, 2, 5]  # land_frac 0.05 and 0.0 excluded
 
 
 def test_empty_region(small_grid):
     mask = grid.RegionMask("ocean", np.array([3, 4]))
     with pytest.raises(EmptyRegionError):
-        grid.flux_to_mass(small_grid, mask)
+        mass_of(small_grid, mask)
 
 
 def test_annual_total_constant_flux():
@@ -198,14 +257,14 @@ def test_annual_total_constant_flux():
         cell_area=np.array([3e9]),
         land_frac=np.array([0.5]),
     )
-    mass = grid.flux_to_mass(g, grid.RegionMask("r", np.array([0])))
+    mass = mass_of(g, grid.RegionMask("r", np.array([0])))
     expected = 2e-6 * 3e9 * 0.5 * 31_536_000 / 1e9
     assert mass.values.sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_mask_cell_out_of_range(small_grid):
     with pytest.raises(ShapeError):
-        grid.flux_to_mass(small_grid, grid.RegionMask("bad", np.array([0, 99])))
+        mass_of(small_grid, grid.RegionMask("bad", np.array([0, 99])))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +353,7 @@ def test_synth_and_mass_keep_their_digests(noise_df):
     spec = grid.SynthSpec(noise_df=noise_df, events=events, **shape)
     g, truth = grid.synth_generate(spec, seed=7)
     assert (g.values == 0.0).any()
-    mass = grid.flux_to_mass(g.slice_months(5, 40), grid.RegionMask("r", np.array([0, 3, 11, 12])))
+    mass = mass_of(g, grid.RegionMask("r", np.array([0, 3, 11, 12])), months=(5, 40))
     digests = (hashlib.sha256(g.values.tobytes() + truth.tobytes()).hexdigest(),
                hashlib.sha256(mass.values.tobytes()).hexdigest())
     assert digests == SYNTH_DIGESTS[noise_df]
@@ -302,17 +361,22 @@ def test_synth_and_mass_keep_their_digests(noise_df):
 # ---------------------------------------------------------------------------
 # slicing and validation
 
-def test_slice_months_calendar():
+def test_slice_months_calendar(tmp_path):
     g = grid.GridSeries(
         n_lat=1, n_lon=1, n_months=48, start_year=1850, start_month=1,
         values=np.arange(48, dtype=float)[None, :],
         cell_area=np.array([1e9]), land_frac=np.array([1.0]),
     )
-    sub = g.slice_months(14, 12)
+    grid.save_grid(g, tmp_path / "g")
+    loaded = grid.load_grid(tmp_path / "g")
+    sub = loaded.slice_months(14, 12)
     assert (sub.start_year, sub.start_month) == (1851, 3)
-    np.testing.assert_array_equal(sub.values[0], np.arange(14, 26))
+    np.testing.assert_array_equal(sub.read_rows([0])[0], np.arange(14, 26))
+    np.testing.assert_array_equal(sub.slice_months(10, 2).read_rows([0])[0], [24, 25])
     with pytest.raises(ShapeError):
-        g.slice_months(40, 12)
+        loaded.slice_months(40, 12)
+    with pytest.raises(ShapeError):
+        sub.slice_months(11, 2)
 
 
 def test_validate_rejects_nan_on_land():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import mass_of
 
 from gpp_extremes import grid, kernels, ssa
 from gpp_extremes.errors import NumericalError, SsaWindowError
@@ -262,7 +263,7 @@ def test_exact_decomposition_random_series(rng):
 def noise_free_mass(n_cells=4, n_months=240):
     spec = grid.SynthSpec(n_lat=2, n_lon=n_cells // 2, n_months=n_months, noise_std=0.0)
     g, _ = grid.synth_generate(spec, seed=2)
-    return grid.flux_to_mass(g, grid.RegionMask("all", np.arange(n_cells)))
+    return mass_of(g, grid.RegionMask("all", np.arange(n_cells)))
 
 
 def test_ssa_anomalies_noise_free_near_zero():
@@ -278,7 +279,7 @@ def test_ssa_anomalies_injected_suppression_ranks_lowest():
     spec = grid.SynthSpec(n_lat=2, n_lon=3, n_months=360, noise_std=0.0,
                           events=(event,))
     g, _ = grid.synth_generate(spec, seed=6)
-    mass = grid.flux_to_mass(g, grid.RegionMask("all", np.arange(6)))
+    mass = mass_of(g, grid.RegionMask("all", np.arange(6)))
     anoms = ssa.ssa_anomalies(mass, ssa.SsaConfig())
     row = np.nonzero(mass.cells == 3)[0][0]
     worst = np.argsort(anoms.values[row])[:3]
@@ -288,7 +289,7 @@ def test_ssa_anomalies_injected_suppression_ranks_lowest():
 def test_ssa_anomalies_centered():
     spec = grid.SynthSpec(n_lat=2, n_lon=2, n_months=372, noise_std=4e-7)
     g, _ = grid.synth_generate(spec, seed=3)
-    mass = grid.flux_to_mass(g, grid.RegionMask("all", np.arange(4)))
+    mass = mass_of(g, grid.RegionMask("all", np.arange(4)))
     anoms = ssa.ssa_anomalies(mass, ssa.SsaConfig())
     for row in anoms.values:
         assert abs(row.mean()) < 0.02 * row.std()

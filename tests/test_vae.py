@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import mass_of
 
 from gpp_extremes import grid, kernels, nn, vae
 from gpp_extremes.errors import (
@@ -36,7 +37,7 @@ def annual_mass(n_cells=4, n_months=120, seed=1, noise=0.0, variation=0.2):
         noise_std=noise, cell_variation=variation,
     )
     g, _ = grid.synth_generate(spec, seed=seed)
-    return grid.flux_to_mass(g, grid.RegionMask("all", np.arange(n_cells)))
+    return mass_of(g, grid.RegionMask("all", np.arange(n_cells)))
 
 
 def window_matrix(mass):
