@@ -52,7 +52,7 @@ from . import ssa as ssa_mod  # noqa: E402
 from . import svg  # noqa: E402
 from . import vae as vae_mod  # noqa: E402
 from .config import PipelineConfig, Unit  # noqa: E402
-from .errors import ConfigError, DataError, PipelineError, WorkerError  # noqa: E402
+from .errors import ConfigError, DataError, PipelineError, ShapeError, WorkerError  # noqa: E402
 from .grid import (  # noqa: E402
     GridFile, GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
 
@@ -77,6 +77,15 @@ def _unit_mass(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> MassSeries:
         )
     return flux_to_mass(grid.slice_months(offset, period.months), unit.region,
                         source=f"grid {cfg.grid_path}")
+
+
+def _cell_count(grid: GridFile, unit: Unit) -> int:
+    """The unit's cells, or 0 where its region names a cell outside the grid
+    (its task reports that when it runs)."""
+    try:
+        return unit.region.effective_cells(grid).size
+    except ShapeError:
+        return 0
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -107,7 +116,8 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, available_cpus()))
 
 
-def _run_units(cfg: PipelineConfig, grid: GridFile, work, tasks: list, take) -> None:
+def _run_units(cfg: PipelineConfig, grid: GridFile, work, tasks: list, take, *,
+               costs: list | None = None) -> None:
     """``take(work(cfg, grid, task))`` for every task, in task order.
 
     With more than one worker (``worker_count`` of ``cfg.jobs``, by default
@@ -119,6 +129,11 @@ def _run_units(cfg: PipelineConfig, grid: GridFile, work, tasks: list, take) -> 
     rows. ``work`` writes the task's own files and returns what ``take``
     needs, which comes back on the worker's reply pipe. A worker is sent its
     next index when it replies, so tasks go to whichever worker is free.
+    Indices are sent largest task first: in decreasing ``costs`` (one
+    number per task; equal costs when None), ties in task order. That is
+    longest processing time first, within 4/3 of the shortest makespan
+    (Graham, SIAM J. Appl. Math. 17, 1969), so a large task listed last
+    does not run alone at the end.
     ``take`` runs here, in task order, so printed lines and merged tables
     do not depend on the worker count. An error raised in a task is raised
     here when its turn comes; tasks after it may have written their files
@@ -145,7 +160,9 @@ def _run_units(cfg: PipelineConfig, grid: GridFile, work, tasks: list, take) -> 
     import selectors
 
     cfg = replace(cfg, jobs=1)
-    indices = iter(range(len(tasks)))  # the tasks not yet sent
+    order = range(len(tasks)) if costs is None else sorted(
+        range(len(tasks)), key=lambda i: -costs[i])  # stable: ties in task order
+    indices = iter(order)  # the tasks not yet sent
     results, taken = {}, 0  # replies not yet taken, by task index; tasks taken
     pids, pipes = [], []  # per worker: (request writer, reply reader)
     selector = selectors.DefaultSelector()
@@ -271,9 +288,11 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     """Train one VAE per unit, one task per region (see ``_run_units``)."""
-    units = cfg.units()
+    units, grid = cfg.units(), _load_input_grid(cfg)
     tasks = [[u for u in units if u.region is region] for region in cfg.regions]
-    _run_units(cfg, _load_input_grid(cfg), _train_region, tasks, _print_lines)
+    costs = [sum(_cell_count(grid, u) * (u.period.months - vae_mod.SEQ_LEN + 1) for u in task)
+             for task in tasks]  # training windows
+    _run_units(cfg, grid, _train_region, tasks, _print_lines, costs=costs)
     return 0
 
 
@@ -346,41 +365,44 @@ def _anomalies(method: str, mass: MassSeries, unit: Unit, cfg: PipelineConfig):
 
 
 def _ssa_anomalies(cfg: PipelineConfig, mass: MassSeries, unit: Unit) -> MassSeries:
-    """SSA anomalies of the unit's cells, split into contiguous chunks that
-    run as tasks (see ``_run_units``): one chunk with one worker, else a
-    multiple of the worker count, with at most ``SSA_CHUNK_CELLS`` cells
-    each, so a free worker takes the next chunk, a reply holds few rows and
-    no worker runs the last chunk alone.
+    """SSA anomalies of the unit's cells, written over ``mass``'s rows: the
+    cells split into contiguous chunks that run as tasks (see
+    ``_run_units``): one chunk with one worker, else a multiple of the
+    worker count, with at most ``SSA_CHUNK_CELLS`` cells each, so a free
+    worker takes the next chunk, a reply holds few rows and no worker runs
+    the last chunk alone.
 
-    A chunk is a view of ``mass``, which a forked worker inherits. Each
-    chunk's anomaly rows are copied into one array in chunk order, so the
-    result does not depend on the chunk count: SSA is independent per cell.
+    A chunk is a view of ``mass``, which a forked worker inherits. A chunk
+    that runs here overwrites its own rows; a worker's rows are copied
+    into the chunk's. The result does not depend on the chunk count: SSA is
+    independent per cell. ``mass`` is the SSA anomalies afterwards, so SSA
+    must be the last to read it.
     """
     workers = worker_count(cfg.jobs or available_cpus(), mass.cells.size)
     chunks = workers * -(-mass.cells.size // (workers * SSA_CHUNK_CELLS)) if workers > 1 else 1
+    parts = np.array_split(mass.values, chunks)
     tasks = [(unit, replace(mass, values=values, cells=cells))
-             for values, cells in zip(np.array_split(mass.values, chunks),
-                                      np.array_split(mass.cells, chunks))]
-    anoms = np.empty_like(mass.values)
-    rows = iter(np.array_split(anoms, chunks))
+             for values, cells in zip(parts, np.array_split(mass.cells, chunks))]
+    rows = iter(parts)
     _run_units(cfg, None, _ssa_chunk, tasks, lambda part: np.copyto(next(rows), part))
-    return replace(mass, values=anoms)
+    return mass
 
 
 def _ssa_chunk(cfg: PipelineConfig, _grid, task: tuple) -> np.ndarray:
-    """A chunk's anomaly rows, with the decomposition of each dump cell in
-    the chunk written."""
+    """A chunk's anomaly rows, written over its mass rows, with the
+    decomposition of each dump cell in the chunk written from the cell's
+    original series."""
     unit, mass = task
-    kept = dict.fromkeys(cfg.dump_cells)
-    anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, keep=kept)
+    dumps = {cell: mass.values[i].copy() for i, cell in enumerate(mass.cells.tolist())
+             if cell in cfg.dump_cells}
+    kept = dict.fromkeys(dumps)
+    anoms = ssa_mod.ssa_anomalies(mass, cfg.ssa, keep=kept, out=mass.values)
     for cell, dec in kept.items():
-        if dec is not None:
-            _write_ssa_decomposition(cfg.out, unit.tag, cell, mass, dec)
+        _write_ssa_decomposition(cfg.out, unit.tag, cell, dumps[cell], dec)
     return anoms.values
 
 
-def _write_ssa_decomposition(out, tag, cell, mass, dec):
-    series = mass.values[np.nonzero(mass.cells == cell)[0][0]]
+def _write_ssa_decomposition(out, tag, cell, series, dec):
     rows = [
         (t, repr(float(series[t])), repr(float(dec.trend[t])),
          repr(float(dec.seasonal[t])), repr(float(dec.residual[t])))
@@ -475,7 +497,9 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     if "ssa" in cfg.methods:  # loaded once here, not again in each forked worker
         import numpy.fft  # noqa: F401
 
-    _run_units(cfg, _load_input_grid(cfg), _unit_extremes, units, take)
+    grid = _load_input_grid(cfg)
+    _run_units(cfg, grid, _unit_extremes, units, take,
+               costs=[_cell_count(grid, u) * u.period.months for u in units])
     out = cfg.out
     _write_csv(
         out / "tables" / "thresholds.csv",
@@ -491,15 +515,18 @@ def _unit_extremes(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> tuple:
     (threshold rows, cumulative totals, stdout lines), one entry per method.
 
     Every method's anomalies come first, so the unit's mass is freed before
-    the reports are built.
+    the reports are built, and each method's anomalies are freed once its
+    report is built, before its outputs are written. ``cfg.methods`` puts
+    the VAE first, so SSA, whose anomalies overwrite the mass, reads it
+    last: a lone SSA unit holds one array of its cells' size.
     """
     region, period = unit.region.name, unit.period.name
     mass = _unit_mass(cfg, grid, unit)
-    anomalies = [(method, _anomalies(method, mass, unit, cfg)) for method in cfg.methods]
+    anomalies = {method: _anomalies(method, mass, unit, cfg) for method in cfg.methods}
     del mass
     rows, totals, lines = [], [], []
-    for method, anoms in anomalies:
-        report = extremes_mod.build_report(anoms, region, period, method)
+    for method in cfg.methods:
+        report = extremes_mod.build_report(anomalies.pop(method), region, period, method)
         _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
         q = report.thresholds
         rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))

@@ -400,8 +400,11 @@ def flux_to_mass(grid: GridFile, mask: RegionMask, source="grid") -> MassSeries:
     mass[GgC/month] = flux[gC m^-2 s^-1] * area[m^2] * land_frac
                       * seconds_in_month / 1e9
 
-    Finite flux can still overflow float64 here: a non-finite mass is a
-    DataError naming ``source`` (the grid) and the region.
+    ``load_grid`` found every land cell's flux finite, so a non-finite flux
+    read here means the payload changed since: a ShapeError naming the
+    payload and the first such cell, as ``load_grid`` names them. Finite
+    flux can still overflow float64: a non-finite mass is a DataError
+    naming ``source`` (the grid) and the region.
     """
     cells = mask.effective_cells(grid)
     if cells.size == 0:
@@ -411,6 +414,10 @@ def flux_to_mass(grid: GridFile, mask: RegionMask, source="grid") -> MassSeries:
     seconds = grid.month_seconds()
     scale = grid.cell_area[cells] * grid.land_frac[cells] / GRAMS_PER_GIGAGRAM
     values = grid.read_rows(cells)  # scaled in place
+    bad = _first_bad_cell([values], grid.land_frac[cells])
+    if bad is not None:
+        raise ShapeError(f"{grid.payload}: non-finite flux in cell {cells[bad]}, which has "
+                         f"land_frac > 0; the payload changed after it was checked")
     with np.errstate(over="ignore"):
         values *= scale[:, None]
         values *= seconds[None, :]

@@ -23,6 +23,8 @@ loop.
 process, in one ``SsaWork`` of scratch arrays made once per call: the
 trajectory matrix, the projection and right singular vectors of
 ``decompose`` and the component series are overwritten cell after cell.
+With ``out=`` the residuals overwrite the given rows, which may be the
+mass's own, so a call holds no second array of the cells' size.
 With the periodogram blocks kept under ``MMAP_THRESHOLD``, a cell makes
 no numpy array that glibc would serve with fresh, zero-filled pages from
 ``mmap`` and give back on free, so a cell costs few page faults.
@@ -232,20 +234,22 @@ def decompose_series(series: np.ndarray, config: SsaConfig, *,
     return group(u, s, vt, config, out=work.components)
 
 
-def ssa_anomalies(mass: MassSeries, config: SsaConfig,
-                  keep: dict | None = None) -> MassSeries:
+def ssa_anomalies(mass: MassSeries, config: SsaConfig, keep: dict | None = None, *,
+                  out: np.ndarray | None = None) -> MassSeries:
     """Residual anomalies per cell: original minus trend minus seasonal.
 
     The residual keeps inter-annual (1-10 year) and sub-annual variability,
     which is where extreme departures live. Cells are decomposed one after
     another, in this process (see the module docstring). When ``keep`` is
     a dict, every key that is a cell of ``mass`` gets that cell's
-    decomposition as its value; other keys are left as they are.
+    decomposition as its value; other keys are left as they are. The
+    residual rows are written into ``out`` when it is given, which may be
+    ``mass.values`` itself: a cell's row is read before it is replaced.
     """
     values = np.asarray(mass.values, dtype=float)
     config.validate_for(values.shape[1])
 
-    anoms = np.empty_like(values)
+    anoms = np.empty_like(values) if out is None else out
     work = SsaWork.empty(config.window, values.shape[1])
     for c, cell in enumerate(np.asarray(mass.cells).tolist()):
         dec = decompose_series(values[c], config, work=work)

@@ -531,6 +531,141 @@ def test_a_lone_units_ssa_chunks(tmp_path, monkeypatch, jobs, cpus, cells, sizes
     assert sum(chunks, []) == list(range(cells))
 
 
+def unequal_regions_config(tmp_path):
+    """A 10 x 10 grid with four regions of 5, 10, 20 and 40 cells, listed
+    smallest first; one cell of the largest is below the land cutoff."""
+    land = [1.0] * 100
+    land[99] = 0.05
+    return write_config(
+        tmp_path,
+        synth={"name": "toy", "n_lat": 10, "n_lon": 10, "n_months": 48, "noise_std": 4e-7,
+               "cell_variation": 0.2, "land_frac": land,
+               "events": [{"cell": 70, "start": 20, "length": 2, "suppression": 0.8}]},
+        regions=[{"name": f"r{size}", "cells": list(range(start, start + size))}
+                 for start, size in ((0, 5), (5, 10), (15, 20), (60, 40))],
+        train={"max_epochs": 2, "batch_size": 32, "hidden_dims": [16, 8], "latent_dim": 2},
+        ssa={"window": 18})
+
+
+def test_train_and_extremes_cost_each_task_by_its_size(tmp_path, monkeypatch):
+    # a training task costs its units' windows, an extremes unit its cells x
+    # months; a lone unit's SSA chunks are equal and pass no costs
+    cfg = unequal_regions_config(tmp_path)
+    assert run(["synth", "--config", str(cfg)]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "_run_units", lambda cfg, grid, work, tasks, take, **kw:
+                        calls.append((work.__name__, kw.get("costs"))))
+    for command in ("train", "extremes"):
+        assert run([command, "--config", str(cfg)]) == 0
+    assert calls == [("_train_region", [5 * 37, 10 * 37, 20 * 37, 39 * 37]),
+                     ("_unit_extremes", [5 * 48, 10 * 48, 20 * 48, 39 * 48])]
+
+
+def test_unequal_regions_give_the_same_outputs_at_any_jobs(tmp_path):
+    cfg = unequal_regions_config(tmp_path)
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    runs = {}
+    for jobs in ("1", "2", "3"):
+        out, stdout = tmp_path / f"jobs{jobs}", []
+        for command in ("train", "extremes"):
+            done = cli_run(command, "--config", str(cfg), "--out", str(out), "--jobs", jobs)
+            assert (done.returncode, done.stderr) == (0, ""), done.stderr
+            stdout.append(done.stdout)
+        runs[jobs] = (tree(out), stdout)
+    reference, stdout = runs["1"]
+    assert [len(s.splitlines()) for s in stdout] == [4, 8]
+    for jobs in ("2", "3"):
+        assert runs[jobs][1] == stdout, jobs
+        assert runs[jobs][0].keys() == reference.keys()
+        assert [name for name in reference if reference[name] != runs[jobs][0][name]] == []
+
+
+@needs_two_cpus
+def test_the_pool_sends_the_largest_task_first_and_takes_results_in_task_order(tmp_path):
+    # costs 1, 5, 2, 5, 3: the two workers start with b and d (equal costs in
+    # task order; neither replies before both have started), then take e, c
+    # and a as they reply, so a starts after e or c
+    started = tmp_path / "started"
+    done = python_run(f"""
+import time
+from dataclasses import replace
+from gpp_extremes import cli
+from gpp_extremes.config import PipelineConfig
+
+def work(cfg, grid, task):
+    with open({str(started)!r}, "a") as f:
+        f.write(task + "\\n")
+    while len(open({str(started)!r}).read().split()) < 2:
+        time.sleep(0.01)
+    return task
+
+cfg = replace(PipelineConfig.load({str(write_config(tmp_path))!r}), jobs=2)
+taken = []
+cli._run_units(cfg, None, work, list("abcde"), taken.append, costs=[1, 5, 2, 5, 3])
+print("".join(taken))
+""")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout == "abcde\n"
+    order = started.read_text().split()
+    assert sorted(order[:2]) == ["b", "d"]
+    assert order[2] in ("c", "e") and sorted(order[2:]) == ["a", "c", "e"]
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_two_cpus)])
+def test_a_lone_ssa_units_extremes_holds_one_unit_array(tmp_path, jobs):
+    # 800 cells x 372 months (2.38 MB): the mass, a second array for the
+    # residuals and the pool's copy peaked at 2.9 (--jobs 2) to 3.2 (--jobs 1)
+    # times the unit; residuals written over the mass and thresholds selected
+    # in place leave the unit plus about 0.5 MB of SSA and report scratch
+    done = python_run(f"""
+import json, tracemalloc
+from dataclasses import replace
+from pathlib import Path
+import numpy as np
+import numpy.fft
+from gpp_extremes import cli, grid
+from gpp_extremes.config import PipelineConfig
+
+tmp = Path({str(tmp_path)!r})
+rng = np.random.default_rng(0)
+grid.save_grid(grid.GridSeries(n_lat=20, n_lon=40, n_months=372, start_year=1850,
+                               start_month=1, values=rng.uniform(1e-6, 9e-6, (800, 372)),
+                               cell_area=np.full(800, 1e10), land_frac=np.ones(800)), tmp / "g")
+(tmp / "c.json").write_text(json.dumps({{
+    "schema_version": 1, "seed": 1, "out_dir": str(tmp / "out"), "method": "ssa",
+    "grid": {{"path": str(tmp / "g")}}, "regions": [{{"name": "all", "cells": list(range(800))}}],
+    "periods": [{{"name": "p", "start_year": 1850, "end_year": 1880}}], "ssa": {{"window": 18}}}}))
+cfg = replace(PipelineConfig.load(tmp / "c.json"), jobs={jobs})
+for sub in cli.OUT_DIRS:
+    (cfg.out / sub).mkdir(parents=True)
+g = cli._load_input_grid(cfg)
+tracemalloc.start()
+cli._unit_extremes(cfg, g, cfg.units()[0])
+print(tracemalloc.get_traced_memory()[1])
+""")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert int(done.stdout) < 800 * 372 * 8 + 2 ** 20
+
+
+def test_a_both_method_units_vae_anomalies_are_those_of_a_vae_only_run(tmp_path, monkeypatch):
+    # SSA writes its residuals over the unit's mass, after the VAE has read
+    # it: each method's anomalies are the bytes a run of that method alone has
+    cfg = write_config(tmp_path, ssa={"window": 18})
+    for command in ("synth", "train"):
+        assert run([command, "--config", str(cfg)]) == 0
+    seen = []
+    build_report = extremes.build_report
+    monkeypatch.setattr(cli.extremes_mod, "build_report", lambda anoms, *args: (
+        seen.append((args[-1], anoms.values.tobytes())), build_report(anoms, *args))[1])
+    for method in ("both", "vae", "ssa"):
+        raw = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(dict(raw, method=method)))
+        assert run(["extremes", "--config", str(cfg), "--jobs", "1"]) == 0
+    both, alone = dict(seen[:2]), dict(seen[2:])
+    assert list(both) == ["vae", "ssa"] and list(alone) == ["vae", "ssa"]
+    assert both == alone
+
+
 def old_flags_writer(report, g, path):
     """The flags grid as `extremes` wrote it from a full-grid float64 array."""
     flags = np.zeros((g.n_cells, report.flags.shape[1]))

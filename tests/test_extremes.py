@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,19 +79,31 @@ def test_thresholds_are_the_percentiles_and_leave_the_anomalies_as_they_are(rng)
 
 def percentile_pools(rng):
     """Pools of 1 to 5,000 values: heavy tails, ties, spans of many
-    magnitudes and signed zeros."""
+    magnitudes, infinities of both signs, signed zeros and zeros alone."""
     for n in [*range(1, 42), 99, 100, 101, 347, 1000, 4999, 5000]:
         yield rng.standard_t(1.2, size=n)
         yield rng.integers(-3, 4, size=n).astype(float)
         yield rng.normal(size=n) * 10.0 ** rng.integers(-200, 200, size=n)
+        yield np.where(rng.random(n) < 0.2, rng.choice([-np.inf, np.inf], size=n),
+                       rng.normal(size=n))
         yield np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        yield np.zeros(n)
+
+
+def numpy_percentile(pool, q):
+    with np.errstate(invalid="ignore"):  # inf - inf in numpy's interpolation
+        return np.percentile(pool, q)
+
+
+def bits(value):
+    return np.float64(value).tobytes()
 
 
 def test_percentile_is_numpys_bit_for_bit(rng):
     for pool in percentile_pools(rng):
         for q in (0.0, 5.0, 50.0, 95.0, 100.0):
             got = extremes._percentile(pool.copy(), q)
-            assert np.float64(got).tobytes() == np.percentile(pool, q).tobytes(), (pool.size, q)
+            assert bits(got) == bits(numpy_percentile(pool, q)), (pool.size, q)
 
 
 def test_percentile_of_a_pool_holding_nan_is_nan(rng):
@@ -99,6 +113,69 @@ def test_percentile_of_a_pool_holding_nan_is_nan(rng):
             pool[at] = np.nan
             for q in (0.0, 5.0, 50.0, 95.0, 100.0):
                 assert np.isnan(extremes._percentile(pool.copy(), q))
+
+
+def field_of(pool, cells, edge):
+    """A field of ``cells`` rows whose valid months hold ``pool``, row by row,
+    and whose trimmed first and last years hold ``edge``."""
+    trim = extremes.TRIM_MONTHS
+    values = np.full((cells, pool.size // cells + 2 * trim), edge)
+    values[:, trim:-trim] = pool.reshape(cells, -1)
+    return field(values)
+
+
+def test_thresholds_are_numpys_percentiles_bit_for_bit_and_copy_nothing(rng):
+    # the selected order statistics against np.percentile of the pool, with
+    # NaN or huge values outside the valid months, which must not count
+    for pool in percentile_pools(rng):
+        if pool.size < 36:
+            continue
+        for cells in (c for c in (1, 3, 4) if pool.size % c == 0 and pool.size // c >= 12):
+            for edge in (np.nan, -1e300):
+                anoms = field_of(pool, cells, edge)
+                before = anoms.values.tobytes()
+                ts = extremes.compute_thresholds(anoms, extremes.valid_months(anoms.n_months))
+                assert bits(ts.q_neg) == bits(abs(numpy_percentile(pool, 5.0))), pool.size
+                assert bits(ts.q_pos) == bits(numpy_percentile(pool, 95.0)), pool.size
+                assert anoms.values.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [5000, 50_000])
+def test_thresholds_widen_a_pivot_that_leaves_too_few_candidates(n):
+    # the strided sample holds only the smallest values of the pool, so the
+    # first pivots gather too few candidates below them: at 5,000 values the
+    # margin widens three times; at 50,000 the 5th percentile lies past the
+    # sample's largest value, and every value is a candidate
+    step = -(-n // extremes.SAMPLE_SIZE)
+    pool = 1e9 + np.arange(n, dtype=float)
+    pool[::step] = np.arange(pool[::step].size)
+    ts = extremes.compute_thresholds(field_of(pool, 1, 0.0), extremes.valid_months(n + 24))
+    assert bits(ts.q_neg) == bits(abs(np.percentile(pool, 5.0)))
+    assert bits(ts.q_pos) == bits(np.percentile(pool, 95.0))
+
+
+def test_thresholds_of_a_pool_holding_nan_are_nan(rng):
+    for cells, months in ((1, 60), (4, 372)):
+        for at in (12, months - 13):  # the first and last valid month
+            values = rng.normal(size=(cells, months))
+            values[-1, at] = np.nan
+            ts = extremes.compute_thresholds(field(values), extremes.valid_months(months))
+            assert np.isnan(ts.q_neg) and np.isnan(ts.q_pos)
+
+
+def test_build_report_holds_no_copy_of_the_anomalies(rng):
+    # a 400 x 372 field (1.19 MB): the pool's copy, partitioned in place, and
+    # a field-sized bool per comparison peaked at 1.87 times the field;
+    # selecting from candidates and working a block of months at a time
+    # peaks at 0.21 times, the int8 flags included
+    anoms = field(rng.normal(size=(400, 372)))
+    tracemalloc.start()
+    try:
+        extremes.build_report(anoms, "r", "p", "ssa")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < anoms.values.nbytes / 4
 
 
 def test_thresholds_empty_pool():
@@ -236,6 +313,27 @@ def test_regional_magnitudes_have_the_bits_of_the_np_where_form(rng):
         where_form = np.where(flags == sign, values, 0.0).sum(axis=0) / 1000.0
         assert mags.tobytes() == where_form.tobytes()
         assert mags[7] == 0.0 and not np.signbit(mags[7])
+
+
+def test_month_blocks_give_the_whole_field_results(rng):
+    # 400 cells take ten blocks of months; each block's results have the
+    # bits of the whole-field expressions, the magnitudes summed in cell order
+    values = rng.standard_t(3, size=(400, 372))
+    values[rng.random(values.shape) < 0.05] = -0.0
+    anoms, valid = field(values), extremes.valid_months(372)
+    ts = extremes.ThresholdSet(q_neg=1.5, q_pos=1.2)
+    flags = extremes.classify(anoms, valid, ts)
+    expected = np.zeros(values.shape, dtype=np.int8)
+    expected[(values < -1.5) & valid] = extremes.NEG
+    expected[(values > 1.2) & valid] = extremes.POS
+    assert flags.tobytes() == expected.tobytes()
+    for sign in (extremes.NEG, extremes.POS):
+        hits = flags == sign
+        freq = extremes.frequency_map(flags, sign)
+        assert freq.tobytes() == hits.sum(axis=1).tobytes()
+        counts, mags = extremes.regional_series(anoms, flags, sign)
+        assert counts.tobytes() == hits.sum(axis=0).tobytes()
+        assert mags.tobytes() == (np.where(hits, values, 0.0).sum(axis=0) / 1000.0).tobytes()
 
 
 def test_cumulative_totals_zero_field():

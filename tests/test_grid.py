@@ -170,6 +170,23 @@ def test_a_payload_that_shrinks_after_load_is_a_data_error(tmp_path, rng):
         grid.flux_to_mass(loaded, grid.RegionMask("r", np.arange(6), min_land_frac=0.0))
 
 
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_a_flux_made_non_finite_after_load_is_a_shape_error_naming_file_and_cell(
+        tmp_path, rng, value):
+    # load_grid found every land cell's flux finite; a value overwritten
+    # before the unit's rows are read was blamed on overflow of flux x cell
+    # area x month length
+    grid.save_grid(replace(random_grid(rng, 2, 2), land_frac=np.ones(4)), tmp_path / "g")
+    loaded = grid.load_grid(tmp_path / "g")
+    payload = np.fromfile(tmp_path / "g.f64", dtype="<f8")
+    payload[1 * 24 + 5] = value  # cell 1, month 5
+    payload.tofile(tmp_path / "g.f64")
+    with pytest.raises(ShapeError, match=r"g\.f64: non-finite flux in cell 1, which has "
+                                         r"land_frac > 0; the payload changed after it was"):
+        grid.flux_to_mass(loaded, grid.RegionMask("r", np.arange(4), min_land_frac=0.0))
+    assert ShapeError.exit_code == 2
+
 def test_mass_read_at_offsets_equals_the_mass_of_the_whole_payload(tmp_path, rng):
     # a slice that starts mid-record (a March-start grid, from month 17) and
     # cells far apart: the mass as computed from the whole payload in memory
