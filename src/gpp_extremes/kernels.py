@@ -14,7 +14,7 @@ def _antidiag_counts(rows, cols):
     return np.minimum(np.minimum(k + 1, n - k), min(rows, cols)).astype(float)
 
 
-def rank_one_series(u, s, vt, *, out=None):
+def rank_one_series(u, s, vt):
     """Diagonal-averaged series of every rank-1 term ``s[c] * u[:,c] @ vt[c,:]``.
 
     The anti-diagonal sums of an outer product are exactly the full
@@ -23,15 +23,13 @@ def rank_one_series(u, s, vt, *, out=None):
     ``np.convolve(u[:, c], vt[c])`` makes, the longer vector with the
     shorter one reversed, so the series have ``np.convolve``'s bits; the
     reversed vectors are one contiguous copy, and the rows are scaled
-    and averaged at once. The series are written into ``out`` when it is
-    given.
+    and averaged at once.
     """
     rows, k = u.shape
     cols = vt.shape[1]
     longer, shorter = (vt, u.T) if cols > rows else (u.T, vt)
     shorter = shorter[:, ::-1].copy()
-    if out is None:
-        out = np.empty((k, rows + cols - 1))
+    out = np.empty((k, rows + cols - 1))
     for c in range(k):
         out[c] = np.correlate(longer[c], shorter[c], "full")
     out *= s[:, None]

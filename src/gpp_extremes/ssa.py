@@ -1,10 +1,12 @@
 """Singular spectrum analysis baseline.
 
 Per-cell pipeline: embed the series into a Hankel trajectory matrix, take
-its eigentriples, diagonal-average every rank-1 term back into a component
-series, classify each component by its dominant periodogram frequency into
-trend (10-year-and-longer periodicities), seasonal (annual cycle and its
-harmonics) or residual, and report the residual as the anomaly series.
+its eigentriples, classify each triple by the dominant periodogram
+frequency of its lag-covariance eigenvector into trend (10-year-and-longer
+periodicities), seasonal (annual cycle and its harmonics) or residual,
+diagonal-average the trend and seasonal triples back into component
+series, and report the residual, the series minus the trend and seasonal
+sums, as the anomaly series.
 
 The eigentriples come from the eigendecomposition of the L x L lag
 covariance ``X @ X.T`` (the covariance form of Vautard & Ghil, 1989),
@@ -13,21 +15,28 @@ at L=120, K=253. The two agree to rounding, not bit for bit; the
 tolerance gate (singular values, orthonormality, group sums and group
 classes against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
 
-The periodograms of a cell's components come from ``rfft`` on blocks of
-a few rows and a row-wise argmax, and the frequency bands are applied to
-all components at once. Each class is still summed in component order
-from zeros, so the result has the same bits as a component-by-component
-loop.
+A triple is classified by the periodogram of its eigenvector ``u[:, c]``
+(Vautard & Ghil, 1989; Golyandina & Zhigljavsky, 2013, section 2.4), not
+of its component series: L points, zero-padded to the smallest multiple
+of ``seasonal_period`` at or above ``pad_factor`` x L (480 at L=120), so
+every harmonic of the seasonal period falls on a frequency bin. The
+periodograms come from ``rfft`` on blocks of a few eigenvectors and a
+row-wise argmax, and the frequency bands are applied to all triples at
+once. Only the trend and seasonal triples, about 13 of 120 on a noisy
+cell, are diagonal-averaged into component series; each of the two
+classes is summed in component order from zeros, and the residual is the
+series minus the trend minus the seasonal sum. So the result has the
+bits of a triple-by-triple loop.
 
 ``ssa_anomalies`` decomposes its cells one after another in the calling
 process, in one ``SsaWork`` of scratch arrays made once per call: the
-trajectory matrix, the projection and right singular vectors of
-``decompose`` and the component series are overwritten cell after cell.
-With ``out=`` the residuals overwrite the given rows, which may be the
-mass's own, so a call holds no second array of the cells' size.
-With the periodogram blocks kept under ``MMAP_THRESHOLD``, a cell makes
-no numpy array that glibc would serve with fresh, zero-filled pages from
-``mmap`` and give back on free, so a cell costs few page faults.
+trajectory matrix and the projection and right singular vectors of
+``decompose`` are overwritten cell after cell. With ``out=`` the
+residuals overwrite the given rows, which may be the mass's own, so a
+call holds no second array of the cells' size. With the periodogram
+blocks kept under ``MMAP_THRESHOLD``, a cell makes no numpy array that
+glibc would serve with fresh, zero-filled pages from ``mmap`` and give
+back on free, so a cell costs few page faults.
 
 Parallel work is the CLI's: ``--jobs`` runs (region, period) units in
 worker processes, each with BLAS on one thread, and a unit that runs in
@@ -62,7 +71,7 @@ class SsaConfig:
     seasonal_period: int = 12
     freq_tolerance: float = 0.004  # cycles/month around each harmonic
     max_harmonic: int = 6
-    pad_factor: int = 4  # periodogram zero-padding multiple
+    pad_factor: int = 4  # eigenvector periodograms: zero-padded to >= this x window
 
     def validate_for(self, n_months: int) -> None:
         """Reject a window too long for ``n_months`` months, or grouping bands that
@@ -106,13 +115,12 @@ class SsaWork:
     trajectory: np.ndarray  # (L, K) trajectory matrix, embed's output
     projection: np.ndarray  # (K, L) X.T @ u
     vt: np.ndarray  # (L, K) right singular vectors
-    components: np.ndarray  # (L, n) component series
 
     @classmethod
     def empty(cls, window: int, n_months: int) -> "SsaWork":
         k = n_months - window + 1
         return cls(trajectory=np.empty((window, k)), projection=np.empty((k, window)),
-                   vt=np.empty((window, k)), components=np.empty((window, n_months)))
+                   vt=np.empty((window, k)))
 
 
 @dataclass(frozen=True)
@@ -173,22 +181,25 @@ def decompose(x: np.ndarray, *, work: SsaWork | None = None):
     return u, s, vt
 
 
-def dominant_frequency(block: np.ndarray, pad_factor: int = 4) -> np.ndarray:
+def dominant_frequency(block: np.ndarray, pad_factor: int = 4, period: int = 1) -> np.ndarray:
     """Argmax frequency (cycles/month) of each row's zero-padded periodogram.
 
-    ``block`` is a (k, n) array of series; the frequencies come from
-    ``rfft`` along the rows, run on as many rows at a time as keep its
-    complex output under ``MMAP_THRESHOLD`` (10 rows at 372 months). Each
-    row's transform is its own, so the frequencies do not depend on the
-    split. An all-zero row has no frequency and gets NaN, which grouping
-    sends to the residual class.
+    ``block`` is a (k, n) array of series, each zero-padded to the smallest
+    multiple of ``period`` at or above ``pad_factor`` x n points, so that
+    every multiple of 1/``period`` is a frequency bin. The frequencies come
+    from ``rfft`` along the rows, run on as many rows at a time as keep
+    its complex output under ``MMAP_THRESHOLD`` (33 eigenvectors at
+    window 120). Each row's transform is its own, so the frequencies do
+    not depend on the split. An all-zero row has no frequency and gets
+    NaN, which grouping sends to the residual class.
     """
     n = block.shape[1]
-    nfft = max(pad_factor * n, n)
+    nfft = -(-max(pad_factor * n, n) // period) * period
     rows = max(1, (MMAP_THRESHOLD - 1) // (16 * (nfft // 2 + 1)))
     freqs = np.empty(block.shape[0])
     for start in range(0, block.shape[0], rows):
-        power = np.abs(np.fft.rfft(block[start:start + rows], nfft, axis=1)) ** 2
+        rows_in = np.ascontiguousarray(block[start:start + rows])  # u.T's rows are strided
+        power = np.abs(np.fft.rfft(rows_in, nfft, axis=1)) ** 2
         freqs[start:start + rows] = np.argmax(power, axis=1)
     freqs /= nfft
     freqs[~np.any(block != 0.0, axis=1)] = np.nan
@@ -196,7 +207,8 @@ def dominant_frequency(block: np.ndarray, pad_factor: int = 4) -> np.ndarray:
 
 
 def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
-    """Index into GROUPS of each frequency; NaN (an all-zero component) is residual.
+    """Index into GROUPS of each frequency; NaN (an all-zero row, or a triple
+    whose singular value is 0) is residual.
 
     Trend takes precedence: a frequency below 1/trend_cutoff is trend even
     when it also lies near a harmonic of the seasonal period.
@@ -207,31 +219,41 @@ def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
     return np.where(trend, 0, np.where(seasonal, 1, 2))
 
 
-def group(u, s, vt, config: SsaConfig, *, out: np.ndarray | None = None) -> SsaDecomposition:
-    """Classify every eigentriple and sum the component series per class; the
-    component series are written into ``out`` when it is given."""
-    comps = kernels.rank_one_series(u, s, vt, out=out)
-    classes = _classify(dominant_frequency(comps, config.pad_factor), config)
-    sums = []
-    for c in range(len(GROUPS)):
-        total = np.zeros(comps.shape[1])
-        for i in np.flatnonzero(classes == c):
-            total += comps[i]
-        sums.append(total)
-    return SsaDecomposition(
-        trend=sums[0], seasonal=sums[1], residual=sums[2], classes=classes
-    )
+def group(u, s, vt, config: SsaConfig, *, series: np.ndarray | None = None) -> SsaDecomposition:
+    """Classify every eigentriple by its eigenvector's dominant frequency and
+    split ``series`` into trend, seasonal and residual.
+
+    A triple whose singular value is 0 is residual. Only the trend and
+    seasonal triples become component series, each class summed in
+    component order; the residual is ``series`` minus the trend minus the
+    seasonal sum. Without ``series`` it is the diagonal average of all the
+    triples, ``u @ diag(s) @ vt``.
+    """
+    freqs = dominant_frequency(u.T, config.pad_factor, config.seasonal_period)
+    freqs[s == 0.0] = np.nan
+    classes = _classify(freqs, config)
+    built = np.flatnonzero(classes != GROUPS.index(RESIDUAL))
+    comps = kernels.rank_one_series(u[:, built], s[built], vt[built])
+    if series is None:
+        series = kernels.overlap_average(((u * s) @ vt).T)
+    trend, seasonal = sums = np.zeros((2, series.shape[0]))
+    for c, comp in zip(classes[built].tolist(), comps):
+        sums[c] += comp  # classes 0 and 1: trend and seasonal
+    residual = series - trend
+    residual -= seasonal
+    return SsaDecomposition(trend=trend, seasonal=seasonal, residual=residual, classes=classes)
 
 
 def decompose_series(series: np.ndarray, config: SsaConfig, *,
                      work: SsaWork | None = None) -> SsaDecomposition:
-    """embed -> eigentriples -> diagonal averaging -> frequency grouping for one
-    cell, in the scratch arrays of ``work`` (fresh ones when it is None)."""
+    """embed -> eigentriples -> frequency grouping -> diagonal averaging of the
+    trend and seasonal triples for one cell, in the scratch arrays of
+    ``work`` (fresh ones when it is None)."""
     config.validate_for(series.shape[0])
     if work is None:
         work = SsaWork.empty(config.window, series.shape[0])
     u, s, vt = decompose(embed(series, config.window, out=work.trajectory), work=work)
-    return group(u, s, vt, config, out=work.components)
+    return group(u, s, vt, config, series=series)
 
 
 def ssa_anomalies(mass: MassSeries, config: SsaConfig, keep: dict | None = None, *,

@@ -569,8 +569,10 @@ def reconstruct(model: VaeModel, mass: MassSeries) -> MassSeries:
 
 
 def vae_anomalies(model: VaeModel, mass: MassSeries) -> MassSeries:
-    """Anomaly = mass - its reconstruction by ``model``, per cell per month (GgC)."""
-    return replace(mass, values=mass.values - reconstruct(model, mass).values)
+    """Anomaly = mass - its reconstruction by ``model``, per cell per month (GgC),
+    subtracted into the reconstruction's own array."""
+    recon = reconstruct(model, mass).values
+    return replace(mass, values=np.subtract(mass.values, recon, out=recon))
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def test_ssa_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# batched periodogram and grouping against per-component loops
+# batched periodogram and grouping against per-triple loops
 
 def test_dominant_frequency_block_matches_row_loop(rng):
     t = np.arange(150.0)
@@ -338,39 +338,88 @@ def test_dominant_frequency_block_matches_row_loop(rng):
     assert np.isnan(freqs[5])
 
 
-def _group_reference(comps, config):
-    """Component-by-component grouping: classify, then add in index order."""
-    sums = {ssa.TREND: np.zeros(comps.shape[1]), ssa.SEASONAL: np.zeros(comps.shape[1]),
-            ssa.RESIDUAL: np.zeros(comps.shape[1])}
+def _group_reference(u, s, vt, series, config):
+    """Triple-by-triple grouping: classify each triple by its own eigenvector's
+    periodogram, add each trend and seasonal triple's own series in index
+    order, and take the residual as the series minus the two sums."""
+    window, k = vt.shape
+    nfft = config.pad_factor * window
+    while nfft % config.seasonal_period:
+        nfft += 1
+    counts = kernels._antidiag_counts(window, k)
+    sums = {ssa.TREND: np.zeros(series.size), ssa.SEASONAL: np.zeros(series.size)}
     groups = []
-    for comp in comps:
-        freq = ssa.dominant_frequency(comp[None], config.pad_factor)[0]
-        if np.isnan(freq):
+    for c in range(s.size):
+        freq = np.argmax(np.abs(np.fft.rfft(u[:, c], nfft)) ** 2) / nfft
+        if s[c] == 0.0:
             cls = ssa.RESIDUAL
         elif freq < 1.0 / config.trend_cutoff:
             cls = ssa.TREND
-        elif any(abs(freq - k * (1.0 / config.seasonal_period)) < config.freq_tolerance
-                 for k in range(1, config.max_harmonic + 1)):
+        elif any(abs(freq - h * (1.0 / config.seasonal_period)) < config.freq_tolerance
+                 for h in range(1, config.max_harmonic + 1)):
             cls = ssa.SEASONAL
         else:
             cls = ssa.RESIDUAL
-        sums[cls] += comp
+        if cls != ssa.RESIDUAL:
+            sums[cls] += s[c] * np.convolve(u[:, c], vt[c]) / counts
         groups.append(cls)
+    sums[ssa.RESIDUAL] = series - sums[ssa.TREND] - sums[ssa.SEASONAL]
     return sums, groups
 
 
 def test_group_matches_component_loop_bitwise():
     series, _, _ = synth_series(noise=2.0, seed=5)
-    config = ssa.SsaConfig()
-    u, s, vt = ssa.decompose(ssa.embed(series, config.window))
-    vt[-1] = 0.0  # one all-zero component, which must land in the residual
-    dec = ssa.group(u, s, vt, config)
-    sums, groups = _group_reference(kernels.rank_one_series(u, s, vt), config)
-    assert [ssa.GROUPS[c] for c in dec.classes] == groups
-    assert ssa.GROUPS[dec.classes[-1]] == ssa.RESIDUAL
-    for name, got in ((ssa.TREND, dec.trend), (ssa.SEASONAL, dec.seasonal),
-                      (ssa.RESIDUAL, dec.residual)):
-        assert got.tobytes() == sums[name].tobytes()
+    for window in (120, 31):  # periodograms of 480 points, and of 4 x 31 rounded up to 132
+        config = ssa.SsaConfig(window=window)
+        u, s, vt = ssa.decompose(ssa.embed(series, config.window))
+        s[-1], vt[-1] = 0.0, 0.0  # one all-zero triple, which must land in the residual
+        dec = ssa.group(u, s, vt, config, series=series)
+        sums, groups = _group_reference(u, s, vt, series, config)
+        assert [ssa.GROUPS[c] for c in dec.classes] == groups, window
+        assert set(groups) == set(ssa.GROUPS), window
+        assert ssa.GROUPS[dec.classes[-1]] == ssa.RESIDUAL
+        for name, got in ((ssa.TREND, dec.trend), (ssa.SEASONAL, dec.seasonal),
+                          (ssa.RESIDUAL, dec.residual)):
+            assert got.tobytes() == sums[name].tobytes(), (window, name)
+
+
+def test_group_builds_series_only_for_the_trend_and_seasonal_triples(monkeypatch):
+    # every triple's series was built to take its periodogram; now only the
+    # trend and seasonal ones are, about 13 of 120 on a noisy cell
+    rows = []
+    real = kernels.rank_one_series
+
+    def counted(u, s, vt):
+        rows.append(s.size)
+        return real(u, s, vt)
+
+    monkeypatch.setattr(kernels, "rank_one_series", counted)
+    series, _, _ = synth_series(noise=2.0, seed=5)
+    dec = ssa.decompose_series(series, ssa.SsaConfig())
+    built = int(np.count_nonzero(dec.classes != ssa.GROUPS.index(ssa.RESIDUAL)))
+    assert rows == [built]
+    assert 0 < built < 120 // 4
+
+
+@pytest.mark.parametrize("window", [20, 31, 50])
+@pytest.mark.parametrize("period", [12, 6, 4])
+def test_a_pure_annual_cycle_and_its_harmonics_are_seasonal_at_short_windows(window, period):
+    t = np.arange(372.0)
+    series = np.sin(2 * np.pi * t / period)
+    dec = ssa.decompose_series(series, ssa.SsaConfig(window=window))
+    assert dec.seasonal.var() >= 0.99 * series.var()
+
+
+def test_a_plain_four_window_periodogram_misses_the_annual_cycle_at_window_20(monkeypatch):
+    # 80 bins: none lies within freq_tolerance of 1/12, so the annual pair is
+    # residual; rounded up to 84, 7/84 is 1/12 itself
+    real = ssa.dominant_frequency
+    monkeypatch.setattr(ssa, "dominant_frequency",
+                        lambda block, pad_factor, period: real(block, pad_factor))
+    t = np.arange(372.0)
+    series = np.sin(2 * np.pi * t / 12.0)
+    dec = ssa.decompose_series(series, ssa.SsaConfig(window=20))
+    assert dec.seasonal.var() < 0.01 * series.var()
 
 
 # ---------------------------------------------------------------------------

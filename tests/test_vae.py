@@ -787,6 +787,32 @@ def test_vae_anomalies_sign_convention(rng, monkeypatch):
     assert anoms.values[1, 20] == 0.0
 
 
+def test_vae_anomalies_hold_no_array_beside_the_reconstruction(rng, monkeypatch):
+    # a 100 x 372 unit is 297,600 bytes: subtracting into a new array held it
+    # a second time after the reconstruction; subtracting into the
+    # reconstruction's own array holds nothing more
+    mass = annual_mass(100, 372, noise=0.05)
+    model = default_model(rng, mass)
+    expected = mass.values - vae.reconstruct(model, mass).values
+    real, held = vae.reconstruct, []
+
+    def reconstruct_then_reset_the_peak(model, mass):
+        recon = real(model, mass)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return recon
+
+    monkeypatch.setattr(vae, "reconstruct", reconstruct_then_reset_the_peak)
+    tracemalloc.start()
+    try:
+        anoms = vae.vae_anomalies(model, mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert anoms.values.tobytes() == expected.tobytes()
+    assert peak - held[0] < mass.values.nbytes // 4
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
