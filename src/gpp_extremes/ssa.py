@@ -1,19 +1,24 @@
 """Singular spectrum analysis baseline.
 
-Per-cell pipeline: embed the series into a Hankel trajectory matrix, take
-its eigentriples, classify each triple by the dominant periodogram
-frequency of its lag-covariance eigenvector into trend (10-year-and-longer
-periodicities), seasonal (annual cycle and its harmonics) or residual,
-diagonal-average the trend and seasonal triples back into component
-series, and report the residual, the series minus the trend and seasonal
-sums, as the anomaly series.
+Per-cell pipeline: embed the series into a Hankel trajectory matrix X,
+take the eigenpairs of its lag covariance, classify each triple by the
+dominant periodogram frequency of its eigenvector into trend
+(10-year-and-longer periodicities), seasonal (annual cycle and its
+harmonics) or residual, diagonal-average the trend and seasonal triples
+back into component series, and report the residual, the series minus
+the trend and seasonal sums, as the anomaly series.
 
-The eigentriples come from the eigendecomposition of the L x L lag
+``decompose`` returns the eigenpairs ``(u, lam)`` of the L x L lag
 covariance ``X @ X.T`` (the covariance form of Vautard & Ghil, 1989),
 about twice as fast as ``np.linalg.svd`` of the L x K trajectory matrix
-at L=120, K=253. The two agree to rounding, not bit for bit; the
-tolerance gate (singular values, orthonormality, group sums and group
-classes against ``np.linalg.svd``) is ``tests/test_ssa_tolerance.py``.
+at L=120, K=253. Triple c's singular value is sqrt(lam[c]) and its right
+vector ``X.T @ u[:, c] / sqrt(lam[c])``, but a component series needs
+only the projection ``X.T @ u[:, c]``, so ``group`` projects the triples
+it builds and nothing else. The triples agree with the SVD's to
+rounding, not bit for bit; the tolerance gate (singular values,
+orthonormality, group sums and group classes against ``np.linalg.svd``)
+is ``tests/test_ssa_tolerance.py``. ``np.linalg.eigh`` is about half of
+a cell's time at L=120.
 
 A triple is classified by the periodogram of its eigenvector ``u[:, c]``
 (Vautard & Ghil, 1989; Golyandina & Zhigljavsky, 2013, section 2.4), not
@@ -22,21 +27,21 @@ of ``seasonal_period`` at or above ``pad_factor`` x L (480 at L=120), so
 every harmonic of the seasonal period falls on a frequency bin. The
 periodograms come from ``rfft`` on blocks of a few eigenvectors and a
 row-wise argmax, and the frequency bands are applied to all triples at
-once. Only the trend and seasonal triples, about 13 of 120 on a noisy
-cell, are diagonal-averaged into component series; each of the two
-classes is summed in component order from zeros, and the residual is the
-series minus the trend minus the seasonal sum. So the result has the
-bits of a triple-by-triple loop.
+once; a triple whose eigenvalue is 0 or below is residual. Only the
+trend and seasonal triples, about 11 of 120 on a noisy cell, are
+projected, in one product ``(X.T @ u[:, built]).T``, and diagonal-averaged
+into component series; each of the two classes is summed in component
+order from zeros, and the residual is the series minus the trend minus
+the seasonal sum. So the result has the bits of a triple-by-triple loop.
 
 ``ssa_anomalies`` decomposes its cells one after another in the calling
-process, in one ``SsaWork`` of scratch arrays made once per call: the
-trajectory matrix and the projection and right singular vectors of
-``decompose`` are overwritten cell after cell. With ``out=`` the
-residuals overwrite the given rows, which may be the mass's own, so a
-call holds no second array of the cells' size. With the periodogram
-blocks kept under ``MMAP_THRESHOLD``, a cell makes no numpy array that
-glibc would serve with fresh, zero-filled pages from ``mmap`` and give
-back on free, so a cell costs few page faults.
+process, in one ``SsaWork`` made once per call: its trajectory matrix is
+overwritten cell after cell. With ``out=`` the residuals overwrite the
+given rows, which may be the mass's own, so a call holds no second array
+of the cells' size. With the periodogram blocks kept under
+``MMAP_THRESHOLD``, a cell makes no numpy array that glibc would serve
+with fresh, zero-filled pages from ``mmap`` and give back on free, so a
+cell costs few page faults.
 
 Parallel work is the CLI's: ``--jobs`` runs (region, period) units in
 worker processes, each with BLAS on one thread, and a unit that runs in
@@ -105,7 +110,7 @@ MMAP_THRESHOLD = 128 * 1024
 
 @dataclass(frozen=True)
 class SsaWork:
-    """Scratch arrays of ``decompose_series`` for series of one length.
+    """Scratch array of ``decompose_series`` for series of one length.
 
     ``ssa_anomalies`` makes one per call and every cell overwrites it, so
     nothing in it may outlive the cell: an ``SsaDecomposition`` holds
@@ -113,14 +118,10 @@ class SsaWork:
     """
 
     trajectory: np.ndarray  # (L, K) trajectory matrix, embed's output
-    projection: np.ndarray  # (K, L) X.T @ u
-    vt: np.ndarray  # (L, K) right singular vectors
 
     @classmethod
     def empty(cls, window: int, n_months: int) -> "SsaWork":
-        k = n_months - window + 1
-        return cls(trajectory=np.empty((window, k)), projection=np.empty((k, window)),
-                   vt=np.empty((window, k)))
+        return cls(trajectory=np.empty((window, n_months - window + 1)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class SsaDecomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    classes: np.ndarray  # index into GROUPS of each eigentriple, in singular-value order
+    classes: np.ndarray  # index into GROUPS of each eigentriple, in eigenvalue order
 
 
 def embed(series: np.ndarray, window: int, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,44 +142,27 @@ def embed(series: np.ndarray, window: int, *, out: np.ndarray | None = None) -> 
     return out
 
 
-def decompose(x: np.ndarray, *, work: SsaWork | None = None):
-    """Thin SVD ``(u, s, vt)`` of a wide L x K trajectory matrix from its lag covariance.
+def decompose(x: np.ndarray):
+    """Eigenpairs ``(u, lam)`` of the L x L lag covariance ``X @ X.T`` of a
+    trajectory matrix, in descending eigenvalue order.
 
-    Only wide matrices (L <= K) are taken; ``validate_for`` admits no
-    other, since n >= 2L gives K = n - L + 1 > L. ``u`` holds the
-    eigenvectors of the L x L lag covariance ``X @ X.T``. Each singular
-    value is the norm of the projection ``u[:, c] @ X`` and ``vt[c]`` is
-    that projection divided by it, a zero row where the value is 0. The
-    norm, not the square root of the eigenvalue, keeps the small values
-    of a rank-deficient matrix near zero. Triples come out with
-    non-increasing singular values, ties in eigenvalue order. Agrees with
+    Column ``u[:, c]`` is the left singular vector of triple c and
+    ``lam[c]`` its squared singular value; the right vector would be
+    ``X.T @ u[:, c] / sqrt(lam[c])``, and ``group`` needs only the
+    projections ``X.T @ u[:, c]`` of the triples it builds. Agrees with
     ``np.linalg.svd`` to rounding, not bit for bit: the gate is in
-    ``tests/test_ssa_tolerance.py``. With ``work``, the projection is
-    computed in ``work.projection`` and ``vt`` is ``work.vt`` (unless the
-    triples had to be reordered).
+    ``tests/test_ssa_tolerance.py``.
     """
     cov = x @ x.T
     if not np.isfinite(cov).all():
         raise NumericalError(f"non-finite values in a {x.shape} trajectory matrix")
     try:
-        _, eigvecs = np.linalg.eigh(cov)
+        lam, u = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition did not converge on a {x.shape} trajectory matrix"
         ) from exc
-    u = eigvecs[:, ::-1].copy()  # eigenvalues descending
-    # (X.T @ u).T has the same bits at any BLAS thread count; u.T @ X does not.
-    # vt is its C-ordered copy, so each singular vector is one contiguous row.
-    proj = np.empty((x.shape[1], x.shape[0])) if work is None else work.projection
-    vt = np.empty(x.shape) if work is None else work.vt
-    np.matmul(x.T, u, out=proj)
-    np.copyto(vt, proj.T)
-    s = np.sqrt(np.einsum("ij,ij->i", vt, vt))
-    np.divide(vt, s[:, None], out=vt, where=s[:, None] > 0.0)
-    if np.any(s[1:] > s[:-1]):
-        order = np.argsort(-s, kind="stable")
-        u, s, vt = u[:, order], s[order], vt[order]
-    return u, s, vt
+    return u[:, ::-1], lam[::-1]
 
 
 def dominant_frequency(block: np.ndarray, pad_factor: int = 4, period: int = 1) -> np.ndarray:
@@ -208,7 +192,7 @@ def dominant_frequency(block: np.ndarray, pad_factor: int = 4, period: int = 1) 
 
 def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
     """Index into GROUPS of each frequency; NaN (an all-zero row, or a triple
-    whose singular value is 0) is residual.
+    whose eigenvalue is 0 or below) is residual.
 
     Trend takes precedence: a frequency below 1/trend_cutoff is trend even
     when it also lies near a harmonic of the seasonal period.
@@ -219,23 +203,23 @@ def _classify(freqs: np.ndarray, config: SsaConfig) -> np.ndarray:
     return np.where(trend, 0, np.where(seasonal, 1, 2))
 
 
-def group(u, s, vt, config: SsaConfig, *, series: np.ndarray | None = None) -> SsaDecomposition:
-    """Classify every eigentriple by its eigenvector's dominant frequency and
-    split ``series`` into trend, seasonal and residual.
+def group(u, lam, x, config: SsaConfig, *, series: np.ndarray) -> SsaDecomposition:
+    """Classify every eigenpair by its eigenvector's dominant frequency and
+    split ``series``, whose trajectory matrix is ``x``, into trend,
+    seasonal and residual.
 
-    A triple whose singular value is 0 is residual. Only the trend and
-    seasonal triples become component series, each class summed in
-    component order; the residual is ``series`` minus the trend minus the
-    seasonal sum. Without ``series`` it is the diagonal average of all the
-    triples, ``u @ diag(s) @ vt``.
+    A triple whose eigenvalue is 0 or below is residual. Only the trend
+    and seasonal triples are projected, ``(x.T @ u[:, built]).T`` (the
+    orientation whose bits do not depend on the BLAS thread count), and
+    become component series, each class summed in component order; the
+    residual is ``series`` minus the trend minus the seasonal sum.
     """
     freqs = dominant_frequency(u.T, config.pad_factor, config.seasonal_period)
-    freqs[s == 0.0] = np.nan
+    freqs[lam <= 0.0] = np.nan
     classes = _classify(freqs, config)
     built = np.flatnonzero(classes != GROUPS.index(RESIDUAL))
-    comps = kernels.rank_one_series(u[:, built], s[built], vt[built])
-    if series is None:
-        series = kernels.overlap_average(((u * s) @ vt).T)
+    u_built = u[:, built]
+    comps = kernels.rank_one_series(u_built, (x.T @ u_built).T)
     trend, seasonal = sums = np.zeros((2, series.shape[0]))
     for c, comp in zip(classes[built].tolist(), comps):
         sums[c] += comp  # classes 0 and 1: trend and seasonal
@@ -246,14 +230,15 @@ def group(u, s, vt, config: SsaConfig, *, series: np.ndarray | None = None) -> S
 
 def decompose_series(series: np.ndarray, config: SsaConfig, *,
                      work: SsaWork | None = None) -> SsaDecomposition:
-    """embed -> eigentriples -> frequency grouping -> diagonal averaging of the
-    trend and seasonal triples for one cell, in the scratch arrays of
-    ``work`` (fresh ones when it is None)."""
+    """embed -> eigenpairs -> frequency grouping -> diagonal averaging of the
+    trend and seasonal triples for one cell, with the trajectory matrix in
+    ``work`` (a fresh one when it is None)."""
     config.validate_for(series.shape[0])
     if work is None:
         work = SsaWork.empty(config.window, series.shape[0])
-    u, s, vt = decompose(embed(series, config.window, out=work.trajectory), work=work)
-    return group(u, s, vt, config, series=series)
+    x = embed(series, config.window, out=work.trajectory)
+    u, lam = decompose(x)
+    return group(u, lam, x, config, series=series)
 
 
 def ssa_anomalies(mass: MassSeries, config: SsaConfig, keep: dict | None = None, *,

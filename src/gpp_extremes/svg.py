@@ -116,11 +116,9 @@ def line_chart(x, series: dict, title: str = "", xlabel: str = "", ylabel: str =
     for idx, (label, y) in enumerate(series.items()):
         y = np.asarray(y, dtype=float)
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(
-            f"{_fmt(sx(xv))},{_fmt(sy(yv))}"
-            for xv, yv in zip(x, y)
-            if math.isfinite(yv)
-        )
+        keep = np.isfinite(y)  # a gap: the point is left out
+        pts = " ".join(f"{px:.2f},{py:.2f}"
+                       for px, py in zip(sx(x[keep]).tolist(), sy(y[keep]).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         lx = left + pw - 120
         ly = top + 14 + 14 * idx

@@ -48,10 +48,15 @@ def test_embed_constant_series_rank_one():
 # ---------------------------------------------------------------------------
 # decompose
 
+def singular_values(x, u):
+    """Each triple's singular value as the norm of its projection ``X.T @ u[:, c]``."""
+    return np.linalg.norm(x.T @ u, axis=0)
+
+
 def test_decompose_rank_one(rng):
-    u = rng.normal(size=12)
-    v = rng.normal(size=20)
-    _, s, _ = ssa.decompose(np.outer(u, v))
+    mat = np.outer(rng.normal(size=12), rng.normal(size=20))
+    u, _ = ssa.decompose(mat)
+    s = singular_values(mat, u)
     assert s[0] > 0
     assert np.all(s[1:] < 1e-10 * s[0])
 
@@ -59,20 +64,21 @@ def test_decompose_rank_one(rng):
 def test_decompose_pure_sinusoid_two_triples():
     t = np.arange(96.0)
     mat = ssa.embed(np.sin(2 * np.pi * t / 12.0), 24)
-    _, s, _ = ssa.decompose(mat)
+    u, _ = ssa.decompose(mat)
+    s = singular_values(mat, u)
     assert s[1] > 1e-6 * s[0]  # a sine pair
     assert np.all(s[2:] < 1e-10 * s[0])
 
 
 def test_decompose_energy_identity(rng):
     mat = ssa.embed(rng.normal(size=60), 20)
-    _, s, _ = ssa.decompose(mat)
-    assert np.sum(s ** 2) == pytest.approx(np.sum(mat ** 2), rel=1e-9)
+    _, lam = ssa.decompose(mat)
+    assert np.sum(lam) == pytest.approx(np.sum(mat ** 2), rel=1e-9)
 
 
 def test_decompose_singular_values_sorted(rng):
-    _, s, _ = ssa.decompose(ssa.embed(rng.normal(size=80), 30))
-    assert np.all(np.diff(s) <= 0)
+    _, lam = ssa.decompose(ssa.embed(rng.normal(size=80), 30))
+    assert np.all(np.diff(lam) <= 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -136,10 +142,10 @@ def test_hankelize_linearity(rng):
     )
 
 
-def _rank_one_series_loops(u, s, vt):
+def _rank_one_series_loops(u, proj):
     """Every rank-1 term summed along its anti-diagonals, one element at a time."""
     rows, k = u.shape
-    cols = vt.shape[1]
+    cols = proj.shape[1]
     n = rows + cols - 1
     out = np.zeros((k, n))
     counts = np.zeros(n)
@@ -148,26 +154,32 @@ def _rank_one_series_loops(u, s, vt):
             counts[i + j] += 1.0
     for c in range(k):
         for i in range(rows):
-            ui = s[c] * u[i, c]
             for j in range(cols):
-                out[c, i + j] += ui * vt[c, j]
+                out[c, i + j] += u[i, c] * proj[c, j]
         for t in range(n):
             out[c, t] /= counts[t]
     return out
 
 
+def _projected(mat, u):
+    """``u`` and its projections ``(X.T @ u).T``, as ``ssa.group`` passes them."""
+    return u, (mat.T @ u).T
+
+
 def test_rank_one_series_has_the_bits_of_one_convolve_per_component(rng):
-    """The kernel's batched scaling and correlations give, bit for bit, each
-    component's ``s[c] * np.convolve(u[:, c], vt[c]) / counts``."""
+    """The kernel's batched correlations give, bit for bit, each component's
+    ``np.convolve(u[:, c], proj[c]) / counts``."""
     series = rng.normal(size=372).cumsum() + 10.0 * np.sin(np.arange(372) * np.pi / 6)
-    triples = [ssa.decompose(ssa.embed(series, 120))]
-    triples += [np.linalg.svd(rng.normal(size=shape), full_matrices=False)
-                for shape in ((15, 25), (25, 15), (20, 20), (1, 7))]
-    for u, s, vt in triples:
-        counts = kernels._antidiag_counts(u.shape[0], vt.shape[1])
-        expected = np.array([s[c] * np.convolve(u[:, c], vt[c]) / counts
-                             for c in range(s.size)])
-        assert kernels.rank_one_series(u, s, vt).tobytes() == expected.tobytes(), u.shape
+    trajectory = ssa.embed(series, 120)
+    pairs = [_projected(trajectory, ssa.decompose(trajectory)[0])]
+    for shape in ((15, 25), (25, 15), (20, 20), (1, 7)):
+        mat = rng.normal(size=shape)
+        pairs.append(_projected(mat, np.linalg.svd(mat, full_matrices=False)[0]))
+    for u, proj in pairs:
+        counts = kernels._antidiag_counts(u.shape[0], proj.shape[1])
+        expected = np.array([np.convolve(u[:, c], proj[c]) / counts
+                             for c in range(u.shape[1])])
+        assert kernels.rank_one_series(u, proj).tobytes() == expected.tobytes(), u.shape
 
 
 def _overlap_average_loops(windows):
@@ -185,10 +197,11 @@ def _overlap_average_loops(windows):
 
 def test_kernel_variants_agree(rng):
     """The numpy kernels return the values of their plain-Python loop references."""
-    u, s, vt = np.linalg.svd(rng.normal(size=(15, 25)), full_matrices=False)
+    mat = rng.normal(size=(15, 25))
+    u, proj = _projected(mat, np.linalg.svd(mat, full_matrices=False)[0])
     np.testing.assert_allclose(
-        kernels.rank_one_series(u, s, vt),
-        _rank_one_series_loops(u, s, vt),
+        kernels.rank_one_series(u, proj),
+        _rank_one_series_loops(u, proj),
         rtol=1e-10,
         atol=1e-12,
     )
@@ -338,31 +351,33 @@ def test_dominant_frequency_block_matches_row_loop(rng):
     assert np.isnan(freqs[5])
 
 
-def _group_reference(u, s, vt, series, config):
+def _group_reference(u, lam, mat, series, config):
     """Triple-by-triple grouping: classify each triple by its own eigenvector's
-    periodogram, add each trend and seasonal triple's own series in index
-    order, and take the residual as the series minus the two sums."""
-    window, k = vt.shape
+    periodogram, project the trend and seasonal triples, add each one's own
+    series in index order, and take the residual as the series minus the
+    two sums."""
+    window, k = mat.shape
     nfft = config.pad_factor * window
     while nfft % config.seasonal_period:
         nfft += 1
-    counts = kernels._antidiag_counts(window, k)
-    sums = {ssa.TREND: np.zeros(series.size), ssa.SEASONAL: np.zeros(series.size)}
     groups = []
-    for c in range(s.size):
+    for c in range(lam.size):
         freq = np.argmax(np.abs(np.fft.rfft(u[:, c], nfft)) ** 2) / nfft
-        if s[c] == 0.0:
-            cls = ssa.RESIDUAL
+        if lam[c] <= 0.0:
+            groups.append(ssa.RESIDUAL)
         elif freq < 1.0 / config.trend_cutoff:
-            cls = ssa.TREND
+            groups.append(ssa.TREND)
         elif any(abs(freq - h * (1.0 / config.seasonal_period)) < config.freq_tolerance
                  for h in range(1, config.max_harmonic + 1)):
-            cls = ssa.SEASONAL
+            groups.append(ssa.SEASONAL)
         else:
-            cls = ssa.RESIDUAL
-        if cls != ssa.RESIDUAL:
-            sums[cls] += s[c] * np.convolve(u[:, c], vt[c]) / counts
-        groups.append(cls)
+            groups.append(ssa.RESIDUAL)
+    built = [c for c, cls in enumerate(groups) if cls != ssa.RESIDUAL]
+    proj = dict(zip(built, (mat.T @ u[:, built]).T))  # one product, as group takes it
+    counts = kernels._antidiag_counts(window, k)
+    sums = {ssa.TREND: np.zeros(series.size), ssa.SEASONAL: np.zeros(series.size)}
+    for c in built:
+        sums[groups[c]] += np.convolve(u[:, c], proj[c]) / counts
     sums[ssa.RESIDUAL] = series - sums[ssa.TREND] - sums[ssa.SEASONAL]
     return sums, groups
 
@@ -371,10 +386,12 @@ def test_group_matches_component_loop_bitwise():
     series, _, _ = synth_series(noise=2.0, seed=5)
     for window in (120, 31):  # periodograms of 480 points, and of 4 x 31 rounded up to 132
         config = ssa.SsaConfig(window=window)
-        u, s, vt = ssa.decompose(ssa.embed(series, config.window))
-        s[-1], vt[-1] = 0.0, 0.0  # one all-zero triple, which must land in the residual
-        dec = ssa.group(u, s, vt, config, series=series)
-        sums, groups = _group_reference(u, s, vt, series, config)
+        mat = ssa.embed(series, config.window)
+        u, lam = ssa.decompose(mat)
+        lam = lam.copy()
+        lam[-1] = 0.0  # one zero triple, which must land in the residual
+        dec = ssa.group(u, lam, mat, config, series=series)
+        sums, groups = _group_reference(u, lam, mat, series, config)
         assert [ssa.GROUPS[c] for c in dec.classes] == groups, window
         assert set(groups) == set(ssa.GROUPS), window
         assert ssa.GROUPS[dec.classes[-1]] == ssa.RESIDUAL
@@ -385,13 +402,13 @@ def test_group_matches_component_loop_bitwise():
 
 def test_group_builds_series_only_for_the_trend_and_seasonal_triples(monkeypatch):
     # every triple's series was built to take its periodogram; now only the
-    # trend and seasonal ones are, about 13 of 120 on a noisy cell
+    # trend and seasonal ones are, about 11 of 120 on a noisy cell
     rows = []
     real = kernels.rank_one_series
 
-    def counted(u, s, vt):
-        rows.append(s.size)
-        return real(u, s, vt)
+    def counted(u, proj):
+        rows.append(u.shape[1])
+        return real(u, proj)
 
     monkeypatch.setattr(kernels, "rank_one_series", counted)
     series, _, _ = synth_series(noise=2.0, seed=5)
@@ -399,6 +416,47 @@ def test_group_builds_series_only_for_the_trend_and_seasonal_triples(monkeypatch
     built = int(np.count_nonzero(dec.classes != ssa.GROUPS.index(ssa.RESIDUAL)))
     assert rows == [built]
     assert 0 < built < 120 // 4
+
+
+class _CountsProjections(np.ndarray):
+    """A trajectory matrix that records the shapes of the products it enters."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _CountsProjections) else a for a in inputs]
+        if ufunc is np.matmul:
+            self.products.append((plain[0].shape, plain[1].shape))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_group_projects_only_the_trend_and_seasonal_triples(monkeypatch):
+    # the right singular vectors of every triple were projected, X.T @ u over
+    # all 120 columns; only the trend and seasonal triples' series read them
+    real = ssa.embed
+    monkeypatch.setattr(ssa, "embed",
+                        lambda *args, **kwargs: real(*args, **kwargs).view(_CountsProjections))
+    monkeypatch.setattr(_CountsProjections, "products", [])
+    series, _, _ = synth_series(noise=2.0, seed=5)
+    dec = ssa.decompose_series(series, ssa.SsaConfig())
+    built = int(np.count_nonzero(dec.classes != ssa.GROUPS.index(ssa.RESIDUAL)))
+    k = 372 - 120 + 1
+    projected = [b[1] for a, b in _CountsProjections.products if a == (k, 120)]
+    assert projected == [built]
+    assert 0 < built < 120 // 4
+
+
+def test_an_all_zero_cell_is_all_residual_with_zero_anomalies():
+    series = np.zeros(372)
+    _, lam = ssa.decompose(ssa.embed(series, 120))
+    assert np.all(lam == 0.0)
+    dec = ssa.decompose_series(series, ssa.SsaConfig())
+    assert np.all(dec.classes == ssa.GROUPS.index(ssa.RESIDUAL))
+    values = np.vstack([synth_series(noise=1.0, seed=3)[0], series])
+    mass = grid.MassSeries(values=values, cells=np.arange(2), start_year=1850, start_month=1)
+    anoms = ssa.ssa_anomalies(mass, ssa.SsaConfig())
+    assert np.all(anoms.values[1] == 0.0)
+    assert np.any(anoms.values[0] != 0.0)
 
 
 @pytest.mark.parametrize("window", [20, 31, 50])
@@ -453,7 +511,9 @@ def test_kept_decompositions_do_not_alias_the_reused_scratch_arrays():
 def test_ssa_anomalies_peak_memory_follows_one_cell():
     # 50 cells x 372 months: arrays made anew for each cell, with one rfft
     # over all 120 components, peaked at 2.9 MiB; one SsaWork per call and
-    # 10-row periodogram blocks peak at 1.7 MiB
+    # 10-row periodogram blocks at 1.7 MiB; projecting every triple into a
+    # reused (K, L) buffer and its normalized copy at 1.26-1.41 MiB; the
+    # trend and seasonal projections alone at 0.78-0.93 MiB
     mass = noisy_mass(50)
     tracemalloc.start()
     try:
@@ -461,7 +521,7 @@ def test_ssa_anomalies_peak_memory_follows_one_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < 1.125 * 2 ** 20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

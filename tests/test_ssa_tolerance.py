@@ -4,8 +4,9 @@
 the SVD of the trajectory matrix ``X``. The two agree to rounding, not
 bit for bit. This gate compares them on 200 series of 372 months at
 window 120, forty of each of five kinds, and bounds every difference that
-reaches the analysis: singular values, orthonormality of ``u``, the three
-group sums and the group class of every eigentriple.
+reaches the analysis: singular values (each the norm of the projection
+``X.T @ u[:, c]``), orthonormality of ``u``, the three group sums and the
+group class of every eigentriple.
 """
 
 import numpy as np
@@ -51,9 +52,11 @@ KINDS = {
 
 
 def _reference(series, config):
-    """The SVD route the covariance form replaced: np.linalg.svd, then ssa.group."""
-    u, s, vt = np.linalg.svd(ssa.embed(series, config.window), full_matrices=False)
-    return s, ssa.group(u, s, vt, config)
+    """The SVD route the covariance form replaced: np.linalg.svd, then ssa.group
+    on its left singular vectors and squared singular values."""
+    x = ssa.embed(series, config.window)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return s, ssa.group(u, s ** 2, x, config, series=series)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -64,9 +67,11 @@ def test_covariance_eigentriples_within_tolerance_of_svd(kind):
     eye = np.eye(config.window)
     for i in range(PER_KIND):
         series = KINDS[kind](rng, t)
-        u, s, vt = ssa.decompose(ssa.embed(series, config.window))
+        x = ssa.embed(series, config.window)
+        u, lam = ssa.decompose(x)
+        s = np.linalg.norm(x.T @ u, axis=0)  # each singular value, the projection's norm
         s_ref, ref = _reference(series, config)
-        got = ssa.group(u, s, vt, config)
+        got = ssa.group(u, lam, x, config, series=series)
         where = f"{kind} series {i}"
 
         assert np.abs(s - s_ref).max() <= 1e-13 * s_ref[0], where
