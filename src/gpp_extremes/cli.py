@@ -52,7 +52,7 @@ from . import ssa as ssa_mod  # noqa: E402
 from . import svg  # noqa: E402
 from . import vae as vae_mod  # noqa: E402
 from .config import PipelineConfig, Unit  # noqa: E402
-from .errors import ConfigError, DataError, PipelineError, ShapeError, WorkerError  # noqa: E402
+from .errors import ConfigError, DataError, PipelineError, WorkerError  # noqa: E402
 from .grid import (  # noqa: E402
     GridFile, GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
 
@@ -77,15 +77,6 @@ def _unit_mass(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> MassSeries:
         )
     return flux_to_mass(grid.slice_months(offset, period.months), unit.region,
                         source=f"grid {cfg.grid_path}")
-
-
-def _cell_count(grid: GridFile, unit: Unit) -> int:
-    """The unit's cells, or 0 where its region names a cell outside the grid
-    (its task reports that when it runs)."""
-    try:
-        return unit.region.effective_cells(grid).size
-    except ShapeError:
-        return 0
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -287,11 +278,15 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    """Train one VAE per unit, one task per region (see ``_run_units``)."""
+    """Train one VAE per unit, one task per region (see ``_run_units``).
+
+    Costing the tasks checks every region against the grid, so a region
+    that names a cell outside it stops the command before any task runs.
+    """
     units, grid = cfg.units(), _load_input_grid(cfg)
     tasks = [[u for u in units if u.region is region] for region in cfg.regions]
-    costs = [sum(_cell_count(grid, u) * (u.period.months - vae_mod.SEQ_LEN + 1) for u in task)
-             for task in tasks]  # training windows
+    costs = [sum(u.region.effective_cells(grid).size * (u.period.months - vae_mod.SEQ_LEN + 1)
+                 for u in task) for task in tasks]  # training windows
     _run_units(cfg, grid, _train_region, tasks, _print_lines, costs=costs)
     return 0
 
@@ -445,15 +440,15 @@ def _write_report_outputs(report, tag, grid, out):
     )
 
     # monthly series CSV + figures
-    months = np.arange(report.valid.size, dtype=float)
-    years = report.start_year + (report.start_month - 1 + months) / 12.0
+    n_months = report.flags.shape[1]
+    years = report.start_year + (report.start_month - 1 + np.arange(n_months, dtype=float)) / 12.0
     rows = []
-    for t in range(report.valid.size):
+    for t in range(n_months):
         rows.append(
             (
                 t,
                 f"{years[t]:.4f}",
-                int(report.valid[t]),
+                int(report.valid.start <= t < report.valid.stop),
                 int(report.monthly_count_neg[t]),
                 repr(float(report.monthly_mag_neg[t])),
                 int(report.monthly_count_pos[t]),
@@ -483,7 +478,8 @@ def _write_report_outputs(report, tag, grid, out):
 
 def cmd_extremes(cfg: PipelineConfig) -> int:
     """Detect each unit's extremes, one task per unit (see ``_run_units``),
-    then write the tables that span every unit."""
+    then write the tables that span every unit. As in ``cmd_train``, the
+    regions are checked against the grid before any task runs."""
     units = cfg.units()
     threshold_rows = []
     totals = []
@@ -499,7 +495,7 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
 
     grid = _load_input_grid(cfg)
     _run_units(cfg, grid, _unit_extremes, units, take,
-               costs=[_cell_count(grid, u) * u.period.months for u in units])
+               costs=[u.region.effective_cells(grid).size * u.period.months for u in units])
     out = cfg.out
     _write_csv(
         out / "tables" / "thresholds.csv",

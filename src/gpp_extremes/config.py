@@ -6,9 +6,10 @@ a number that is not finite is a ConfigError naming its key path
 (``ssa.windw``, ``regions[0].cells[2]``).
 Values pass through as written: an int where a float is expected stays an
 int, and a bool is never a number. The ``train``, ``ssa`` and ``synth``
-schemas come from the fields of TrainConfig, SsaConfig and SynthSpec. The
-synth section, its required keys included, is checked here alone:
-``SynthSpec.from_dict`` only builds the spec.
+schemas come from the fields of TrainConfig, SsaConfig and SynthSpec.
+TrainConfig and SynthSpec check the ranges of their own fields when they
+are made, and ``SsaConfig.validate_for`` checks them against each period;
+this module checks the types and the required keys.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .ssa import SsaConfig
 from .vae import TrainConfig
 
 SCHEMA_VERSION = 1
-# Most values a synth grid may hold, n_lat * n_lon * n_months: 16 GiB of float64
-SYNTH_MAX_VALUES = 2 ** 31
 METHODS = {"vae": ("vae",), "ssa": ("ssa",), "both": ("vae", "ssa")}
 
 # Schema for each annotation of a config dataclass field; a tuple field
@@ -53,12 +52,11 @@ _SCHEMA = {
     "out_dir": str,
     "method": set(METHODS),
     "synth": dict,  # checked against _SYNTH_SCHEMA
-    "grid": {"path": str, "format": {"flat-binary"}},
+    "grid": {"path": str},
     "regions": [{"name": str, "cells": [int], "min_land_frac": float}],
     "periods": [{"name": str, "start_year": int, "end_year": int}],
     "train": _fields(TrainConfig, drop=("seed",)),  # unit seeds derive from `seed`
     "ssa": dict(_fields(SsaConfig), dump_cells=[int]),
-    "extremes": {"threshold_mode": {"two-sided"}},
     "gridsearch": {"latent_dims": [int], "hidden_dims": [[int]], "learning_rates": [float]},
 }
 _SYNTH_SCHEMA = dict(
@@ -203,14 +201,6 @@ class PipelineConfig:
         if synth is not None:
             _check(synth, _SYNTH_SCHEMA, "synth")
             _require(synth, "synth", "n_lat", "n_lon", "n_months")
-            for key in ("n_lat", "n_lon", "n_months"):
-                if synth[key] < 1:
-                    raise ConfigError(f"synth.{key} must be >= 1, got {synth[key]}")
-            size = synth["n_lat"] * synth["n_lon"] * synth["n_months"]
-            if size > SYNTH_MAX_VALUES:
-                raise ConfigError(
-                    f"synth.n_lat * synth.n_lon * synth.n_months is {size}, above the "
-                    f"limit of {SYNTH_MAX_VALUES} values")
             for i, event in enumerate(synth.get("events", [])):
                 _require(event, f"synth.events[{i}]", *_SYNTH_SCHEMA["events"][0])
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})

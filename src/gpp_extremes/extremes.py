@@ -10,16 +10,17 @@ Hyndman & Fan's type 7 (linear interpolation between order statistics):
 ``np.percentile``'s bits, without the ``numpy.ma`` import that
 ``np.percentile`` makes.
 
-No step copies the unit's anomalies. The pool is a view of the valid
-months. Each percentile's two order statistics are selected as Floyd &
-Rivest do (CACM 18, 1975): a pivot from a strided sample of the pool, one
-masked pass that gathers the values on the percentile's side of it, and a
-partition of those candidates alone, widened until they are enough. A
-non-zero value is the same bits wherever a partition puts it. So where an
-order statistic is zero (-0.0 or 0.0, which compare equal), the percentile
-is taken from a partitioned copy of the pool, as ``np.percentile`` takes it.
-Flags, frequency maps and regional series are computed a block of months
-at a time, so their temporaries stay small beside the int8 flags.
+No step copies the unit's anomalies. The valid months are one ``slice``,
+and the pool is its view. Each percentile's two order statistics are
+selected as Floyd & Rivest do (CACM 18, 1975): a pivot from a strided
+sample of the pool, one masked pass that gathers the values on the
+percentile's side of it, and a partition of those candidates alone,
+widened until they are enough. A non-zero value is the same bits wherever
+a partition puts it. So where an order statistic is zero (-0.0 or 0.0,
+which compare equal), the percentile is taken from a partitioned copy of
+the pool, as ``np.percentile`` takes it. Flags, frequency maps and
+regional series are computed a block of months at a time, so their
+temporaries stay small beside the int8 flags.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ExtremesReport:
     thresholds: ThresholdSet
     flags: np.ndarray  # int8 (n_cells, n_months): NEG / NONE / POS
     cells: np.ndarray
-    valid: np.ndarray  # bool (n_months,): the months of valid_months
+    valid: slice  # the months of valid_months
     start_year: int
     start_month: int
     freq_neg: np.ndarray  # per-cell negative-extreme counts
@@ -74,8 +75,8 @@ class ExtremesReport:
     monthly_mag_pos: np.ndarray  # TgC per month, >= 0
 
 
-def valid_months(n_months: int) -> np.ndarray:
-    """Bool mask of the months that count: all but the first and last year.
+def valid_months(n_months: int) -> slice:
+    """The span of months that count: all but the first and last year.
 
     Both engines share this span: a 31-year record keeps 29 years of
     usable months (372 -> 348), mirroring the shortening a 12-month
@@ -83,18 +84,13 @@ def valid_months(n_months: int) -> np.ndarray:
     """
     if n_months < 3 * TRIM_MONTHS:
         raise ShapeError(f"need at least {3 * TRIM_MONTHS} months to trim, got {n_months}")
-    valid = np.zeros(n_months, dtype=bool)
-    valid[TRIM_MONTHS:n_months - TRIM_MONTHS] = True
-    return valid
+    return slice(TRIM_MONTHS, n_months - TRIM_MONTHS)
 
 
-def pooled_sample(anoms: MassSeries, valid: np.ndarray) -> np.ndarray:
-    """All valid (cell, month) anomalies of the region, one row per cell: a
-    view of ``anoms`` when the valid months are one span, as those of
-    ``valid_months`` are, else a copy."""
-    months = np.flatnonzero(valid)
-    span = months.size and months[-1] - months[0] + 1 == months.size
-    pool = anoms.values[:, months[0]:months[-1] + 1] if span else anoms.values[:, valid]
+def pooled_sample(anoms: MassSeries, valid: slice) -> np.ndarray:
+    """All anomalies of the region in the ``valid`` span of months, one row
+    per cell: a view of ``anoms``."""
+    pool = anoms.values[:, valid]
     if pool.size == 0:
         raise EmptyRegionError("no valid anomaly samples to pool")
     return pool
@@ -169,7 +165,7 @@ def _selected_percentile(pool: np.ndarray, sample: np.ndarray, q: float) -> floa
     return _lerp(a, b, index, lo)
 
 
-def compute_thresholds(anoms: MassSeries, valid: np.ndarray) -> ThresholdSet:
+def compute_thresholds(anoms: MassSeries, valid: slice) -> ThresholdSet:
     """Percentile thresholds over the pooled regional anomaly sample, read
     in place (see the module docstring); NaN if the pool holds a NaN."""
     pool = pooled_sample(anoms, valid)
@@ -189,13 +185,15 @@ def _month_blocks(n_cells: int, n_months: int):
     return (slice(start, start + width) for start in range(0, n_months, width))
 
 
-def classify(anoms: MassSeries, valid: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
-    """Per-sample flags in the valid months; threshold ties are not extremes."""
+def classify(anoms: MassSeries, valid: slice, thresholds: ThresholdSet) -> np.ndarray:
+    """Per-sample flags in the ``valid`` span of months; threshold ties are
+    not extremes."""
     flags = np.zeros(anoms.values.shape, dtype=np.int8)
-    for months in _month_blocks(*flags.shape):
-        values, block, keep = anoms.values[:, months], flags[:, months], valid[None, months]
-        block[(values < -thresholds.q_neg) & keep] = NEG
-        block[(values > thresholds.q_pos) & keep] = POS
+    values, kept = anoms.values[:, valid], flags[:, valid]
+    for months in _month_blocks(*kept.shape):
+        block = kept[:, months]
+        block[values[:, months] < -thresholds.q_neg] = NEG
+        block[values[:, months] > thresholds.q_pos] = POS
     return flags
 
 

@@ -42,6 +42,8 @@ _HEADER_FIELDS = ("n_lat", "n_lon", "n_months", "start_year", "start_month")
 # cells per block of values that save_grid writes, load_grid checks and
 # synth_generate draws noise for
 SAVE_BLOCK_ROWS = 32
+# Most values a synth grid may hold, n_lat * n_lon * n_months: 16 GiB of float64
+SYNTH_MAX_VALUES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -451,9 +453,20 @@ class SynthEvent:
     suppression: float
 
 
+def _check_synth(ok: bool, key: str, rule: str, value) -> None:
+    """Raise a SynthSpecError naming ``synth.<key>`` unless ``ok``."""
+    if not ok:
+        raise SynthSpecError(f"synth.{key} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of the synthetic GPP generator (desk-scale CESM stand-in)."""
+    """Parameters of the synthetic GPP generator (desk-scale CESM stand-in).
+
+    The spec checks its own ranges when it is made: a value out of range is
+    a SynthSpecError naming its ``synth.<key>``, so ``synth_generate``
+    never sees one. Value types and required keys are the config's to check.
+    """
 
     n_lat: int
     n_lon: int
@@ -468,12 +481,43 @@ class SynthSpec:
     noise_std: float = 0.0
     noise_df: int = 0  # Student-t degrees of freedom; 0 means Gaussian
     cell_area: float = 1.0e10
-    land_frac: float | list = 1.0
+    land_frac: float | list = 1.0  # one for every cell, or one per cell
     events: tuple = ()
+
+    def __post_init__(self):
+        for key in ("n_lat", "n_lon", "n_months"):
+            _check_synth(getattr(self, key) >= 1, key, ">= 1", getattr(self, key))
+        size = self.n_lat * self.n_lon * self.n_months
+        if size > SYNTH_MAX_VALUES:
+            raise SynthSpecError(
+                f"synth.n_lat * synth.n_lon * synth.n_months is {size}, above the "
+                f"limit of {SYNTH_MAX_VALUES} values")
+        _check_synth(1 <= self.start_month <= 12, "start_month", "in 1..12", self.start_month)
+        _check_synth(self.cell_area > 0, "cell_area", "> 0", self.cell_area)
+        _check_synth(self.noise_df == 0 or self.noise_df >= 3, "noise_df",
+                     "0 (Gaussian) or >= 3", self.noise_df)
+        n_cells = self.n_lat * self.n_lon
+        land = np.asarray(self.land_frac, dtype=float)
+        _check_synth(land.ndim == 0 or land.shape == (n_cells,), "land_frac",
+                     f"one number or {n_cells} numbers, one per cell", f"{land.size} numbers")
+        bad = np.flatnonzero(~((land >= 0.0) & (land <= 1.0)))
+        if bad.size:
+            key = f"land_frac[{bad[0]}]" if land.ndim else "land_frac"
+            raise SynthSpecError(f"synth.{key} must be in [0, 1], got {land.flat[bad[0]]}")
+        for i, ev in enumerate(self.events):
+            key = f"events[{i}]"
+            _check_synth(0 <= ev.cell < n_cells, f"{key}.cell", f"in 0..{n_cells - 1}", ev.cell)
+            _check_synth(1 <= ev.length <= self.n_months, f"{key}.length",
+                         f"in 1..{self.n_months}", ev.length)
+            _check_synth(0 <= ev.start <= self.n_months - ev.length, f"{key}.start",
+                         f"in 0..{self.n_months - ev.length}", ev.start)
+            _check_synth(0 < ev.suppression <= 1, f"{key}.suppression", "in (0, 1]",
+                         ev.suppression)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":
-        """The spec of a synth section that ``config`` has checked, without its name."""
+        """The spec of a synth section whose types ``config`` has checked,
+        without its name."""
         data = dict(raw)
         return cls(events=tuple(SynthEvent(**ev) for ev in data.pop("events", ())), **data)
 
@@ -489,20 +533,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
     Returns the grid and a boolean (n_cells, n_months) array marking
     injected (cell, month) samples. The flux is computed in place in one
     (n_cells, n_months) array; the noise is drawn ``SAVE_BLOCK_ROWS`` cells
-    at a time.
+    at a time. ``save_grid`` checks the grid's values as it writes them.
     """
     n_cells = spec.n_lat * spec.n_lon
-    for i, ev in enumerate(spec.events):
-        if not (0 <= ev.cell < n_cells):
-            raise SynthSpecError(f"events[{i}]: cell {ev.cell} outside grid of {n_cells} cells")
-        if ev.length < 1 or ev.start < 0 or ev.start + ev.length > spec.n_months:
-            raise SynthSpecError(
-                f"events[{i}]: span [{ev.start}, {ev.start + ev.length}) outside "
-                f"[0, {spec.n_months})"
-            )
-        if not (0.0 < ev.suppression <= 1.0):
-            raise SynthSpecError(f"events[{i}]: suppression must be in (0, 1]")
-
     rng = np.random.default_rng(seed)
     t = np.arange(spec.n_months, dtype=float)
     scale = 1.0 + spec.cell_variation * rng.uniform(-1.0, 1.0, size=n_cells)
@@ -518,8 +551,6 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
         truth[ev.cell, span] = True
 
     if spec.noise_std > 0:
-        if spec.noise_df != 0 and spec.noise_df < 3:
-            raise SynthSpecError("noise_df must be 0 (Gaussian) or >= 3")
         # drawn a block of cells at a time: the draws fill the blocks in
         # order, so they are the bits of one whole-grid draw
         for start in range(0, n_cells, SAVE_BLOCK_ROWS):
@@ -533,13 +564,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
             block += noise
     np.maximum(values, 0.0, out=values)
 
-    if isinstance(spec.land_frac, (int, float)):
-        land = np.full(n_cells, float(spec.land_frac))
-    else:
-        land = np.asarray(spec.land_frac, dtype=float)
-        if land.shape != (n_cells,):
-            raise SynthSpecError(f"land_frac list must have {n_cells} entries")
-
+    land = np.empty(n_cells)
+    land[:] = spec.land_frac
     grid = GridSeries(
         n_lat=spec.n_lat,
         n_lon=spec.n_lon,
@@ -550,4 +576,4 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[GridSeries, np.ndarray]:
         cell_area=np.full(n_cells, float(spec.cell_area)),
         land_frac=land,
     )
-    return grid.validate(), truth
+    return grid, truth

@@ -23,7 +23,7 @@ a cell's time at L=120.
 A triple is classified by the periodogram of its eigenvector ``u[:, c]``
 (Vautard & Ghil, 1989; Golyandina & Zhigljavsky, 2013, section 2.4), not
 of its component series: L points, zero-padded to the smallest multiple
-of ``seasonal_period`` at or above ``pad_factor`` x L (480 at L=120), so
+of ``seasonal_period`` at or above ``PAD_FACTOR`` x L (480 at L=120), so
 every harmonic of the seasonal period falls on a frequency bin. The
 periodograms come from ``rfft`` on blocks of a few eigenvectors and a
 row-wise argmax, and the frequency bands are applied to all triples at
@@ -35,10 +35,10 @@ order from zeros, and the residual is the series minus the trend minus
 the seasonal sum. So the result has the bits of a triple-by-triple loop.
 
 ``ssa_anomalies`` decomposes its cells one after another in the calling
-process, in one ``SsaWork`` made once per call: its trajectory matrix is
-overwritten cell after cell. With ``out=`` the residuals overwrite the
-given rows, which may be the mass's own, so a call holds no second array
-of the cells' size. With the periodogram blocks kept under
+process, into one trajectory matrix made once per call and overwritten
+cell after cell. With ``out=`` the residuals overwrite the given rows,
+which may be the mass's own, so a call holds no second array of the
+cells' size. With the periodogram blocks kept under
 ``MMAP_THRESHOLD``, a cell makes no numpy array that glibc would serve
 with fresh, zero-filled pages from ``mmap`` and give back on free, so a
 cell costs few page faults.
@@ -65,6 +65,7 @@ TREND = "trend"
 SEASONAL = "seasonal"
 RESIDUAL = "residual"
 GROUPS = (TREND, SEASONAL, RESIDUAL)  # _classify returns indices into this
+PAD_FACTOR = 4  # eigenvector periodograms: zero-padded to >= this x window
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class SsaConfig:
     seasonal_period: int = 12
     freq_tolerance: float = 0.004  # cycles/month around each harmonic
     max_harmonic: int = 6
-    pad_factor: int = 4  # eigenvector periodograms: zero-padded to >= this x window
 
     def validate_for(self, n_months: int) -> None:
         """Reject a window too long for ``n_months`` months, or grouping bands that
@@ -109,22 +109,6 @@ MMAP_THRESHOLD = 128 * 1024
 
 
 @dataclass(frozen=True)
-class SsaWork:
-    """Scratch array of ``decompose_series`` for series of one length.
-
-    ``ssa_anomalies`` makes one per call and every cell overwrites it, so
-    nothing in it may outlive the cell: an ``SsaDecomposition`` holds
-    arrays of its own.
-    """
-
-    trajectory: np.ndarray  # (L, K) trajectory matrix, embed's output
-
-    @classmethod
-    def empty(cls, window: int, n_months: int) -> "SsaWork":
-        return cls(trajectory=np.empty((window, n_months - window + 1)))
-
-
-@dataclass(frozen=True)
 class SsaDecomposition:
     trend: np.ndarray
     seasonal: np.ndarray
@@ -134,7 +118,7 @@ class SsaDecomposition:
 
 def embed(series: np.ndarray, window: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Hankel trajectory matrix: column j holds series[j : j+window]; written
-    into ``out`` when it is given."""
+    into ``out`` when it is given, else into a new array."""
     view = np.lib.stride_tricks.sliding_window_view(series, window).T
     if out is None:
         return view.copy()
@@ -165,7 +149,8 @@ def decompose(x: np.ndarray):
     return u[:, ::-1], lam[::-1]
 
 
-def dominant_frequency(block: np.ndarray, pad_factor: int = 4, period: int = 1) -> np.ndarray:
+def dominant_frequency(block: np.ndarray, pad_factor: int = PAD_FACTOR,
+                       period: int = 1) -> np.ndarray:
     """Argmax frequency (cycles/month) of each row's zero-padded periodogram.
 
     ``block`` is a (k, n) array of series, each zero-padded to the smallest
@@ -214,7 +199,7 @@ def group(u, lam, x, config: SsaConfig, *, series: np.ndarray) -> SsaDecompositi
     become component series, each class summed in component order; the
     residual is ``series`` minus the trend minus the seasonal sum.
     """
-    freqs = dominant_frequency(u.T, config.pad_factor, config.seasonal_period)
+    freqs = dominant_frequency(u.T, PAD_FACTOR, config.seasonal_period)
     freqs[lam <= 0.0] = np.nan
     classes = _classify(freqs, config)
     built = np.flatnonzero(classes != GROUPS.index(RESIDUAL))
@@ -229,14 +214,13 @@ def group(u, lam, x, config: SsaConfig, *, series: np.ndarray) -> SsaDecompositi
 
 
 def decompose_series(series: np.ndarray, config: SsaConfig, *,
-                     work: SsaWork | None = None) -> SsaDecomposition:
+                     out: np.ndarray | None = None) -> SsaDecomposition:
     """embed -> eigenpairs -> frequency grouping -> diagonal averaging of the
-    trend and seasonal triples for one cell, with the trajectory matrix in
-    ``work`` (a fresh one when it is None)."""
+    trend and seasonal triples for one cell, with the trajectory matrix
+    written into ``out`` (see ``embed``). Nothing returned is a view of
+    ``out``, which the next cell may overwrite."""
     config.validate_for(series.shape[0])
-    if work is None:
-        work = SsaWork.empty(config.window, series.shape[0])
-    x = embed(series, config.window, out=work.trajectory)
+    x = embed(series, config.window, out=out)
     u, lam = decompose(x)
     return group(u, lam, x, config, series=series)
 
@@ -257,9 +241,9 @@ def ssa_anomalies(mass: MassSeries, config: SsaConfig, keep: dict | None = None,
     config.validate_for(values.shape[1])
 
     anoms = np.empty_like(values) if out is None else out
-    work = SsaWork.empty(config.window, values.shape[1])
+    trajectory = np.empty((config.window, values.shape[1] - config.window + 1))
     for c, cell in enumerate(np.asarray(mass.cells).tolist()):
-        dec = decompose_series(values[c], config, work=work)
+        dec = decompose_series(values[c], config, out=trajectory)
         anoms[c] = dec.residual
         if keep is not None and cell in keep:
             keep[cell] = dec

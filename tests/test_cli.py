@@ -36,7 +36,7 @@ def write_config(tmp_path, **overrides):
                 {"cell": 3, "start": 30, "length": 1, "suppression": 0.9},
             ],
         },
-        "grid": {"path": str(tmp_path / "out" / "toy"), "format": "flat-binary"},
+        "grid": {"path": str(tmp_path / "out" / "toy")},
         "regions": [{"name": "quad", "cells": [0, 1, 2, 3]}],
         "periods": [{"name": "y1850-53", "start_year": 1850, "end_year": 1853}],
         "method": "both",
@@ -375,6 +375,24 @@ def python_run(code):
 
 def tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["train", "extremes"])
+def test_a_region_outside_the_grid_stops_the_command_before_any_task(tmp_path, command, jobs):
+    # the second region names cell 99 of the 4-cell grid: costing the tasks
+    # finds it, so the first region writes nothing either
+    cfg = write_config(tmp_path, method="ssa",
+                       regions=[{"name": "west", "cells": [0, 2]},
+                                {"name": "east", "cells": [1, 99]}],
+                       train={"max_epochs": 2, "batch_size": 32, "hidden_dims": [16, 8],
+                              "latent_dim": 2})
+    assert cli_run("synth", "--config", str(cfg)).returncode == 0
+    done = cli_run(command, "--config", str(cfg), "--jobs", jobs)
+    assert done.returncode == 2
+    assert done.stderr == "error: region 'east' references cells outside the 4-cell grid\n"
+    for sub in ("tables", "grids", "checkpoints"):
+        assert not any((tmp_path / "out" / sub).iterdir()), sub
 
 
 @pytest.fixture(scope="module")
@@ -1040,10 +1058,14 @@ def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
 _EVENT = {"cell": 1, "start": 20, "length": 2, "suppression": 0.8}
 
 
+def _synth(**keys):
+    """Overrides giving the toy synth section these keys."""
+    return {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 48, **keys}}
+
+
 def _synth_events(*events):
     """Overrides giving the toy synth section these events."""
-    return {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 48,
-                      "events": list(events)}}
+    return _synth(events=list(events))
 
 
 # (command, key path the error must name, top-level config overrides);
@@ -1058,11 +1080,10 @@ CONFIG_MISTAKES = [
     ("gridsearch", "gridsearch.latent_dims", {"gridsearch": {"latent_dims": "5"}}),
     ("synth", "synth.n_lat", {"synth": {"name": "toy", "n_lat": "2", "n_lon": 2,
                                         "n_months": 48}}),
-    ("extremes", "extremes.threshold_mode", {"extremes": {"threshold_mode": "abs"}}),
+    ("extremes", "unknown key extremes", {"extremes": {"threshold_mode": "abs"}}),
     ("extremes", "metod", {"method": None, "metod": "ssa"}),
     ("extremes", "regions[0].min_land",
      {"regions": [{"name": "quad", "cells": [0, 1, 2, 3], "min_land": 0.5}]}),
-    ("extremes", "extremes.threshold", {"extremes": {"threshold": 0.9}}),
     ("train", "train.seed", {"train": {"max_epochs": 2, "seed": 3}}),
     ("extremes", "periods[0].start",
      {"periods": [{"name": "p", "start_year": 1850, "end_year": 1853, "start": 1851}]}),
@@ -1090,11 +1111,20 @@ CONFIG_MISTAKES = [
               "of 2147483648 values",
      {"synth": {"name": "toy", "n_lat": 2, "n_lon": 2, "n_months": 10 ** 12}}),
     ("synth", "seed must be >= 0", {"seed": -1}),
+    ("synth", "synth.start_month must be in 1..12, got 13", _synth(start_month=13)),
+    ("synth", "synth.cell_area must be > 0, got 0", _synth(cell_area=0)),
+    ("synth", "synth.land_frac must be in [0, 1], got 1.5", _synth(land_frac=1.5)),
+    ("synth", "synth.land_frac[1] must be in [0, 1], got -0.5",
+     _synth(land_frac=[1.0, -0.5, 1.0, 1.0])),
+    ("synth", "synth.land_frac must be one number or 4 numbers, one per cell, got 3 numbers",
+     _synth(land_frac=[1.0, 1.0, 1.0])),
+    ("synth", "synth.noise_df must be 0 (Gaussian) or >= 3, got 2",
+     _synth(noise_std=0, noise_df=2)),
+    ("synth", "synth.events[0].suppression must be in (0, 1], got 1.5",
+     _synth_events(dict(_EVENT, suppression=1.5))),
     ("extremes", "grid.format", {"grid": {"path": "out/toy", "format": "netcdf"}}),
-    ("extremes", "grid.format must be one of ['flat-binary'], got 'csv'",
-     {"grid": {"path": "out/toy", "format": "csv"}}),
-    ("extremes", "extremes.threshold_mode must be one of ['two-sided'], got 'absolute'",
-     {"extremes": {"threshold_mode": "absolute"}}),
+    ("extremes", "unknown key grid.format", {"grid": {"path": "out/toy", "format": "csv"}}),
+    ("extremes", "unknown key ssa.pad_factor", {"ssa": {"window": 18, "pad_factor": 4}}),
     ("train", "hidden_dims must be one or more widths >= 1, got []",
      {"train": {"max_epochs": 2, "hidden_dims": []}}),
     ("train", "hidden_dims must be one or more widths >= 1, got [0]",
@@ -1134,6 +1164,24 @@ def test_config_mistakes_exit_1_naming_the_key(tmp_path, capsys, command, key, o
     assert key in err
     assert "Traceback" not in err
     assert not any((tmp_path / "out" / "tables").iterdir())
+
+
+def _value_sets(spec):
+    """Every set of allowed values in a config schema."""
+    if isinstance(spec, set):
+        yield spec
+    elif isinstance(spec, (dict, list, tuple)):
+        for item in spec.values() if isinstance(spec, dict) else spec:
+            yield from _value_sets(item)
+
+
+def test_no_config_key_accepts_a_single_value():
+    # a key that accepts one value selects nothing, so it is not a setting
+    from gpp_extremes import config
+
+    sets = list(_value_sets(config._SCHEMA)) + list(_value_sets(config._SYNTH_SCHEMA))
+    assert set(config.METHODS) in sets
+    assert [s for s in sets if len(s) < 2] == []
 
 
 # Values a sweep mutation may give a config leaf: bools, integers of every
@@ -1443,10 +1491,8 @@ def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
 
 
 def test_synth_size_limit_is_the_one_the_readme_states():
-    from gpp_extremes import config
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert config.SYNTH_MAX_VALUES == 2 ** 31
+    assert grid.SYNTH_MAX_VALUES == 2 ** 31
     assert "2**31 (2,147,483,648) values" in readme
 
 

@@ -145,7 +145,8 @@ def test_both_engines_agree_on_hotspot_ground_truth():
     an_vae = vae.vae_anomalies(model, mass)
     rep_vae = extremes.build_report(an_vae, "R", "P", "vae")
 
-    injected = truth & rep_ssa.valid[None, :]
+    injected = np.zeros_like(truth)
+    injected[:, rep_ssa.valid] = truth[:, rep_ssa.valid]
     assert (rep_ssa.flags[injected] == extremes.NEG).mean() >= 0.8
     assert (rep_vae.flags[injected] == extremes.NEG).mean() >= 0.8
     stats = compare_reports(rep_vae, rep_ssa)

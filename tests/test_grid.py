@@ -306,18 +306,14 @@ def test_synth_deterministic():
 
 
 def test_synth_event_span_validation():
-    spec = grid.SynthSpec(
-        n_lat=2, n_lon=2, n_months=36,
-        events=(grid.SynthEvent(cell=0, start=35, length=3, suppression=0.5),),
-    )
-    with pytest.raises(SynthSpecError, match="events\\[0\\]"):
-        grid.synth_generate(spec, seed=1)
-    with pytest.raises(SynthSpecError):
-        grid.synth_generate(
-            grid.SynthSpec(n_lat=2, n_lon=2, n_months=36,
-                           events=(grid.SynthEvent(9, 0, 1, 0.5),)),
-            seed=1,
+    # the spec checks itself when it is made, before synth_generate sees it
+    with pytest.raises(SynthSpecError, match="synth.events\\[0\\].start must be in 0..33, got 35"):
+        grid.SynthSpec(
+            n_lat=2, n_lon=2, n_months=36,
+            events=(grid.SynthEvent(cell=0, start=35, length=3, suppression=0.5),),
         )
+    with pytest.raises(SynthSpecError, match="synth.events\\[0\\].cell must be in 0..3, got 9"):
+        grid.SynthSpec(n_lat=2, n_lon=2, n_months=36, events=(grid.SynthEvent(9, 0, 1, 0.5),))
 
 
 def test_synth_injected_months_are_lowest_anomalies():

@@ -357,7 +357,7 @@ def _group_reference(u, lam, mat, series, config):
     series in index order, and take the residual as the series minus the
     two sums."""
     window, k = mat.shape
-    nfft = config.pad_factor * window
+    nfft = ssa.PAD_FACTOR * window
     while nfft % config.seasonal_period:
         nfft += 1
     groups = []
@@ -495,8 +495,8 @@ def noisy_mass(n_cells):
 
 
 def test_kept_decompositions_do_not_alias_the_reused_scratch_arrays():
-    # later cells overwrite the SsaWork of the call: a decomposition that held
-    # a view of it would read the last cell's values
+    # later cells overwrite the call's one trajectory matrix: a decomposition
+    # that held a view of it would read the last cell's values
     mass = noisy_mass(6)
     config = ssa.SsaConfig()
     kept = dict.fromkeys([0, 4])
@@ -510,8 +510,8 @@ def test_kept_decompositions_do_not_alias_the_reused_scratch_arrays():
 
 def test_ssa_anomalies_peak_memory_follows_one_cell():
     # 50 cells x 372 months: arrays made anew for each cell, with one rfft
-    # over all 120 components, peaked at 2.9 MiB; one SsaWork per call and
-    # 10-row periodogram blocks at 1.7 MiB; projecting every triple into a
+    # over all 120 components, peaked at 2.9 MiB; one trajectory matrix per
+    # call and 10-row periodogram blocks at 1.7 MiB; projecting every triple into a
     # reused (K, L) buffer and its normalized copy at 1.26-1.41 MiB; the
     # trend and seasonal projections alone at 0.78-0.93 MiB
     mass = noisy_mass(50)
