@@ -52,9 +52,10 @@ from . import ssa as ssa_mod  # noqa: E402
 from . import svg  # noqa: E402
 from . import vae as vae_mod  # noqa: E402
 from .config import PipelineConfig, Unit  # noqa: E402
-from .errors import ConfigError, DataError, PipelineError, WorkerError  # noqa: E402
+from .errors import ConfigError, DataError, FormatError, PipelineError, WorkerError  # noqa: E402
 from .grid import (  # noqa: E402
-    GridFile, GridSeries, MassSeries, flux_to_mass, load_grid, save_grid, synth_generate)
+    GridFile, GridSeries, MassSeries, flux_to_mass, load_grid, read_json, save_grid,
+    synth_generate)
 
 OUT_DIRS = ("tables", "figures", "grids", "checkpoints", "reports")
 SSA_CHUNK_CELLS = 32  # most cells in a chunk of a lone unit's SSA cells
@@ -578,25 +579,6 @@ def _artifact(path: Path) -> Path:
     return path
 
 
-def _read_totals(path: Path) -> dict:
-    """((negative, positive) TgC, cells) per (region, period, method) of cumulative_totals.json."""
-    try:
-        entries = json.loads(_artifact(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(entries, list):
-        raise DataError(f"{path}: expected a list of entries")
-    totals = {}
-    for i, e in enumerate(entries):
-        try:
-            totals[e["region"], e["period"], e["method"]] = (
-                (float(e["negative_TgC"]), float(e["positive_TgC"])), [int(c) for c in e["cells"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path} entry {i}: needs region, period, method, cells, "
-                            f"negative_TgC and positive_TgC ({exc!r})") from exc
-    return totals
-
-
 def cmd_compare(cfg: PipelineConfig) -> int:
     """Write the agreement and threshold tables from the artifacts of `extremes`.
 
@@ -613,14 +595,22 @@ def cmd_compare(cfg: PipelineConfig) -> int:
             rows = list(csv.reader(f))[1:]
     except UnicodeDecodeError as exc:
         raise DataError(f"{tpath}: not valid UTF-8 ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"{tpath}: cannot read the thresholds ({exc.strerror or exc})") from exc
     for n, row in enumerate(rows, start=2):
         try:
             region, period, method, q_neg, _ = row
-            thresholds[(region, period, method)] = float(q_neg)
+            if not np.isfinite(threshold := float(q_neg)):
+                raise ValueError(f"threshold {q_neg!r} is not finite")
+            thresholds[(region, period, method)] = threshold
         except ValueError as exc:
             raise DataError(f"{tpath} line {n}: {exc}") from exc
     cpath = out / "tables" / "cumulative_totals.json"
-    totals = _read_totals(cpath)
+    # ((negative, positive) TgC, cells) per (region, period, method)
+    totals = {(e["region"], e["period"], e["method"]):
+              ((e["negative_TgC"], e["positive_TgC"]), e["cells"])
+              for e in read_json(_artifact(cpath), "totals list", extremes_mod.TOTALS_SPEC,
+                                 FormatError)}
 
     stats = []
     for unit in units:

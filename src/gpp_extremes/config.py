@@ -1,106 +1,48 @@
 """The pipeline config: one JSON file, checked in full into typed objects.
 
-``PipelineConfig.load`` reads the file and checks every key and value type
-against one schema before any command runs. An unknown key, a wrong type or
-a number that is not finite is a ConfigError naming its key path
-(``ssa.windw``, ``regions[0].cells[2]``).
+``PipelineConfig.load`` reads the file with ``grid.read_json``, which checks
+every key and value type against one schema before any command runs. An
+unknown key, a missing required key, a wrong type or a number that is not
+finite is a ConfigError naming the file and its key path (``ssa.windw``,
+``regions[0].cells[2]``).
 Values pass through as written: an int where a float is expected stays an
 int, and a bool is never a number. The ``train``, ``ssa`` and ``synth``
 schemas come from the fields of TrainConfig, SsaConfig and SynthSpec.
 TrainConfig and SynthSpec check the ranges of their own fields when they
-are made, and ``SsaConfig.validate_for`` checks them against each period;
-this module checks the types and the required keys.
+are made, and ``SsaConfig.validate_for`` checks them against each period.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import RegionMask, SynthSpec, in_float_range
+from .grid import RegionMask, SynthEvent, SynthSpec, dataclass_spec, read_json, required
 from .ssa import SsaConfig
 from .vae import TrainConfig
 
 SCHEMA_VERSION = 1
 METHODS = {"vae": ("vae",), "ssa": ("ssa",), "both": ("vae", "ssa")}
 
-# Schema for each annotation of a config dataclass field; a tuple field
-# holds ints (hidden_dims) and a list field numbers (synth land_frac).
-_ANNOTATIONS = {int: int, float: float, str: str, tuple: [int], list: [float]}
-_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-          dict: "an object"}
-
-
-def _fields(cls, drop=()) -> dict:
-    """Schema of a dataclass's fields, from their annotations."""
-    return {
-        name: _ANNOTATIONS.get(hint) or tuple(_ANNOTATIONS[t] for t in typing.get_args(hint))
-        for name, hint in typing.get_type_hints(cls).items()
-        if name not in drop
-    }
-
-
+_SYNTH_SCHEMA = dict(dataclass_spec(SynthSpec, drop=("events",)), name=str,
+                     events=[dataclass_spec(SynthEvent)])
 _SCHEMA = {
     "schema_version": int,
     "seed": int,
     "out_dir": str,
     "method": set(METHODS),
-    "synth": dict,  # checked against _SYNTH_SCHEMA
+    "synth": _SYNTH_SCHEMA,
     "grid": {"path": str},
-    "regions": [{"name": str, "cells": [int], "min_land_frac": float}],
-    "periods": [{"name": str, "start_year": int, "end_year": int}],
-    "train": _fields(TrainConfig, drop=("seed",)),  # unit seeds derive from `seed`
-    "ssa": dict(_fields(SsaConfig), dump_cells=[int]),
+    "regions": [{**required({"name": str, "cells": [int]}), "min_land_frac": float}],
+    "periods": [{"name": str, **required({"start_year": int, "end_year": int})}],
+    "train": dataclass_spec(TrainConfig, drop=("seed",)),  # unit seeds derive from `seed`
+    "ssa": dict(dataclass_spec(SsaConfig), dump_cells=[int]),
     "gridsearch": {"latent_dims": [int], "hidden_dims": [[int]], "learning_rates": [float]},
 }
-_SYNTH_SCHEMA = dict(
-    _fields(SynthSpec, drop=("events",)), name=str,
-    events=[{"cell": int, "start": int, "length": int, "suppression": float}],
-)
-
-
-def _check(value, spec, path: str) -> None:
-    """Raise a ConfigError naming ``path`` unless ``value`` matches ``spec``.
-
-    A spec is a type (int, float, str, list or dict), a set of the strings
-    allowed, a one-item list holding the spec of every item, a dict of key
-    specs that admits no other key, or a tuple of two alternatives: the list
-    spec for a list value, the other for any other value. An int passes as
-    a float; a bool is neither. A float must be finite: ``json`` reads NaN
-    and Infinity, which no setting means.
-    """
-    if isinstance(spec, tuple):
-        spec = next(s for s in spec if isinstance(s, list) == isinstance(value, list))
-    if isinstance(spec, set):
-        if not isinstance(value, str) or value not in spec:
-            raise ConfigError(f"{path} must be one of {sorted(spec)}, got {value!r}")
-        return
-    kind = spec if isinstance(spec, type) else type(spec)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"{path} must be {_NAMES[kind]}, got {value!r}")
-    if kind is float and not in_float_range(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    if isinstance(spec, list):
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]")
-    elif isinstance(spec, dict):
-        for key, item in value.items():
-            where = f"{path}.{key}" if path else key
-            if key not in spec:
-                raise ConfigError(f"unknown key {where}; expected one of {sorted(spec)}")
-            _check(item, spec[key], where)
-
-
-def _require(raw: dict, path: str, *keys) -> None:
-    for key in keys:
-        if key not in raw:
-            raise ConfigError(f"{path}.{key} is required")
 
 
 def _slug(name: str) -> str:
@@ -167,20 +109,11 @@ class PipelineConfig:
         if jobs is not None and jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{p}: cannot read the config ({exc})") from exc
-        _check(raw, dict, str(p))
+        raw = read_json(p, "config", _SCHEMA, ConfigError)
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(
                 f"{p}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')}"
             )
-        _check(raw, _SCHEMA, "")
         seed = seed if seed is not None else raw.get("seed", 0)
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -199,10 +132,6 @@ class PipelineConfig:
         grid = raw.get("grid", {})
         synth = raw.get("synth")
         if synth is not None:
-            _check(synth, _SYNTH_SCHEMA, "synth")
-            _require(synth, "synth", "n_lat", "n_lon", "n_months")
-            for i, event in enumerate(synth.get("events", [])):
-                _require(event, f"synth.events[{i}]", *_SYNTH_SCHEMA["events"][0])
             synth = SynthSpec.from_dict({k: v for k, v in synth.items() if k != "name"})
         return cls(
             out=Path(out) if out else Path(raw.get("out_dir", "out")),
@@ -244,7 +173,6 @@ class PipelineConfig:
 
 
 def _region(raw: dict, i: int) -> RegionMask:
-    _require(raw, f"regions[{i}]", "name", "cells")
     first = {}
     for j, cell in enumerate(raw["cells"]):
         if first.setdefault(cell, j) != j:
@@ -260,7 +188,6 @@ def _region(raw: dict, i: int) -> RegionMask:
 
 
 def _period(raw: dict, i: int) -> Period:
-    _require(raw, f"periods[{i}]", "start_year", "end_year")
     start, end = raw["start_year"], raw["end_year"]
     period = Period(raw.get("name", f"{start}-{end % 100:02d}"), start, end)
     if period.months < 36:

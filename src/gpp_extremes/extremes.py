@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegionError, ShapeError
-from .grid import GGC_PER_TGC, MassSeries
+from .grid import GGC_PER_TGC, MassSeries, required
 
 NEG = -1
 POS = 1
@@ -216,6 +216,11 @@ def regional_series(anoms: MassSeries, flags: np.ndarray, sign: int):
         np.add.reduce(anoms.values[:, months], axis=0, where=hits, initial=0.0,
                       out=mags[months])
     return counts, mags / GGC_PER_TGC
+
+
+# An entry of tables/cumulative_totals.json, as cumulative_totals makes it
+TOTALS_SPEC = [required({"region": str, "period": str, "method": str, "cells": [int],
+                         "negative_TgC": float, "positive_TgC": float})]
 
 
 def cumulative_totals(report: "ExtremesReport") -> dict:

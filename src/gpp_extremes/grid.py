@@ -5,7 +5,9 @@ per-cell carbon-mass conversion, region masking and the synthetic-data
 generator used for desk-scale validation. ``write_flat`` is the one writer
 of the flat-binary container, which grids and VAE checkpoints share, and
 ``_frame_flat`` the one check of its framing: a payload that is not whole
-float64 values is a FormatError naming the file. A checkpoint is read
+float64 values is a FormatError naming the file. ``read_json`` is the one
+reader of JSON input, the config's and every header's alike: it checks
+what it reads against a spec (``_check``). A checkpoint is read
 whole (``read_flat``); a grid is read in parts at their offsets
 (``load_grid``, ``GridFile.read_rows``), so no grid payload is ever held in
 memory.
@@ -17,8 +19,11 @@ calendar throughout.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import sys
+import typing
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -218,20 +223,22 @@ def _paths(path: str | Path) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(".f64")
 
 
-def _read(path: Path, read):
-    """``read(path)``; a missing file is a DataError naming it."""
+def _read(path: Path, read, what: str, error=DataError):
+    """``read(path)``; a missing or unreadable file is ``error`` naming it."""
     try:
         return read(path)
     except FileNotFoundError as exc:
-        raise DataError(f"{path}: file not found") from exc
+        raise error(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read the {what} ({exc.strerror or exc})") from exc
 
 
 def _read_at(path: Path, parts: Iterable[tuple[int, np.ndarray]]) -> None:
     """Fill each C-contiguous float64 array of ``parts``, (byte offset, array)
-    pairs, from its offset of the payload ``path``. A missing file is a
-    DataError naming it; so is a payload that ends first (it shrank after
-    its size was checked)."""
-    with _read(path, lambda p: p.open("rb")) as f:
+    pairs, from its offset of the payload ``path``. A missing or unreadable
+    file is a DataError naming it; so is a payload that ends first (it shrank
+    after its size was checked)."""
+    with _read(path, lambda p: p.open("rb"), "payload") as f:
         for offset, out in parts:
             f.seek(offset)
             if f.readinto(memoryview(out).cast("B")) != out.nbytes:
@@ -239,27 +246,93 @@ def _read_at(path: Path, parts: Iterable[tuple[int, np.ndarray]]) -> None:
                                 f"it shrank while it was read")
 
 
-def _read_json(path: Path, what: str) -> dict:
-    """The JSON object in ``path``; anything else is a FormatError naming the file."""
+class _Required(typing.NamedTuple):
+    """The spec of a key that must be present (see ``_check``)."""
+
+    spec: object
+
+
+def required(spec: dict) -> dict:
+    """The dict spec ``spec`` with every key required."""
+    return {key: _Required(item) for key, item in spec.items()}
+
+
+# Spec for each annotation of a dataclass field; a tuple field holds ints
+# (hidden_dims) and a list field numbers (synth land_frac).
+_ANNOTATIONS = {int: int, float: float, str: str, tuple: [int], list: [float]}
+_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
+
+
+def dataclass_spec(cls, drop=()) -> dict:
+    """Spec of a dataclass's fields, from their annotations; a field without
+    a default is required."""
+    hints = typing.get_type_hints(cls)
+    spec = {}
+    for field in dataclasses.fields(cls):
+        if field.name not in drop:
+            hint = hints[field.name]
+            item = _ANNOTATIONS.get(hint) or tuple(_ANNOTATIONS[t] for t in typing.get_args(hint))
+            spec[field.name] = item if field.default is not dataclasses.MISSING else _Required(item)
+    return spec
+
+
+def _check(value, spec, path: str, fail) -> None:
+    """Raise ``fail(message)`` naming the key ``path`` ("" for the whole
+    file) unless ``value`` matches ``spec``.
+
+    A spec is a type (int, float, str, list or dict), a set of the values
+    allowed, a one-item list holding the spec of every item, a dict of key
+    specs that admits no other key, or a tuple of two alternatives: the list
+    spec for a list value, the other for any other value. A dict's key spec
+    wrapped in ``_Required`` names a key that must be present. An int passes
+    as a float; a bool is neither. A float must be finite: ``json`` reads
+    NaN and Infinity, and ints past the float range, which no file means.
+    """
+    if isinstance(spec, _Required):
+        spec = spec.spec
+    if isinstance(spec, tuple):
+        spec = next(s for s in spec if isinstance(s, list) == isinstance(value, list))
+    name = path or "the file"
+    if isinstance(spec, set):
+        if not any(type(value) is type(item) and value == item for item in spec):
+            raise fail(f"{name} must be one of {sorted(spec)}, got {value!r}")
+        return
+    kind = spec if isinstance(spec, type) else type(spec)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise fail(f"{name} must be {_NAMES[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise fail(f"{name} must be a finite number, got {value!r}")
+    if isinstance(spec, list):
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]", fail)
+    elif isinstance(spec, dict):
+        missing = [key for key, item in spec.items() if isinstance(item, _Required)
+                   and key not in value]
+        for key in [*value, *missing]:
+            where = f"{path}.{key}" if path else key
+            if key not in spec:
+                raise fail(f"unknown key {where}; expected one of {sorted(spec)}")
+            if key in missing:
+                raise fail(f"{where} is required")
+            _check(value[key], spec[key], where, fail)
+
+
+def read_json(path: str | Path, what: str, spec, error):
+    """The JSON value in ``path``, the ``what`` of its messages, checked
+    against ``spec`` (see ``_check``).
+
+    A missing or unreadable file, a file that is not UTF-8 JSON and a value
+    that does not match ``spec`` are each an ``error`` naming the file; a
+    mismatch names its key path too.
+    """
+    path = Path(path)
     try:
-        raw = json.loads(_read(path, Path.read_text))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: {what} is not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: {what} must be a JSON object, got {type(raw).__name__}")
+        raw = json.loads(_read(path, Path.read_text, what, error))
+    except (ValueError, RecursionError) as exc:  # JSON, the UTF-8 under it, or nesting
+        raise error(f"{path}: {what} is not valid JSON ({exc})") from exc
+    _check(raw, spec, "", lambda message: error(f"{path}: {message}"))
     return raw
-
-
-def is_int(value) -> bool:
-    """Whether a JSON value is an integer; ``json`` reads true and false as
-    bools, which Python counts as ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def in_float_range(value) -> bool:
-    """Whether a JSON number is a finite float; NaN, infinities and ints past the
-    float range all fail."""
-    return abs(value) <= sys.float_info.max
 
 
 def write_flat(path: str | Path, header: dict, *blocks: np.ndarray) -> None:
@@ -278,47 +351,35 @@ def write_flat(path: str | Path, header: dict, *blocks: np.ndarray) -> None:
                 f.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
-def _frame_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, int]:
+def _frame_flat(path: str | Path, what: str, spec) -> tuple[Path, dict, Path, int]:
     """The header path, header, payload path and payload length in float64
     values of a ``write_flat`` pair.
 
-    A missing file is a DataError; a header that is not a JSON object, or a
-    payload that is not whole float64 values, is a FormatError naming the file.
+    The header is read by ``read_json`` against ``spec``, with FormatError;
+    a missing or unreadable payload is a DataError, and one that is not
+    whole float64 values a FormatError, naming the file.
     """
     header_path, payload_path = _paths(path)
-    header = _read_json(header_path, what)
-    size = _read(payload_path, Path.stat).st_size
+    header = read_json(header_path, what, spec, FormatError)
+    # opened, not stat()ed: a directory has a size too
+    with _read(payload_path, lambda p: p.open("rb"), "payload") as f:
+        size = os.fstat(f.fileno()).st_size
     if size % 8:
         raise FormatError(f"{payload_path}: payload of {size} bytes is not whole "
                           f"float64 values")
     return header_path, header, payload_path, size // 8
 
 
-def read_flat(path: str | Path, what: str) -> tuple[Path, dict, Path, np.ndarray]:
+def read_flat(path: str | Path, what: str, spec) -> tuple[Path, dict, Path, np.ndarray]:
     """The header path, header, payload path and whole payload of a
     ``write_flat`` pair, checked as ``_frame_flat`` checks it."""
-    header_path, header, payload_path, size = _frame_flat(path, what)
+    header_path, header, payload_path, size = _frame_flat(path, what, spec)
     payload = np.empty(size, dtype="<f8")
     _read_at(payload_path, [(0, payload)])
     return header_path, header, payload_path, payload
 
 
-def _check_header(raw: dict, header_path: Path) -> None:
-    for name in _HEADER_FIELDS:
-        if name not in raw:
-            raise FormatError(f"{header_path}: header missing field {name!r}")
-        if not is_int(raw[name]):
-            raise FormatError(
-                f"{header_path}: header field {name!r} must be an integer, got {raw[name]!r}")
-    if raw.get("layout") != "cell-major":
-        raise FormatError(
-            f"{header_path}: header field 'layout' must be 'cell-major', "
-            f"got {raw.get('layout')!r}"
-        )
-    if raw["n_lat"] < 1 or raw["n_lon"] < 1 or raw["n_months"] < 1:
-        raise FormatError(f"{header_path}: grid dimensions must be positive")
-    if not (1 <= raw["start_month"] <= 12):
-        raise FormatError(f"{header_path}: header field 'start_month' outside 1..12")
+_HEADER_SPEC = required({**dict.fromkeys(_HEADER_FIELDS, int), "layout": {"cell-major"}})
 
 
 def save_grid(grid: GridSeries, path: str | Path, *, cells: np.ndarray | None = None) -> None:
@@ -360,8 +421,11 @@ def load_grid(path: str | Path) -> GridFile:
     at a time into one reused buffer. The values stay on disk
     (``GridFile.read_rows``).
     """
-    header_path, raw, payload_path, size = _frame_flat(path, "header")
-    _check_header(raw, header_path)
+    header_path, raw, payload_path, size = _frame_flat(path, "header", _HEADER_SPEC)
+    if raw["n_lat"] < 1 or raw["n_lon"] < 1 or raw["n_months"] < 1:
+        raise FormatError(f"{header_path}: grid dimensions must be positive")
+    if not (1 <= raw["start_month"] <= 12):
+        raise FormatError(f"{header_path}: header field 'start_month' outside 1..12")
     n_cells, n_months = raw["n_lat"] * raw["n_lon"], raw["n_months"]
     expected = n_cells * n_months + 2 * n_cells
     if size != expected:

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalError, ShapeError
-from .grid import MassSeries, in_float_range, is_int, read_flat, write_flat
+from .grid import MassSeries, dataclass_spec, read_flat, required, write_flat
 from .nn import (
     AdamState,
     DenseLayer,
@@ -83,9 +83,6 @@ from .nn import (
 )
 
 SEQ_LEN = 12
-# Manifest fields that load_checkpoint checks: the model it builds always has these.
-_FIXED_ARCHITECTURE = {"input_dim": SEQ_LEN, "activation_hidden": "relu",
-                       "activation_output": "tanh"}
 # Most rows per eval-mode pass (reconstruct, eval_loss): bounds inference
 # memory at a few MB of activations whatever the region size: a pass holds
 # two layers' activations at a time, 1.5 MB of float64 at 1,024 rows through
@@ -578,7 +575,7 @@ def vae_anomalies(model: VaeModel, mass: MassSeries) -> MassSeries:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
+def save_checkpoint(model: VaeModel, path, seed: int, epoch: int) -> None:
     """JSON manifest of the model's config + little-endian float64 parameter payload
     (float32-exact values for a model that ``train`` returned)."""
     config, flat = model.config, model.params.flat
@@ -600,55 +597,38 @@ def save_checkpoint(model: VaeModel, path, seed=None, epoch=None) -> None:
     write_flat(path, manifest, flat)
 
 
-# Manifest fields that build the model: what each must hold, and its check.
-# The numbers follow the config's rule: finite, and a bool is not a number.
-_MANIFEST_FIELDS = {
-    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
-    "latent_dim": ("an integer", is_int),
-    **dict.fromkeys(("beta", "dropout_rate", "likelihood_var", "x_min", "x_max"),
-                    ("a finite number",
-                     lambda v: (is_int(v) or isinstance(v, float)) and in_float_range(v))),
-}
+# The fields save_checkpoint writes, each required; the model's config fields
+# take their specs from TrainConfig's annotations, as the config's do.
+_MODEL_FIELDS = ("hidden_dims", "latent_dim", "beta", "dropout_rate", "likelihood_var")
+_MANIFEST_SPEC = required({
+    "input_dim": {SEQ_LEN}, "activation_hidden": {"relu"}, "activation_output": {"tanh"},
+    **{name: spec for name, spec in dataclass_spec(TrainConfig).items() if name in _MODEL_FIELDS},
+    "x_min": float, "x_max": float, "seed": int, "epoch": int, "n_params": int,
+})
 
 
 def load_checkpoint(path) -> tuple[VaeModel, dict]:
     """The model and manifest of ``save_checkpoint``; a damaged file is a FormatError.
 
-    The model's config holds the manifest's ``hidden_dims``, ``latent_dim``,
-    ``beta``, ``dropout_rate`` and ``likelihood_var``; a manifest without
-    ``likelihood_var`` gets TrainConfig's default. Every other config field
-    (epochs, patience, learning rate, batch size, validation fraction and
-    seed) is TrainConfig's default, not the training run's. The scaling
-    limits must be finite with ``x_max > x_min``, or no anomaly is finite.
+    The manifest is checked against the fields ``save_checkpoint`` writes
+    (``grid.read_json``). The model's config holds the manifest's
+    ``hidden_dims``, ``latent_dim``, ``beta``, ``dropout_rate`` and
+    ``likelihood_var``. Every other config field (epochs, patience, learning
+    rate, batch size, validation fraction and seed) is TrainConfig's
+    default, not the training run's. The scaling limits must have
+    ``x_max > x_min``, or no anomaly is finite.
     """
-    header_path, manifest, payload_path, payload = read_flat(path, "manifest")
-    for name, expected in _FIXED_ARCHITECTURE.items():
-        if manifest.get(name) != expected:
-            raise FormatError(
-                f"{header_path}: {name} is {manifest.get(name)!r}, expected {expected!r}"
-            )
-    fields = {"likelihood_var": TrainConfig.likelihood_var, **manifest}
-    for name, (kind, check) in _MANIFEST_FIELDS.items():
-        if name not in fields:
-            raise FormatError(f"{header_path}: manifest missing field {name!r}")
-        if not check(fields[name]):
-            raise FormatError(
-                f"{header_path}: manifest field {name!r} must be {kind}, got {fields[name]!r}")
-    if not fields["x_max"] > fields["x_min"]:
+    header_path, manifest, payload_path, payload = read_flat(path, "manifest", _MANIFEST_SPEC)
+    if not manifest["x_max"] > manifest["x_min"]:
         raise FormatError(
-            f"{header_path}: manifest field 'x_max' ({fields['x_max']!r}) must exceed "
-            f"x_min ({fields['x_min']!r})")
+            f"{header_path}: manifest field 'x_max' ({manifest['x_max']!r}) must exceed "
+            f"x_min ({manifest['x_min']!r})")
     try:
-        config = TrainConfig(
-            hidden_dims=tuple(fields["hidden_dims"]),
-            latent_dim=fields["latent_dim"],
-            beta=fields["beta"],
-            dropout_rate=fields["dropout_rate"],
-            likelihood_var=fields["likelihood_var"],
-        )
+        config = TrainConfig(**{name: manifest[name] for name in _MODEL_FIELDS}
+                             | {"hidden_dims": tuple(manifest["hidden_dims"])})
     except ConfigError as exc:
         raise FormatError(f"{header_path}: {exc}") from exc
-    model = VaeModel.zeros(config, fields["x_min"], fields["x_max"])
+    model = VaeModel.zeros(config, manifest["x_min"], manifest["x_max"])
     flat = model.params.flat
     if payload.size != flat.size:
         raise ShapeError(

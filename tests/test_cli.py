@@ -99,9 +99,11 @@ def test_missing_config_exit_code(tmp_path):
 @pytest.mark.parametrize("option, make, message", [
     ("--config", lambda path: path.mkdir(), "{path}: cannot read the config"),
     ("--config", lambda path: path.write_bytes(b'{"schema_version": 1, "seed": "\xff"}'),
-     "{path}: cannot read the config"),
+     "{path}: config is not valid JSON"),
+    ("--config", lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+     "{path}: config is not valid JSON"),
     ("--out", lambda path: path.write_text("a file"), "cannot make output directory {path}"),
-], ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+], ids=["config-is-a-directory", "config-not-utf8", "config-nested-too-deep", "out-is-a-file"])
 def test_unreadable_config_or_out_exits_1_naming_the_path(tmp_path, capsys, option, make,
                                                            message):
     path = tmp_path / "given"
@@ -1047,7 +1049,11 @@ def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
     tables.mkdir(parents=True)
     header = b"region,period,method,threshold_GgC_neg,threshold_GgC_pos\n"
     for row, message in ((b"quad,y1850-53,vae\n", "thresholds.csv line 2"),
-                         (b"quad,y1850-53,vae,-1\xff,2\n", "thresholds.csv: not valid UTF-8")):
+                         (b"quad,y1850-53,vae,-1\xff,2\n", "thresholds.csv: not valid UTF-8"),
+                         (b"quad,y1850-53,vae,nan,2\n",
+                          "thresholds.csv line 2: threshold 'nan' is not finite"),
+                         (b"quad,y1850-53,vae,-inf,2\n",
+                          "thresholds.csv line 2: threshold '-inf' is not finite")):
         (tables / "thresholds.csv").write_bytes(header + row)
         assert run(["compare", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -1377,6 +1383,15 @@ def test_pipeline_writes_each_output_once(tmp_path):
     assert written == expected
 
 
+def _set_first_total(key, value):
+    """A damage that sets ``key`` of the first cumulative_totals.json entry to ``value``."""
+    def damage(path):
+        totals = json.loads(path.read_text())
+        totals[0][key] = value
+        path.write_text(json.dumps(totals))
+    return damage
+
+
 def _extremes_both(tmp_path):
     """A config, and the artifacts of synth, train and extremes with method: both."""
     cfg = write_config(tmp_path)
@@ -1387,17 +1402,30 @@ def _extremes_both(tmp_path):
 
 @pytest.mark.parametrize("damage, message", [
     (lambda path: path.unlink(), "cumulative_totals.json missing"),
-    (lambda path: path.write_text("[{"), "cumulative_totals.json: not valid JSON"),
+    (lambda path: path.write_text("[{"), "cumulative_totals.json: totals list is not valid JSON"),
     (lambda path: path.write_bytes(b'[{"region": "\xff"}]'),
-     "cumulative_totals.json: not valid JSON"),
-    (lambda path: path.write_text('[{"region": "quad"}]'), "cumulative_totals.json entry 0"),
+     "cumulative_totals.json: totals list is not valid JSON"),
+    (lambda path: path.write_text('[{"region": "quad"}]'),
+     "cumulative_totals.json: [0].period is required"),
     (lambda path: path.write_text(json.dumps(json.loads(path.read_text())[1:])),
      "cumulative_totals.json has no entry for (quad, y1850-53, vae)"),
     (lambda path: path.write_text(json.dumps(
         [{k: v for k, v in e.items() if k != "cells"} for e in json.loads(path.read_text())])),
-     "cumulative_totals.json entry 0: needs region, period, method, cells"),
+     "cumulative_totals.json: [0].cells is required"),
+    # each value below int() or float() would take as some other value
+    (_set_first_total("cells", [0.9, 1, 2, 3]),
+     "cumulative_totals.json: [0].cells[0] must be an integer, got 0.9"),
+    (_set_first_total("cells", [True, 1, 2, 3]),
+     "cumulative_totals.json: [0].cells[0] must be an integer, got True"),
+    (_set_first_total("cells", ["2", 1, 2, 3]),
+     "cumulative_totals.json: [0].cells[0] must be an integer, got '2'"),
+    (_set_first_total("negative_TgC", float("nan")),
+     "cumulative_totals.json: [0].negative_TgC must be a finite number, got nan"),
+    (_set_first_total("positive_TgC", "1e3"),
+     "cumulative_totals.json: [0].positive_TgC must be a number, got '1e3'"),
 ], ids=["missing", "invalid-json", "not-utf8", "entry-without-keys", "no-unit-entry",
-        "entry-without-cells"])
+        "entry-without-cells", "cell-0.9", "cell-true", "cell-string", "negative-nan",
+        "positive-string"])
 def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage, message):
     cfg = _extremes_both(tmp_path)
     damage(tmp_path / "out" / "tables" / "cumulative_totals.json")
@@ -1407,6 +1435,67 @@ def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "toy.json"),
+    ("train", "toy.f64"),
+    ("extremes", "checkpoints/vae_quad_y1850-53.json"),
+    ("compare", "tables/cumulative_totals.json"),
+    ("compare", "tables/thresholds.csv"),
+])
+def test_a_directory_in_place_of_an_input_exits_2_naming_it(tmp_path, capsys, command, name):
+    cfg = _extremes_both(tmp_path)
+    path = tmp_path / "out" / name
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: cannot read the " in err
+    assert "Traceback" not in err
+
+
+# Every JSON input, with the command that reads it, that command's exit code
+# for a bad file, and the key each mistake goes under: (file under the test
+# directory, command, exit code, keys of the mistake's object, their key
+# path as an error names it, the key)
+JSON_INPUTS = [
+    ("config.json", "train", 1, ("train",), "train.", "learning_rate"),
+    ("out/toy.json", "train", 2, (), "", "n_lat"),
+    ("out/checkpoints/vae_quad_y1850-53.json", "extremes", 2, (), "", "beta"),
+    ("out/tables/cumulative_totals.json", "compare", 2, (0,), "[0].", "positive_TgC"),
+]
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "{key} must be .*, got True"),
+    (float("nan"), "{key} must be .*, got nan"),
+    (None, "unknown key {parent}bogus"),
+], ids=["bool", "nan", "unknown-key"])
+@pytest.mark.parametrize("name, command, code, parent, shown, key", JSON_INPUTS,
+                         ids=[case[0].split("/")[-1] for case in JSON_INPUTS])
+def test_every_json_input_holds_the_config_rule(tmp_path, capsys, name, command, code, parent,
+                                                shown, key, value, message):
+    # a bool is not a number, a number must be finite and an unknown key is
+    # an error, in every JSON file the program reads; None adds the key bogus
+    cfg = _extremes_both(tmp_path)
+    path = tmp_path / name
+    raw = json.loads(path.read_text())
+    target = raw
+    for step in parent:
+        target = target[step]
+    if value is None:
+        target["bogus"] = 1
+    else:
+        target[key] = value
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert re.search(re.escape(f"{path}: ") + message.format(key=re.escape(shown + key),
+                                                             parent=re.escape(shown)), err), err
+    assert "Traceback" not in err
 
 
 def test_compare_rejects_flags_from_another_period(tmp_path, capsys):

@@ -89,7 +89,7 @@ def test_bool_header_field_is_a_format_error(tmp_path, rng, field):
     header = json.loads((tmp_path / "g.json").read_text())
     header[field] = True
     (tmp_path / "g.json").write_text(json.dumps(header))
-    with pytest.raises(FormatError, match=f"header field '{field}' must be an integer, got True"):
+    with pytest.raises(FormatError, match=f"g.json: {field} must be an integer, got True"):
         grid.load_grid(tmp_path / "g")
 
 

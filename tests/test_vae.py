@@ -848,24 +848,24 @@ def test_checkpoint_architecture_mismatch_is_a_format_error(tmp_path, rng, field
 
 @pytest.mark.parametrize("damage, message", [
     (lambda text: "{", "manifest is not valid JSON"),
-    (lambda text: "[]", "manifest must be a JSON object"),
+    (lambda text: "[]", "m.json: the file must be an object, got"),
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "x_min"}),
-     "manifest missing field 'x_min'"),
+     "m.json: x_min is required"),
     (lambda text: json.dumps({**json.loads(text), "latent_dim": "5"}),
-     "manifest field 'latent_dim' must be an integer"),
+     "m.json: latent_dim must be an integer"),
     (lambda text: json.dumps({**json.loads(text), "hidden_dims": [0]}), "hidden_dims"),
     (lambda text: json.dumps({**json.loads(text), "x_max": json.loads(text)["x_min"]}),
      "manifest field 'x_max' .* must exceed x_min"),
     (lambda text: json.dumps({**json.loads(text), "x_min": float("nan")}),
-     "manifest field 'x_min' must be a finite number, got nan"),
+     "m.json: x_min must be a finite number, got nan"),
     (lambda text: json.dumps({**json.loads(text), "x_max": float("inf")}),
-     "manifest field 'x_max' must be a finite number, got inf"),
+     "m.json: x_max must be a finite number, got inf"),
     (lambda text: json.dumps({**json.loads(text), "beta": float("nan")}),
-     "manifest field 'beta' must be a finite number, got nan"),
+     "m.json: beta must be a finite number, got nan"),
     (lambda text: json.dumps({**json.loads(text), "likelihood_var": float("inf")}),
-     "manifest field 'likelihood_var' must be a finite number, got inf"),
+     "m.json: likelihood_var must be a finite number, got inf"),
     (lambda text: json.dumps({**json.loads(text), "beta": True}),
-     "manifest field 'beta' must be a finite number, got True"),
+     "m.json: beta must be a number, got True"),
 ], ids=["invalid-json", "json-list", "no-x_min", "latent_dim-string", "zero-width-layer",
         "x_max-equals-x_min", "x_min-nan", "x_max-infinity", "beta-nan",
         "likelihood_var-infinity", "beta-true"])
