@@ -482,13 +482,11 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     then write the tables that span every unit. As in ``cmd_train``, the
     regions are checked against the grid before any task runs."""
     units = cfg.units()
-    threshold_rows = []
-    totals = []
+    records = []
 
     def take(result):
-        rows, unit_totals, lines = result
-        threshold_rows.extend(rows)
-        totals.extend(unit_totals)
+        unit_records, lines = result
+        records.extend(unit_records)
         _print_lines(lines)
 
     if "ssa" in cfg.methods:  # loaded once here, not again in each forked worker
@@ -497,19 +495,18 @@ def cmd_extremes(cfg: PipelineConfig) -> int:
     grid = _load_input_grid(cfg)
     _run_units(cfg, grid, _unit_extremes, units, take,
                costs=[u.region.effective_cells(grid).size * u.period.months for u in units])
-    out = cfg.out
-    _write_csv(
-        out / "tables" / "thresholds.csv",
-        ["region", "period", "method", "threshold_GgC_neg", "threshold_GgC_pos"],
-        threshold_rows,
-    )
-    (out / "tables" / "cumulative_totals.json").write_text(json.dumps(totals, indent=2) + "\n")
+    tables = cfg.out / "tables"
+    (tables / "cumulative_totals.json").write_text(json.dumps(records, indent=2) + "\n")
+    keys, thresholds = ["region", "period", "method"], ["threshold_GgC_neg", "threshold_GgC_pos"]
+    _write_csv(tables / "thresholds.csv", keys + thresholds,
+               [[r[k] for k in keys] + [format(r[q], ".6g") for q in thresholds]
+                for r in records])
     return 0
 
 
 def _unit_extremes(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> tuple:
     """Every method's extremes of one unit, with its per-unit outputs written;
-    (threshold rows, cumulative totals, stdout lines), one entry per method.
+    (records of ``cumulative_totals``, stdout lines), one entry per method.
 
     Every method's anomalies come first, so the unit's mass is freed before
     the reports are built, and each method's anomalies are freed once its
@@ -521,18 +518,16 @@ def _unit_extremes(cfg: PipelineConfig, grid: GridFile, unit: Unit) -> tuple:
     mass = _unit_mass(cfg, grid, unit)
     anomalies = {method: _anomalies(method, mass, unit, cfg) for method in cfg.methods}
     del mass
-    rows, totals, lines = [], [], []
+    records, lines = [], []
     for method in cfg.methods:
         report = extremes_mod.build_report(anomalies.pop(method), region, period, method)
         _write_report_outputs(report, f"{method}_{unit.tag}", grid, cfg.out)
-        q = report.thresholds
-        rows.append((region, period, method, f"{q.q_neg:.6g}", f"{q.q_pos:.6g}"))
-        totals.append(extremes_mod.cumulative_totals(report))
+        records.append(extremes_mod.cumulative_totals(report))
         lines.append(
-            f"extremes: {method} {region} {period} q_neg={q.q_neg:.6g} GgC "
+            f"extremes: {method} {region} {period} q_neg={report.thresholds.q_neg:.6g} GgC "
             f"({int((report.flags == extremes_mod.NEG).sum())} negative flags)"
         )
-    return rows, totals, lines
+    return records, lines
 
 
 def cmd_gridsearch(cfg: PipelineConfig) -> int:
@@ -582,35 +577,22 @@ def _artifact(path: Path) -> Path:
 def cmd_compare(cfg: PipelineConfig) -> int:
     """Write the agreement and threshold tables from the artifacts of `extremes`.
 
-    Each unit's two flags grids, ``tables/thresholds.csv`` and
-    ``tables/cumulative_totals.json`` must come from an `extremes` run with
-    method: both over the configured periods.
+    Each unit's two flags grids and its two records in
+    ``tables/cumulative_totals.json`` (thresholds, cells and totals; one
+    record per (region, period, method)) must come from an `extremes` run
+    with method: both over the configured periods. ``thresholds.csv`` is
+    not read.
     """
     units = cfg.units()
     out = cfg.out
-    thresholds = {}
-    tpath = _artifact(out / "tables" / "thresholds.csv")
-    try:
-        with tpath.open(newline="") as f:
-            rows = list(csv.reader(f))[1:]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{tpath}: not valid UTF-8 ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"{tpath}: cannot read the thresholds ({exc.strerror or exc})") from exc
-    for n, row in enumerate(rows, start=2):
-        try:
-            region, period, method, q_neg, _ = row
-            if not np.isfinite(threshold := float(q_neg)):
-                raise ValueError(f"threshold {q_neg!r} is not finite")
-            thresholds[(region, period, method)] = threshold
-        except ValueError as exc:
-            raise DataError(f"{tpath} line {n}: {exc}") from exc
-    cpath = out / "tables" / "cumulative_totals.json"
-    # ((negative, positive) TgC, cells) per (region, period, method)
-    totals = {(e["region"], e["period"], e["method"]):
-              ((e["negative_TgC"], e["positive_TgC"]), e["cells"])
-              for e in read_json(_artifact(cpath), "totals list", extremes_mod.TOTALS_SPEC,
-                                 FormatError)}
+    path = _artifact(out / "tables" / "cumulative_totals.json")
+    records = {}
+    for record in read_json(path, "totals list", extremes_mod.TOTALS_SPEC, FormatError):
+        key = (record["region"], record["period"], record["method"])
+        if key in records:
+            raise DataError(f"{path} has two entries for ({', '.join(key)}); rerun "
+                            f"`gpp-extremes extremes --config ...`")
+        records[key] = record
 
     stats = []
     for unit in units:
@@ -623,12 +605,12 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                 raise DataError(
                     f"{gpath}.json missing; run `gpp-extremes extremes` with method: both"
                 )
-            for path, table, item in ((tpath, thresholds, "row"), (cpath, totals, "entry")):
-                if (*key, method) not in table:
-                    raise DataError(
-                        f"{path} has no {item} for ({key[0]}, {key[1]}, {method}); run "
-                        f"`gpp-extremes extremes` with method: both"
-                    )
+            record = records.get((*key, method))
+            if record is None:
+                raise DataError(
+                    f"{path} has no entry for ({key[0]}, {key[1]}, {method}); run "
+                    f"`gpp-extremes extremes` with method: both"
+                )
             g = load_grid(gpath)
             if (g.start_year, g.start_month, g.n_months) != (period.start_year, 1, period.months):
                 raise DataError(
@@ -636,19 +618,18 @@ def cmd_compare(cfg: PipelineConfig) -> int:
                     f"{period.end_year}); rerun `gpp-extremes extremes --config ...`"
                 )
             cells = unit.region.effective_cells(g)
-            recorded = totals[(*key, method)][1]
-            if recorded != cells.tolist():
+            if record["cells"] != cells.tolist():
                 raise DataError(
-                    f"{cpath} entry for ({key[0]}, {key[1]}, {method}) covers cells {recorded}, "
-                    f"not the cells {cells.tolist()} of region {key[0]}; rerun "
-                    f"`gpp-extremes extremes --config ...`"
+                    f"{path} entry for ({key[0]}, {key[1]}, {method}) covers cells "
+                    f"{record['cells']}, not the cells {cells.tolist()} of region {key[0]}; "
+                    f"rerun `gpp-extremes extremes --config ...`"
                 )
             flags[method] = g.read_rows(cells)
             del g  # one grid's cell fields at a time
-        vae, ssa = (*key, "vae"), (*key, "ssa")
+        vae, ssa = records[(*key, "vae")], records[(*key, "ssa")]
         stats.append(compare_mod.compare_methods(
-            *key, flags["vae"], flags["ssa"],
-            thresholds[vae], thresholds[ssa], totals[vae][0], totals[ssa][0]))
+            *key, flags["vae"], flags["ssa"], vae["threshold_GgC_neg"], ssa["threshold_GgC_neg"],
+            (vae["negative_TgC"], vae["positive_TgC"]), (ssa["negative_TgC"], ssa["positive_TgC"])))
     _write_csv(
         out / "tables" / "agreement.csv",
         [field + suffix for field, _, suffix in AGREEMENT_COLUMNS],

@@ -218,17 +218,23 @@ def regional_series(anoms: MassSeries, flags: np.ndarray, sign: int):
     return counts, mags / GGC_PER_TGC
 
 
-# An entry of tables/cumulative_totals.json, as cumulative_totals makes it
-TOTALS_SPEC = [required({"region": str, "period": str, "method": str, "cells": [int],
-                         "negative_TgC": float, "positive_TgC": float})]
+# tables/cumulative_totals.json: one record per (region, period, method), as
+# cumulative_totals makes it; compare reads every unit fact from it alone
+TOTALS_SPEC = [required({"region": str, "period": str, "method": str,
+                         "threshold_GgC_neg": float, "threshold_GgC_pos": float,
+                         "cells": [int], "negative_TgC": float, "positive_TgC": float})]
 
 
 def cumulative_totals(report: "ExtremesReport") -> dict:
-    """Period totals of the monthly magnitudes, TgC per sign."""
+    """The record of one (region, period, method): its thresholds in GgC,
+    full precision (``thresholds.csv`` is their ``.6g`` view), its cells,
+    and the period totals of its monthly magnitudes, TgC per sign."""
     return {
         "region": report.region,
         "period": report.period,
         "method": report.method,
+        "threshold_GgC_neg": report.thresholds.q_neg,
+        "threshold_GgC_pos": report.thresholds.q_pos,
         "cells": report.cells.tolist(),
         "negative_TgC": float(report.monthly_mag_neg.sum()),
         "positive_TgC": float(report.monthly_mag_pos.sum()),

@@ -1043,24 +1043,6 @@ def test_region_name_with_comma_round_trips(tmp_path):
     assert table[1] == ['W, NA "x"', "y1850-53", thresholds["vae"], thresholds["ssa"]]
 
 
-def test_compare_malformed_thresholds_is_a_data_error(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    tables = tmp_path / "out" / "tables"
-    tables.mkdir(parents=True)
-    header = b"region,period,method,threshold_GgC_neg,threshold_GgC_pos\n"
-    for row, message in ((b"quad,y1850-53,vae\n", "thresholds.csv line 2"),
-                         (b"quad,y1850-53,vae,-1\xff,2\n", "thresholds.csv: not valid UTF-8"),
-                         (b"quad,y1850-53,vae,nan,2\n",
-                          "thresholds.csv line 2: threshold 'nan' is not finite"),
-                         (b"quad,y1850-53,vae,-inf,2\n",
-                          "thresholds.csv line 2: threshold '-inf' is not finite")):
-        (tables / "thresholds.csv").write_bytes(header + row)
-        assert run(["compare", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
-
-
 _EVENT = {"cell": 1, "start": 20, "length": 2, "suppression": 0.8}
 
 
@@ -1345,7 +1327,7 @@ def test_input_header_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command
 
 def test_compare_needs_both_methods_thresholds(tmp_path, capsys):
     # a vae run then an ssa run: both flag grids exist, but the second run
-    # rewrote thresholds.csv with ssa rows only
+    # rewrote cumulative_totals.json with ssa records only
     cfg = write_config(tmp_path, method="vae")
     for command in ("synth", "train", "extremes"):
         assert run([command, "--config", str(cfg)]) == 0
@@ -1354,7 +1336,7 @@ def test_compare_needs_both_methods_thresholds(tmp_path, capsys):
     capsys.readouterr()
     assert run(["compare", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "no row for (quad, y1850-53, vae)" in err
+    assert "cumulative_totals.json has no entry for (quad, y1850-53, vae)" in err
     assert "method: both" in err
     assert not (tmp_path / "out" / "tables" / "agreement.csv").exists()
 
@@ -1392,6 +1374,24 @@ def _set_first_total(key, value):
     return damage
 
 
+def _drop_first_total(key):
+    """A damage that removes ``key`` from the first cumulative_totals.json entry."""
+    def damage(path):
+        totals = json.loads(path.read_text())
+        del totals[0][key]
+        path.write_text(json.dumps(totals))
+    return damage
+
+
+def _append_first_total(**changes):
+    """A damage that appends a copy of the first cumulative_totals.json entry
+    with ``changes``: a second record for the same unit."""
+    def damage(path):
+        totals = json.loads(path.read_text())
+        path.write_text(json.dumps(totals + [{**totals[0], **changes}]))
+    return damage
+
+
 def _extremes_both(tmp_path):
     """A config, and the artifacts of synth, train and extremes with method: both."""
     cfg = write_config(tmp_path)
@@ -1423,9 +1423,23 @@ def _extremes_both(tmp_path):
      "cumulative_totals.json: [0].negative_TgC must be a finite number, got nan"),
     (_set_first_total("positive_TgC", "1e3"),
      "cumulative_totals.json: [0].positive_TgC must be a number, got '1e3'"),
+    *[case for key in ("threshold_GgC_neg", "threshold_GgC_pos") for case in (
+        (_drop_first_total(key), f"cumulative_totals.json: [0].{key} is required"),
+        (_set_first_total(key, float("nan")),
+         f"cumulative_totals.json: [0].{key} must be a finite number, got nan"),
+        (_set_first_total(key, "45.5"),
+         f"cumulative_totals.json: [0].{key} must be a number, got '45.5'"),
+        (_set_first_total(key, True),
+         f"cumulative_totals.json: [0].{key} must be a number, got True"))],
+    # a second record for one unit, with other totals: neither may be taken silently
+    (_append_first_total(negative_TgC=999.0),
+     "cumulative_totals.json has two entries for (quad, y1850-53, vae)"),
 ], ids=["missing", "invalid-json", "not-utf8", "entry-without-keys", "no-unit-entry",
         "entry-without-cells", "cell-0.9", "cell-true", "cell-string", "negative-nan",
-        "positive-string"])
+        "positive-string",
+        *[f"{sign}-threshold-{case}" for sign in ("neg", "pos")
+          for case in ("missing", "nan", "string", "true")],
+        "duplicate-entry"])
 def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage, message):
     cfg = _extremes_both(tmp_path)
     damage(tmp_path / "out" / "tables" / "cumulative_totals.json")
@@ -1442,7 +1456,6 @@ def test_compare_bad_cumulative_totals_is_a_data_error(tmp_path, capsys, damage,
     ("train", "toy.f64"),
     ("extremes", "checkpoints/vae_quad_y1850-53.json"),
     ("compare", "tables/cumulative_totals.json"),
-    ("compare", "tables/thresholds.csv"),
 ])
 def test_a_directory_in_place_of_an_input_exits_2_naming_it(tmp_path, capsys, command, name):
     cfg = _extremes_both(tmp_path)
@@ -1496,6 +1509,38 @@ def test_every_json_input_holds_the_config_rule(tmp_path, capsys, name, command,
     assert re.search(re.escape(f"{path}: ") + message.format(key=re.escape(shown + key),
                                                              parent=re.escape(shown)), err), err
     assert "Traceback" not in err
+
+
+def test_compare_reads_no_thresholds_csv(tmp_path, capsys):
+    # compare takes each unit's thresholds from its cumulative_totals.json
+    # records, so its tables and stdout keep their bytes without thresholds.csv
+    cfg = _extremes_both(tmp_path)
+    tables = tmp_path / "out" / "tables"
+    outputs = ("agreement.csv", "threshold_table.csv")
+    capsys.readouterr()
+    assert run(["compare", "--config", str(cfg)]) == 0
+    first = capsys.readouterr().out, [(tables / name).read_bytes() for name in outputs]
+    for name in ("thresholds.csv", *outputs):
+        (tables / name).unlink()
+    assert run(["compare", "--config", str(cfg)]) == 0
+    assert (capsys.readouterr().out, [(tables / name).read_bytes() for name in outputs]) == first
+
+
+def test_thresholds_csv_is_the_records_6g_view(tmp_path):
+    # every row is its cumulative_totals.json record's two thresholds at
+    # .6g, in the same unit and method order
+    cfg = write_config(tmp_path, regions=[{"name": "west", "cells": [0, 2]},
+                                          {"name": "east", "cells": [1, 3]}])
+    for command in ("synth", "train", "extremes"):
+        assert run([command, "--config", str(cfg)]) == 0
+    tables = tmp_path / "out" / "tables"
+    records = json.loads((tables / "cumulative_totals.json").read_text())
+    assert [(r["region"], r["method"]) for r in records] == [
+        (region, method) for region in ("west", "east") for method in ("vae", "ssa")]
+    rows = (tables / "thresholds.csv").read_text().splitlines()
+    assert rows == ["region,period,method,threshold_GgC_neg,threshold_GgC_pos"] + [
+        f"{r['region']},{r['period']},{r['method']},"
+        f"{r['threshold_GgC_neg']:.6g},{r['threshold_GgC_pos']:.6g}" for r in records]
 
 
 def test_compare_rejects_flags_from_another_period(tmp_path, capsys):
